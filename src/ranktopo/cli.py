@@ -26,7 +26,8 @@ from .graph import (PAIRWISE_KINDS, HyperDesign, build_topology, optimality_repo
 from .models import make_link, model_params, plackett_luce
 from .synth import CardinalModel, even_allocation, gen_quality, sample_comparisons, sample_outcomes
 
-CSV_HEADER = "topology,d,n,trial,seed,sq_l2,sq_lap,rescaled,converged,runtime_ms"
+CSV_HEADER = ("topology,d,n,trial,seed,sq_l2,sq_lap,rescaled,converged,iterations,"
+              "grad_norm,runtime_ms")
 
 
 def _pool_size(requested: int | None) -> int:
@@ -108,7 +109,8 @@ def run_trial(kind: str, d: int, n: int, family: str, sigma: float, B: float,
         "topology": kind, "d": d, "n": n, "seed": seed,
         "sq_l2": metrics.sq_l2, "sq_lap": metrics.sq_lap,
         "rescaled": n * metrics.sq_l2 / (d * d),
-        "converged": result.converged, "runtime_ms": runtime_ms,
+        "converged": result.converged, "iterations": result.iterations,
+        "grad_norm": result.grad_norm, "runtime_ms": runtime_ms,
     }
 
 
@@ -133,6 +135,7 @@ def run_campaign(config: ExperimentConfig, threads: int | None = None,
             row = {"topology": kind, "d": d, "n": n, "seed": seed,
                    "sq_l2": float("nan"), "sq_lap": float("nan"),
                    "rescaled": float("nan"), "converged": False,
+                   "iterations": 0, "grad_norm": float("nan"),
                    "runtime_ms": float("nan")}
         row["trial"] = trial
         return row
@@ -149,7 +152,8 @@ def rows_to_csv(rows: list[dict]) -> str:
         lines.append(
             f"{r['topology']},{r['d']},{r['n']},{r['trial']},{r['seed']},"
             f"{float(r['sq_l2'])!r},{float(r['sq_lap'])!r},{float(r['rescaled'])!r},"
-            f"{r['converged']},{float(r['runtime_ms']):.3f}"
+            f"{r['converged']},{r['iterations']},{float(r['grad_norm'])!r},"
+            f"{float(r['runtime_ms']):.3f}"
         )
     return "\n".join(lines) + "\n"
 
@@ -243,9 +247,10 @@ def cmd_design(args) -> int:
     for kind in kinds:
         try:
             design = build_topology(kind, args.d, args.m1, args.m2)
-        except ValueError:
+        except ValueError as exc:
             if args.kind:  # explicitly requested kinds must be feasible
                 raise
+            print(f"skipped {kind}: {exc}", file=sys.stderr)
             continue
         summary = spectrum(design)
         report = optimality_report(summary, args.d)

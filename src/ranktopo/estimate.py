@@ -2,11 +2,11 @@
 
 The ordinal and m-wise maximum-likelihood problems are convex over the
 feasible set {<1, w> = 0, |w|_inf <= B} thanks to strong log-concavity of
-the links, so a projected-gradient loop with backtracking converges to
-the global constrained optimum.  The feasible-set projection is computed
-by Dykstra-style alternating projections between the mean-zero hyperplane
-and the box.  Paired cardinal and per-item cardinal estimates are closed
-form.
+the links, so spectral projected gradient (Barzilai-Borwein steps with a
+monotone Armijo line search) converges to the global constrained optimum.
+The feasible-set projection is exact: a breakpoint search for the shift
+that zeroes the sum of the clipped vector.  Paired cardinal and per-item
+cardinal estimates are closed form.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ class SolverOptions:
     initial_step: float = 1.0
     step_shrink: float = 0.5
     sufficient_decrease: float = 1e-4
-    projection_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         for name in ("grad_tolerance", "initial_step", "step_shrink",
-                     "sufficient_decrease", "projection_tolerance"):
+                     "sufficient_decrease"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -73,27 +72,27 @@ def design_digest(design: ComparisonDesign) -> str:
     return hashlib.sha256(design.to_json().encode()).hexdigest()[:12]
 
 
-def project_feasible(x: np.ndarray, B: float, tol: float = 1e-10,
-                     max_sweeps: int = 100_000) -> np.ndarray:
+def project_feasible(x: np.ndarray, B: float, tol: float = 1e-10) -> np.ndarray:
     """Euclidean projection onto {sum w = 0} intersect {|w|_inf <= B}.
 
-    Dykstra's alternating projections with the correction term on the box
-    side; the hyperplane is a subspace so its increment is not needed.
-    Terminates when the hyperplane and box iterates agree within tol.
+    The projection is clip(x - tau, -B, B) for the shift tau that zeroes
+    the sum.  That sum is piecewise linear and nonincreasing in tau with
+    breakpoints x_i - B (entry i leaves the upper bound) and x_i + B (it
+    reaches the lower one); its slope between breakpoints is minus the
+    number of free entries.  One sort and a cumulative sum evaluate it at
+    every breakpoint, and tau is solved for on the bracketing piece.  The
+    result is exact, so ``tol`` is accepted for compatibility and ignored.
     """
-    y = np.asarray(x, dtype=float)
-    q = np.zeros_like(y)
-    for _ in range(max_sweeps):
-        z = y - np.mean(y)
-        y_next = np.clip(z + q, -B, B)
-        q = z + q - y_next
-        gap = float(np.max(np.abs(y_next - z)))
-        y = y_next
-        if gap <= tol:
-            # y is within gap of the mean-zero iterate, so recentring moves
-            # it by at most tol while making the sum exactly zero.
-            return y - np.mean(y)
-    return y
+    x = np.asarray(x, dtype=float)
+    d = x.size
+    bps = np.concatenate([x - B, x + B])
+    order = np.argsort(bps, kind="stable")
+    bps = bps[order]
+    free = np.cumsum(np.where(order < d, 1, -1))  # free entries past each breakpoint
+    sums = d * B - np.concatenate([[0.0], np.cumsum(free[:-1] * np.diff(bps))])
+    k = int(np.searchsorted(-sums, 0.0, side="right")) - 1  # last sum >= 0
+    tau = bps[k] + sums[k] / free[k] if sums[k] > 0 else bps[k]
+    return np.clip(x - tau, -B, B)
 
 
 # ---------------------------------------------------------------------------
@@ -197,43 +196,52 @@ def _projected_gradient(objective: Callable[[np.ndarray], float],
                         d: int, B: float, opts: SolverOptions,
                         callback: Callable[[np.ndarray, float], None] | None = None,
                         ) -> tuple[np.ndarray, bool, int, float, float]:
-    proj = lambda v: project_feasible(v, B, opts.projection_tolerance)
-    w = proj(np.zeros(d))
+    """Monotone spectral projected gradient (Birgin, Martinez & Raydan 2000).
+
+    Each iteration moves along P(w - alpha g) - w with Armijo backtracking,
+    then sets alpha to the Barzilai-Borwein step s's / s'y, which tracks
+    the inverse curvature along the last move and so adapts to
+    ill-conditioned designs where a fixed step crawls.
+    """
+    w = np.zeros(d)
     f = objective(w)
+    g = gradient(w)
+    alpha = opts.initial_step
     converged = False
     pg_norm = float("inf")
     iters = 0
     if callback is not None:
         callback(w, f)
     for iters in range(1, opts.max_iters + 1):
-        g = gradient(w)
-        w_unit = proj(w - g)
-        pg_norm = float(np.linalg.norm(w_unit - w))
+        pg_norm = float(np.linalg.norm(project_feasible(w - g, B) - w))
         if pg_norm <= opts.grad_tolerance:
             converged = True
             iters -= 1
             break
-        step = opts.initial_step
-        w_new = w_unit if step == 1.0 else proj(w - step * g)
-        f_new = objective(w_new)
+        direction = project_feasible(w - alpha * g, B) - w
+        slope = float(g @ direction)
         # The float slack keeps the line search from thrashing once the
         # per-step objective decrease falls below the resolution of f.
         slack = 1e-15 * max(1.0, abs(f))
-        while f_new > f + opts.sufficient_decrease * float(g @ (w_new - w)) + slack:
-            step *= opts.step_shrink
-            if step < 1e-16:
+        lam = 1.0
+        w_new = w + direction
+        f_new = objective(w_new)
+        while f_new > f + opts.sufficient_decrease * lam * slope + slack:
+            lam *= opts.step_shrink
+            if lam < 1e-16:
                 break
-            w_new = proj(w - step * g)
+            w_new = w + lam * direction
             f_new = objective(w_new)
         if f_new > f + slack:
             break  # backtracking stalled at machine precision
-        w, f = w_new, f_new
+        g_new = gradient(w_new)
+        s, y = w_new - w, g_new - g
+        sy = float(s @ y)
+        alpha = min(max(float(s @ s) / sy, 1e-10), 1e10) if sy > 0 else 1e10
+        w, f, g = w_new, f_new, g_new
         if callback is not None:
             callback(w, f)
-    # Tight final projection so the result satisfies the feasibility
-    # tolerances of QualityVector, not just the solver's working tolerance.
-    w = project_feasible(w, B, min(1e-13, opts.projection_tolerance))
-    return w, converged, iters, objective(w), pg_norm
+    return w, converged, iters, f, pg_norm
 
 
 def mle_ordinal(batch: ObservationBatch, design: ComparisonDesign, link: LinkFunction,

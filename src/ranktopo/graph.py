@@ -78,7 +78,6 @@ class ComparisonDesign:
             raise ValueError(f"need at least 2 items, got d={self.d}")
         if not self.edges:
             raise ValueError("design has no edges")
-        total = 0.0
         for j, k, w in self.edges:
             if not (0 <= j < self.d and 0 <= k < self.d):
                 raise ValueError(f"edge ({j},{k}) out of range for d={self.d}")
@@ -86,7 +85,9 @@ class ComparisonDesign:
                 raise ValueError(f"self-comparison ({j},{j}) is not a valid edge")
             if w < 0:
                 raise ValueError(f"negative edge weight {w}")
-            total += w
+        # A correctly rounded sum: a running float sum of the d(d-1)/2 equal
+        # weights of a complete design drifts past the tolerance at d = 275.
+        total = math.fsum(w for _, _, w in self.edges)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"edge weights sum to {total}, expected 1")
 

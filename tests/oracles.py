@@ -70,13 +70,16 @@ def exact_projection(x: np.ndarray, B: float) -> np.ndarray:
 
     The Lagrangian stationarity condition is v = clip(x - mu, -B, B) with
     the multiplier mu solving sum v(mu) = 0; the sum is continuous and
-    nonincreasing in mu, so bisection nails mu to machine precision.
+    nonincreasing in mu, so bisection nails mu to machine precision.  It
+    stops once the midpoint rounds onto an endpoint: no float lies between.
     """
     x = np.asarray(x, dtype=float)
     lo = float(np.min(x)) - B - 1.0
     hi = float(np.max(x)) + B + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if np.sum(np.clip(x - mid, -B, B)) > 0:
             lo = mid
         else:

@@ -176,7 +176,7 @@ def test_criterion_05_topology_ordering():
     its pseudo-inverted Laplacian, and tr(barbell)/tr(star) at d=16 is
     377.6/210.9 = 1.79 < 2, so no amount of sampling or solver accuracy
     produces the required factor (measured ratio: 1.08 with the B=1 box
-    active, 1.66 unconstrained; the trace ratio crosses 2 near d=24).
+    active, 1.77 with B=100; the trace ratio crosses 2 near d=24).
     The check is asserted as stated rather than weakened, so the gap
     stays visible.
     """

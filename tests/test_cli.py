@@ -15,7 +15,7 @@ from ranktopo.cli import (
 )
 
 CSV_COLUMNS = ["topology", "d", "n", "trial", "seed", "sq_l2", "sq_lap",
-               "rescaled", "converged", "runtime_ms"]
+               "rescaled", "converged", "iterations", "grad_norm", "runtime_ms"]
 
 
 def strip_runtime(csv_text: str) -> str:
@@ -80,6 +80,8 @@ class TestSimulateCommand:
                            1.0, 1.0, 2, "uniform", probe["seed"])
         assert replay["sq_l2"] == probe["sq_l2"]
         assert replay["sq_lap"] == probe["sq_lap"]
+        assert replay["iterations"] == probe["iterations"] > 0
+        assert replay["grad_norm"] == probe["grad_norm"] <= 1e-8
 
     def test_row_seeds_unique_and_stable(self):
         seeds = {row_seed(7, c, t) for c in range(4) for t in range(40)}
@@ -144,6 +146,7 @@ class TestSimulateCommand:
         failed = [r for r in rows if r["n"] == 200]
         assert all(not r["converged"] for r in failed)
         assert all(np.isnan(r["sq_l2"]) for r in failed)
+        assert all(r["iterations"] == 0 and np.isnan(r["grad_norm"]) for r in failed)
         good = [r for r in rows if r["n"] == 100]
         assert all(np.isfinite(r["sq_l2"]) for r in good)
 
@@ -212,6 +215,15 @@ class TestDesignCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2
         assert lines[1].startswith("expander")
+
+    def test_skipped_kinds_reported_on_stderr(self, capsys):
+        assert main(["design", "--d", "10", "--n", "100", "--json"]) == 0
+        captured = capsys.readouterr()
+        kinds = {r["kind"].split("(")[0] for r in json.loads(captured.out)}
+        assert "hypercube" not in kinds and "expander" not in kinds
+        err = captured.err.splitlines()
+        assert any(line.startswith("skipped hypercube: ") for line in err)
+        assert any(line.startswith("skipped expander: ") for line in err)
 
     def test_explicit_infeasible_kind_fails(self, capsys):
         code = main(["design", "--d", "10", "--n", "100", "--kind", "hypercube"])

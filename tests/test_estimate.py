@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import ndtri
 
+import ranktopo.cli as cli
 from ranktopo.estimate import (
     SolverOptions,
     error_metrics,
@@ -46,14 +47,27 @@ def ordinal_batch(entries, outcomes, d):
 
 class TestProjection:
     def test_matches_kkt_oracle(self):
-        """Dykstra agrees with the exact KKT projection on random inputs."""
+        """The breakpoint projection agrees with the KKT bisection oracle."""
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = rng.uniform(-3, 3, size=6)
             b = float(rng.uniform(0.1, 2.0))
             ours = project_feasible(x, b, tol=1e-12)
             exact = exact_projection(x, b)
-            np.testing.assert_allclose(ours, exact, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(ours, exact, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("x, b", [
+        ([1.0, 1.0, -2.0, 0.5, 0.5, 3.0], 0.7),        # ties
+        ([2.0, 2.0, 2.0, -1.0, -1.0, -1.0], 1.0),      # tied at both bounds
+        ([0.3, -1.2], 0.5),                            # d = 2
+        ([5.0, -3.0], 10.0),                           # d = 2, box inactive
+        ([0.4, 2.0, -1.1, 0.9, 3.3], 50.0),            # large B: just recentre
+        ([1.0, -1.0, 1.0, -1.0], 1.0),                 # feasible, on the box
+    ])
+    def test_edge_cases_match_oracle(self, x, b):
+        x = np.asarray(x)
+        np.testing.assert_allclose(project_feasible(x, b), exact_projection(x, b),
+                                   rtol=0, atol=1e-12)
 
     def test_matches_generic_qp_solver(self):
         rng = np.random.default_rng(1)
@@ -217,6 +231,65 @@ class TestOrdinalMLE:
         result = mle_ordinal(batch, design, link, 1.0)
         metrics = error_metrics(result.w_hat, w_star, spectrum(design))
         assert metrics.sq_l2 < 0.01
+
+
+def capture_mle(monkeypatch) -> list:
+    """Record (arguments, result) of every mle_ordinal call the CLI makes."""
+    calls = []
+
+    def recording(batch, design, link, B, *args, **kwargs):
+        result = mle_ordinal(batch, design, link, B, *args, **kwargs)
+        calls.append(((batch, design, link, B), result))
+        return result
+
+    monkeypatch.setattr(cli, "mle_ordinal", recording)
+    return calls
+
+
+def oracle_residual(args, result) -> float:
+    """|P(w - grad) - w| with the KKT bisection projection."""
+    batch, design, link, B = args
+    w = result.w_hat.values
+    grad = ordinal_nll_gradient(w, batch, design, link)
+    return float(np.linalg.norm(exact_projection(w - grad, B) - w))
+
+
+class TestIllConditionedDesigns:
+    """Designs with small lambda_2, where a fixed-step solver stalls."""
+
+    @pytest.mark.parametrize("kind, d, n, family", [
+        ("path", 64, 20000, "thurstone"),
+        ("cycle", 64, 20000, "thurstone"),
+        ("barbell", 64, 20000, "thurstone"),
+        ("path", 16, 4000, "btl"),
+        ("cycle", 16, 4000, "btl"),
+    ])
+    def test_converges_to_optimum(self, monkeypatch, kind, d, n, family):
+        calls = capture_mle(monkeypatch)
+        row = cli.run_trial(kind, d, n, family, 1.0, 1.0, 2, "uniform", 1509)
+        assert row["converged"]
+        (args, result), = calls
+        assert result.iterations < SolverOptions().max_iters
+        assert oracle_residual(args, result) <= 1e-8
+
+    def test_cvo_estimates_all_converge(self, monkeypatch, capsys):
+        calls = capture_mle(monkeypatch)
+        assert cli.main(["cvo", "--sigma-ord", "1", "--sigma-card", "2", "--B", "1",
+                         "--empirical", "--d", "6", "--n", "600", "--trials", "10",
+                         "--seed", "245314831"]) == 0
+        assert len(calls) == 10
+        for args, result in calls:
+            assert result.converged
+            assert oracle_residual(args, result) <= 1e-8
+
+    def test_complete_d256_needs_few_iterations(self):
+        """On the complete graph the Hessian scales like a Laplacian with
+        eigenvalues 2/(d-1), so a unit step needs O(d) iterations; a step
+        adapted to the curvature needs a handful."""
+        row = cli.run_trial("complete", 256, 100_000, "thurstone", 1.0, 1.0, 2,
+                            "uniform", 1509)
+        assert row["converged"]
+        assert row["iterations"] <= 50
 
 
 class TestMWiseMLE:

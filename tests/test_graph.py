@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ranktopo.cli import main
 from ranktopo.graph import (
     ComparisonDesign,
     HyperDesign,
@@ -148,6 +149,14 @@ class TestDesignInvariants:
             design = build_topology(kind, d)
             assert abs(sum(w for _, _, w in design.edges) - 1.0) < 1e-12
             assert all(w >= 0 for _, _, w in design.edges)
+
+    def test_large_uniform_designs_build(self, capsys):
+        """A running float sum of the equal weights drifts past the 1e-12
+        weight-sum tolerance at these sizes; the check must not."""
+        for kind, d in (("complete", 292), ("barbell", 1024)):
+            assert build_topology(kind, d).d == d
+        assert main(["spectrum", "--kind", "complete", "--d", "292"]) == 0
+        assert json.loads(capsys.readouterr().out)["d"] == 292
 
     def test_connectivity_flag_matches_lambda2(self):
         two_cliques = ComparisonDesign(
