@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import ComparisonDesign, HyperDesign, lower_bound_statistic, spectrum
-from .models import LinkFunction, ModelParams, MWiseLink, softmax
+from .models import LinkFunction, ModelParams, MWiseLink, box_points, softmax
 
 THEOREMS = ("T1_lap", "T2_l2", "T3_paired", "T4_mwise_lap", "T4_mwise_l2")
 
@@ -172,7 +172,8 @@ def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> Pa
     discarded (the non-constructive existence bound says nothing about
     constructibility, so shortfalls are reported, not hidden).  When
     alpha*d <= 1 the distance condition is plain distinctness, which is
-    checked by hashing so that large targets stay cheap.
+    checked a batch at a time over bit-packed keys so that large targets
+    stay cheap.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -181,28 +182,31 @@ def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> Pa
     min_dist = alpha * d
 
     if min_dist <= 1.0:
-        # Distinct vectors suffice; deduplicate by hashed bit-packing so
-        # multi-million-vector targets stay cheap.
-        seen = set()
-        rows = []
-        rejects = 0
-        while len(rows) < target and rejects <= max_rejects:
-            batch = max(target - len(rows) + 1024, 4096)
+        # Distinct vectors suffice.  Each batch gives the outcome of scanning
+        # it one candidate at a time: a candidate is kept when its packed
+        # key is new (np.unique's first occurrence over the kept keys, then
+        # the batch in order), and the scan ends at the candidate that
+        # reaches the target or takes the rejects past max_rejects.
+        keys = np.zeros(0, dtype=f"V{(d + 7) // 8}")
+        chunks = [np.zeros((0, d), dtype=np.uint8)]
+        kept = rejects = 0
+        while kept < target and rejects <= max_rejects:
+            batch = max(target - kept + 1024, 4096)
             bits = rng.integers(0, 2, size=(batch, d), dtype=np.uint8)
             bits[:, 0] = 0
-            keys = _void_keys(bits)
-            for i, key in enumerate(keys):
-                kb = key.tobytes()
-                if kb in seen:
-                    rejects += 1
-                    if rejects > max_rejects:
-                        break
-                    continue
-                seen.add(kb)
-                rows.append(bits[i])
-                if len(rows) == target:
-                    break
-        vectors = np.array(rows, dtype=np.uint8) if rows else np.zeros((0, d), np.uint8)
+            new_keys = _void_keys(bits)
+            _, first = np.unique(np.concatenate([keys, new_keys]), return_index=True)
+            fresh = np.zeros(batch, dtype=bool)
+            fresh[first[first >= keys.size] - keys.size] = True
+            kept_so_far = kept + np.cumsum(fresh)
+            rejects_so_far = rejects + np.cumsum(~fresh)
+            stops = np.flatnonzero((kept_so_far == target) | (rejects_so_far > max_rejects))
+            end = stops[0] + 1 if stops.size else batch
+            fresh[end:] = False
+            chunks.append(bits[fresh])
+            keys = np.concatenate([keys, new_keys[fresh]])
+            kept, rejects = int(kept_so_far[end - 1]), int(rejects_so_far[end - 1])
+        vectors = np.concatenate(chunks)
     else:
         kept: list[np.ndarray] = []
         matrix = np.zeros((0, d), dtype=np.uint8)
@@ -259,38 +263,27 @@ class MWisePrefactors:
         return self.sup_grad_hdag_sq / self.inf_choice_prob
 
 
-def _box_points(m: int, B: float, grid_points: int, mc_points: int, seed) -> np.ndarray:
-    # Full grid for m <= 3 (resolution 2B/(grid_points-1) per axis); box
-    # corners plus Monte-Carlo fill-in beyond that.
-    if m <= 3:
-        axes = [np.linspace(-B, B, grid_points)] * m
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
-    corners = np.array(
-        [[B if (idx >> b) & 1 else -B for b in range(m)] for idx in range(1 << m)]
-    )
-    rng = np.random.default_rng(seed)
-    return np.vstack([corners, rng.uniform(-B, B, size=(mc_points, m))])
-
-
 def mwise_prefactors(link: MWiseLink, grid_points: int = 51,
                      mc_points: int = 4000, seed: int = 0) -> MWisePrefactors:
-    points = _box_points(link.m, link.B, grid_points, mc_points, seed)
+    """Box extrema of the m-wise link quantities over [-B, B]^m.
+
+    With H = beta (I - 11^T/m), both lambda_2(H) and lambda_m(H) are beta,
+    and since grad F is orthogonal to 1, |grad F|^2_{H^dagger} is
+    |grad F|^2 / beta.
+    """
+    points = box_points(link.m, link.B, grid_points, mc_points, seed)
     p = softmax(points, axis=1)
     p0 = p[:, 0]
     grad_f = -p0[:, None] * p
     grad_f[:, 0] += p0
     grad_log = -p.copy()
     grad_log[:, 0] += 1.0
-    h_pinv = np.linalg.pinv(link.curvature)
-    grad_hdag = np.einsum("ij,jk,ik->i", grad_f, h_pinv, grad_f)
-    h_eigs = np.linalg.eigvalsh(link.curvature)
     return MWisePrefactors(
         inf_choice_prob=float(p0.min()),
-        sup_grad_hdag_sq=float(grad_hdag.max()),
+        sup_grad_hdag_sq=float(np.max(np.sum(grad_f**2, axis=1))) / link.beta,
         sup_grad_log_sq=float(np.max(np.sum(grad_log**2, axis=1))),
-        lambda2_h=float(h_eigs[1]),
-        lambda_m_h=float(h_eigs[-1]),
+        lambda2_h=link.beta,
+        lambda_m_h=link.beta,
     )
 
 

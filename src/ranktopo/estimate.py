@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import ComparisonDesign, HyperDesign, SpectralSummary, _check_connected, spectrum
+from .graph import (ComparisonDesign, HyperDesign, SpectralSummary, _connected, _laplacian,
+                    spectrum)
 from .models import LinkFunction, MWiseLink
 from .synth import ObservationBatch, QualityVector
 
@@ -116,7 +117,7 @@ def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
     of the sample count.
     """
     j_idx, k_idx, _ = design.edge_arrays
-    wins, losses = _ordinal_counts(batch, len(design.edges))
+    wins, losses = _ordinal_counts(batch, len(j_idx))
     sigma, n = link.sigma, batch.n
 
     def objective(w: np.ndarray) -> float:
@@ -295,21 +296,13 @@ def ls_paired_cardinal(batch: ObservationBatch, design: ComparisonDesign) -> Est
     if batch.kind != "cardinal_pair":
         raise ValueError(f"expected a cardinal_pair batch, got {batch.kind!r}")
     j_idx, k_idx, _ = design.edge_arrays
-    counts = np.bincount(batch.entry_indices, minlength=len(design.edges)).astype(float)
+    counts = np.bincount(batch.entry_indices, minlength=len(j_idx)).astype(float)
     sampled = counts > 0
-    if not _check_connected(design.d, [(int(j), int(k)) for j, k, s in
-                                       zip(j_idx, k_idx, sampled) if s]):
+    if not _connected(design.d, j_idx[sampled], k_idx[sampled]):
         raise ValueError("sampled comparison graph is disconnected; w is not identifiable")
-    lap = np.zeros((design.d, design.d))
-    for e in np.nonzero(sampled)[0]:
-        j, k, c = j_idx[e], k_idx[e], counts[e]
-        lap[j, j] += c
-        lap[k, k] += c
-        lap[j, k] -= c
-        lap[k, j] -= c
-    lap /= batch.n
+    lap = _laplacian(design.d, j_idx[sampled], k_idx[sampled], counts[sampled]) / batch.n
     # X^T y accumulated per edge: each sample adds y_i (e_j - e_k).
-    sums = np.zeros(len(design.edges))
+    sums = np.zeros(len(j_idx))
     np.add.at(sums, batch.entry_indices, np.asarray(batch.outcomes, dtype=float))
     xty = np.zeros(design.d)
     np.add.at(xty, j_idx, sums)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,92 +41,117 @@ class EigensolverError(RuntimeError):
     """Raised when the symmetric eigendecomposition fails to converge."""
 
 
-def _check_connected(d: int, groups: list[tuple[int, ...]]) -> bool:
-    """Union-find connectivity over item groups (edges or hyperedges)."""
-    parent = list(range(d))
+def _laplacian(d: int, j: np.ndarray, k: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_e w_e (e_j - e_k)(e_j - e_k)^T over parallel edge arrays.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for group in groups:
-        root = find(group[0])
-        for item in group[1:]:
-            r = find(item)
-            if r != root:
-                parent[r] = root
-    return len({find(i) for i in range(d)}) == 1
+    Repeated pairs accumulate; each entry sums its terms in edge order.
+    """
+    flat = np.stack([j * d + j, k * d + k, j * d + k, k * d + j], axis=1).ravel()
+    vals = np.stack([w, w, -w, -w], axis=1).ravel()
+    return np.bincount(flat, weights=vals, minlength=d * d).reshape(d, d)
 
 
-@dataclass(frozen=True)
+def _connected(d: int, j: np.ndarray, k: np.ndarray) -> bool:
+    """Whether the edges (j, k) join all d items into one component.
+
+    Every item carries the label of a root; each round hooks the larger
+    root of every edge whose ends disagree onto the smaller, then jumps
+    labels until each is a root again.  Labels only fall, so item 0 keeps
+    label 0 and the graph is connected exactly when every label is 0.
+    """
+    label = np.arange(d)
+    while True:
+        lj, lk = label[j], label[k]
+        if np.array_equal(lj, lk):
+            return bool(np.all(label == 0))
+        low = np.minimum(lj, lk)
+        np.minimum.at(label, lj, low)
+        np.minimum.at(label, lk, low)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ComparisonDesign:
     """Weighted pairwise comparison graph.
 
-    Edge weights are fractions of the total number of comparisons, so they
-    must be nonnegative and sum to one.  Item indices are 0-based.
+    ``edges`` is any (E, 3) array-like of (j, k, w) rows: 0-based item
+    indices and the fraction of the total number of comparisons the pair
+    receives, so weights must be nonnegative and sum to one.  The rows are
+    stored once, as the read-only arrays ``edge_arrays``; ``edges`` is a
+    tuple view of them.  Designs compare equal by value.
     """
 
     d: int
-    edges: tuple[tuple[int, int, float], ...]
-    kind: str = "custom"
+    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
+    kind: str
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"need at least 2 items, got d={self.d}")
-        if not self.edges:
+    def __init__(self, d: int, edges, kind: str = "custom") -> None:
+        if d < 2:
+            raise ValueError(f"need at least 2 items, got d={d}")
+        rows = np.asarray(edges, dtype=float)
+        if rows.size == 0:
             raise ValueError("design has no edges")
-        for j, k, w in self.edges:
-            if not (0 <= j < self.d and 0 <= k < self.d):
-                raise ValueError(f"edge ({j},{k}) out of range for d={self.d}")
-            if j == k:
-                raise ValueError(f"self-comparison ({j},{j}) is not a valid edge")
-            if w < 0:
-                raise ValueError(f"negative edge weight {w}")
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError(f"edges must be (j, k, w) rows, got shape {rows.shape}")
+        ends, w = rows[:, :2], rows[:, 2]
+        for bad, what in (
+            (~np.isfinite(rows).all(axis=1), "non-finite edge"),
+            ((ends != np.floor(ends)).any(axis=1), "non-integer item index in edge"),
+            (((ends < 0) | (ends >= d)).any(axis=1), f"out of range for d={d}: edge"),
+            (ends[:, 0] == ends[:, 1], "self-comparison is not a valid edge"),
+            (w < 0, "negative weight in edge"),
+        ):
+            if bad.any():
+                raise ValueError(f"{what} {tuple(rows[bad.argmax()].tolist())}")
         # A correctly rounded sum: a running float sum of the d(d-1)/2 equal
         # weights of a complete design drifts past the tolerance at d = 275.
-        total = math.fsum(w for _, _, w in self.edges)
+        total = math.fsum(w)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"edge weights sum to {total}, expected 1")
+        arrays = (ends[:, 0].astype(np.intp), ends[:, 1].astype(np.intp), w.copy())
+        for a in arrays:
+            a.flags.writeable = False
+        for name, value in (("d", d), ("edge_arrays", arrays), ("kind", kind)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ComparisonDesign):
+            return NotImplemented
+        return (self.d, self.kind) == (other.d, other.kind) and all(
+            np.array_equal(a, b) for a, b in zip(self.edge_arrays, other.edge_arrays))
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.kind, *(a.tobytes() for a in self.edge_arrays)))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The (j, k, w) rows as tuples with int indices."""
+        return tuple(zip(*(a.tolist() for a in self.edge_arrays)))
 
     @cached_property
     def connected(self) -> bool:
-        return _check_connected(self.d, [(j, k) for j, k, w in self.edges if w > 0])
+        j, k, w = self.edge_arrays
+        return _connected(self.d, j[w > 0], k[w > 0])
 
     @cached_property
     def laplacian(self) -> np.ndarray:
         """Scaled Laplacian, sum_e w_e (e_j - e_k)(e_j - e_k)^T; trace 2."""
-        lap = np.zeros((self.d, self.d))
-        for j, k, w in self.edges:
-            lap[j, j] += w
-            lap[k, k] += w
-            lap[j, k] -= w
-            lap[k, j] -= w
-        return lap
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(j, k, weight) as parallel arrays, for vectorised samplers."""
-        j = np.array([e[0] for e in self.edges], dtype=np.intp)
-        k = np.array([e[1] for e in self.edges], dtype=np.intp)
-        w = np.array([e[2] for e in self.edges], dtype=float)
-        return j, k, w
+        return _laplacian(self.d, *self.edge_arrays)
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "d": self.d,
                 "kind": self.kind,
-                "edges": [[j, k, w] for j, k, w in self.edges],
+                "edges": [list(e) for e in self.edges],
             }
         )
 
 
 def design_from_json(text: str) -> ComparisonDesign:
     obj = json.loads(text)
-    edges = tuple((int(j), int(k), float(w)) for j, k, w in obj["edges"])
-    return ComparisonDesign(d=int(obj["d"]), edges=edges, kind=obj.get("kind", "custom"))
+    return ComparisonDesign(int(obj["d"]), obj["edges"], obj.get("kind", "custom"))
 
 
 @dataclass(frozen=True)
@@ -158,7 +182,8 @@ class HyperDesign:
 
     @cached_property
     def connected(self) -> bool:
-        return _check_connected(self.d, list(self.subsets))
+        sa = self.subset_array  # each subset joins its items to its first
+        return _connected(self.d, np.repeat(sa[:, 0], self.m - 1), sa[:, 1:].ravel())
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -172,18 +197,14 @@ class HyperDesign:
 def hypergraph_laplacian(design: HyperDesign) -> np.ndarray:
     """Average of E_i (m I - 11^T) E_i^T over subsets; trace m(m-1).
 
-    Reduces entrywise to the pairwise scaled Laplacian when m = 2.
+    m I - 11^T is the Laplacian of the clique on the subset's items, so
+    the result is the Laplacian of every within-subset pair at weight
+    1/|subsets|.  Reduces entrywise to the pairwise scaled Laplacian when
+    m = 2.
     """
-    d, m = design.d, design.m
-    lap = np.zeros((d, d))
-    for subset in design.subsets:
-        idx = np.asarray(subset)
-        lap[idx, idx] += m - 1.0
-        jj, kk = np.meshgrid(idx, idx)
-        off = jj != kk
-        lap[jj[off], kk[off]] -= 1.0
-    lap /= len(design.subsets)
-    return lap
+    a, b = np.triu_indices(design.m, 1)
+    j, k = design.subset_array[:, a].ravel(), design.subset_array[:, b].ravel()
+    return _laplacian(design.d, j, k, np.ones(j.size)) / len(design.subsets)
 
 
 @dataclass(frozen=True)
@@ -285,37 +306,30 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _unweighted(d: int, pairs: list[tuple[int, int]], kind: str) -> ComparisonDesign:
-    """Spread the budget evenly over an edge multiset: L = L' / |E|."""
-    counts = Counter((min(j, k), max(j, k)) for j, k in pairs)
-    total = sum(counts.values())
-    edges = tuple((j, k, c / total) for (j, k), c in sorted(counts.items()))
-    return ComparisonDesign(d=d, edges=edges, kind=kind)
+def _unweighted(d: int, j: np.ndarray, k: np.ndarray, kind: str) -> ComparisonDesign:
+    """Spread the budget evenly over an edge multiset: L = L' / |E|.
+
+    Repeated pairs merge into one edge, sorted by (min, max) item.
+    """
+    codes, counts = np.unique(np.minimum(j, k) * d + np.maximum(j, k), return_counts=True)
+    return ComparisonDesign(
+        d, np.column_stack([codes // d, codes % d, counts / counts.sum()]), kind)
 
 
-def _complete_pairs(items: list[int]) -> list[tuple[int, int]]:
-    return [(a, b) for i, a in enumerate(items) for b in items[i + 1:]]
-
-
-def _expander_pairs(q: int) -> list[tuple[int, int]]:
+def _expander_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
     # Margulis-Gabber-Galil degree-8 multigraph on the q x q torus.  The
     # four generator maps below, applied at every node and symmetrised,
     # give the 8 incidences; self-loops (at the torus axes) carry no
     # comparison information and are dropped from the edge multiset.
-    pairs = []
-    for x in range(q):
-        for y in range(q):
-            a = x * q + y
-            for u, v in (
-                ((x + 2 * y) % q, y),
-                ((x + 2 * y + 1) % q, y),
-                (x, (y + 2 * x) % q),
-                (x, (y + 2 * x + 1) % q),
-            ):
-                b = u * q + v
-                if a != b:
-                    pairs.append((a, b))
-    return pairs
+    x, y = np.divmod(np.arange(q * q), q)
+    a = np.tile(x * q + y, 4)
+    b = np.concatenate([
+        ((x + 2 * y) % q) * q + y,
+        ((x + 2 * y + 1) % q) * q + y,
+        x * q + (y + 2 * x) % q,
+        x * q + (y + 2 * x + 1) % q,
+    ])
+    return a[a != b], b[a != b]
 
 
 _KIND_RE = re.compile(r"^([a-z_0-9]+)\((\d+),(\d+)\)$")
@@ -357,59 +371,52 @@ def build_topology(kind: str, d: int,
     m2 = m2 if m2 is not None else km2
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    items = list(range(d))
-
     if name == "complete":
-        return _unweighted(d, _complete_pairs(items), name)
+        return _unweighted(d, *np.triu_indices(d, 1), name)
     if name == "star":
-        return _unweighted(d, [(0, i) for i in range(1, d)], name)
+        return _unweighted(d, np.zeros(d - 1, np.intp), np.arange(1, d), name)
     if name == "path":
-        return _unweighted(d, [(i, i + 1) for i in range(d - 1)], name)
+        return _unweighted(d, np.arange(d - 1), np.arange(1, d), name)
     if name == "cycle":
         if d < 3:
             raise ValueError("cycle needs d >= 3")
-        return _unweighted(d, [(i, (i + 1) % d) for i in range(d)], name)
+        return _unweighted(d, np.arange(d), (np.arange(d) + 1) % d, name)
     if name == "barbell":
         if d % 2 != 0 or d < 4:
             raise ValueError(f"barbell needs even d >= 4, got {d}")
         half = d // 2
-        pairs = _complete_pairs(items[:half]) + _complete_pairs(items[half:])
-        pairs.append((half - 1, half))  # single bridge between the cliques
-        return _unweighted(d, pairs, name)
+        a, b = np.triu_indices(half, 1)
+        # two cliques and a single bridge between them
+        return _unweighted(d, np.concatenate([a, a + half, [half - 1]]),
+                           np.concatenate([b, b + half, [half]]), name)
     if name == "complete_bipartite":
         if m1 is None or m2 is None:
             m1, m2 = _default_split(name, d)
         if m1 + m2 != d or m1 < 1 or m2 < 1:
             raise ValueError(f"complete_bipartite needs d = m1+m2, got {d} != {m1}+{m2}")
-        return _unweighted(
-            d, [(a, m1 + b) for a in range(m1) for b in range(m2)],
-            f"complete_bipartite({m1},{m2})",
-        )
+        a, b = np.divmod(np.arange(m1 * m2), m2)
+        return _unweighted(d, a, m1 + b, f"complete_bipartite({m1},{m2})")
     if name == "lattice2d":
         if m1 is None or m2 is None:
             m1, m2 = _default_split(name, d)
         if m1 * m2 != d or m1 < 2 or m2 < 2:
             raise ValueError(f"lattice2d needs d = m1*m2 with m1, m2 >= 2, got d={d}")
-        pairs = []
-        for r in range(m1):
-            for c in range(m2):
-                node = r * m2 + c
-                if c + 1 < m2:
-                    pairs.append((node, node + 1))
-                if r + 1 < m1:
-                    pairs.append((node, node + m2))
-        return _unweighted(d, pairs, f"lattice2d({m1},{m2})")
+        grid = np.arange(d).reshape(m1, m2)  # row-major: node r*m2 + c
+        return _unweighted(d, np.concatenate([grid[:, :-1].ravel(), grid[:-1].ravel()]),
+                           np.concatenate([grid[:, 1:].ravel(), grid[1:].ravel()]),
+                           f"lattice2d({m1},{m2})")
     if name == "hypercube":
         bits = d.bit_length() - 1
         if d != 1 << bits or d < 4:
             raise ValueError(f"hypercube needs d a power of 2 (>= 4), got {d}")
-        pairs = [(v, v ^ (1 << b)) for v in range(d) for b in range(bits) if v < v ^ (1 << b)]
-        return _unweighted(d, pairs, name)
+        v = np.repeat(np.arange(d), bits)
+        u = v ^ np.tile(1 << np.arange(bits), d)
+        return _unweighted(d, v[v < u], u[v < u], name)
     if name == "expander":
         q = math.isqrt(d)
         if q * q != d or not _is_prime(q):
             raise ValueError(f"expander needs d = q^2 for prime q, got {d}")
-        return _unweighted(d, _expander_pairs(q), name)
+        return _unweighted(d, *_expander_pairs(q), name)
     raise ValueError(f"unknown topology kind {kind!r}")
 
 

@@ -6,7 +6,8 @@ to a win probability.  Two scalars summarise it over the working interval
 makes the MLE problem strongly convex), and zeta, the peak density over
 the interval probability mass (which controls KL divergences from above).
 The m-wise analogue bundles a choice probability over m-vectors with a
-curvature matrix lower-bounding its negative-log Hessian.
+curvature coefficient beta: beta (I - 11^T/m) lower-bounds its
+negative-log Hessian over the box [-B, B]^m.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,10 +42,20 @@ def _btl_neg_log_second(x: np.ndarray) -> np.ndarray:
     return f * (1.0 - f)
 
 
+def _btl_pdf_over_cdf(t: np.ndarray) -> np.ndarray:
+    return expit(-np.asarray(t, dtype=float))  # F'/F = 1 - F for the logistic link
+
+
+def _mills_ratio(t: np.ndarray) -> np.ndarray:
+    """Inverse Mills ratio phi(t)/Phi(t), evaluated in log space."""
+    t = np.asarray(t, dtype=float)
+    return np.exp(-0.5 * t * t - math.log(_SQRT_2PI) - log_ndtr(t))
+
+
 def _thurstone_neg_log_second(x: np.ndarray) -> np.ndarray:
     # With h = phi/Phi (inverse Mills ratio), d^2/dt^2 (-log Phi) = h(h + t).
     x = np.asarray(x, dtype=float)
-    h = np.exp(-0.5 * x * x - math.log(_SQRT_2PI) - log_ndtr(x))
+    h = _mills_ratio(x)
     return h * (h + x)
 
 
@@ -56,7 +66,9 @@ class LinkFunction:
     ``cdf`` and ``pdf`` take the already-rescaled argument t = x/sigma;
     callers are responsible for dividing by sigma.  ``neg_log_second`` is
     the second derivative of -log F, the quantity whose infimum over the
-    working interval is the strong log-concavity constant.
+    working interval is the strong log-concavity constant.  ``log_cdf``
+    and ``pdf_over_cdf`` (F'/F) are evaluated in log space where the
+    family allows it, which keeps them finite far into the tails.
     """
 
     name: str
@@ -64,27 +76,12 @@ class LinkFunction:
     cdf: Callable[[np.ndarray], np.ndarray]
     pdf: Callable[[np.ndarray], np.ndarray]
     neg_log_second: Callable[[np.ndarray], np.ndarray]
+    log_cdf: Callable[[np.ndarray], np.ndarray]
+    pdf_over_cdf: Callable[[np.ndarray], np.ndarray]
 
     def win_probability(self, score_diff: np.ndarray) -> np.ndarray:
         """P[first item wins] for raw score differences."""
         return self.cdf(np.asarray(score_diff, dtype=float) / self.sigma)
-
-    def log_cdf(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.name == "thurstone":
-            return log_ndtr(t)
-        if self.name == "btl":
-            return log_expit(t)
-        return np.log(self.cdf(t))
-
-    def pdf_over_cdf(self, t: np.ndarray) -> np.ndarray:
-        """F'(t)/F(t), evaluated in log space where that is more stable."""
-        t = np.asarray(t, dtype=float)
-        if self.name == "btl":
-            return expit(-t)  # F'/F = 1 - F for the logistic link
-        if self.name == "thurstone":
-            return np.exp(-0.5 * t * t - math.log(_SQRT_2PI) - log_ndtr(t))
-        return self.pdf(t) / self.cdf(t)
 
     def to_json(self, B: float | None = None) -> str:
         obj: dict = {"family": self.name, "sigma": self.sigma}
@@ -133,14 +130,15 @@ def make_link(family: str | Callable, sigma: float = 1.0) -> LinkFunction:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if family == "thurstone":
         return LinkFunction("thurstone", sigma, _normal_cdf, _normal_pdf,
-                            _thurstone_neg_log_second)
+                            _thurstone_neg_log_second, log_ndtr, _mills_ratio)
     if family == "btl":
         return LinkFunction("btl", sigma, expit, _btl_neg_log_second,
-                            _btl_neg_log_second)
+                            _btl_neg_log_second, log_expit, _btl_pdf_over_cdf)
     if callable(family):
         _screen_custom_cdf(family)
-        return LinkFunction("custom", sigma, family, _fd_pdf(family),
-                            _fd_neg_log_second(family))
+        pdf = _fd_pdf(family)
+        return LinkFunction("custom", sigma, family, pdf, _fd_neg_log_second(family),
+                            lambda t: np.log(family(t)), lambda t: pdf(t) / family(t))
     raise ValueError(f"unknown link family {family!r}")
 
 
@@ -249,18 +247,6 @@ def model_params(link: LinkFunction, B: float) -> ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _cyclic_shifts(m: int) -> tuple[np.ndarray, ...]:
-    # R_j maps a subset-score vector x to (x_j, x_{j+1}, ..., x_{j-1}); the
-    # choice probability of position j is then F(x^T R_j) = F(rotated x).
-    mats = []
-    for j in range(m):
-        r = np.zeros((m, m))
-        for b in range(m):
-            r[(j + b) % m, b] = 1.0
-        mats.append(r)
-    return tuple(mats)
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     shifted = x - np.max(x, axis=axis, keepdims=True)
@@ -273,23 +259,18 @@ class MWiseLink:
     """Choice model over m-item subsets with shift-invariant probabilities.
 
     ``choice_prob(x)`` is the probability of choosing the first listed item
-    from subset scores x; ``curvature`` lower-bounds the Hessian of
-    -log F over [-B, B]^m and has the all-ones vector in its nullspace.
+    from subset scores x.  ``beta`` is the curvature coefficient: the
+    Hessian of -log F dominates beta (I - 11^T/m) over [-B, B]^m.
     """
 
     name: str
     m: int
     B: float
     beta: float
-    curvature: np.ndarray
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError(f"need m >= 2, got {self.m}")
-
-    @cached_property
-    def shifts(self) -> tuple[np.ndarray, ...]:
-        return _cyclic_shifts(self.m)
 
     def choice_prob(self, x: np.ndarray) -> float:
         """Probability that the first of the m listed items is chosen."""
@@ -320,41 +301,35 @@ class MWiseLink:
         return json.dumps({"family": self.name, "m": self.m, "B": self.B})
 
 
-def pl_curvature_coefficient(m: int, B: float, grid_points: int = 51,
-                             mc_points: int = 4000, seed: int = 0) -> float:
-    """min over [-B, B]^m of lambda_2 of the exact -log F Hessian.
+def box_points(m: int, B: float, grid_points: int = 51, mc_points: int = 4000,
+               seed: int = 0) -> np.ndarray:
+    """Points of [-B, B]^m at which box extrema are taken, one per row.
 
     m <= 3 uses a full grid at resolution 2B/(grid_points-1) per axis;
-    larger m uses the box corners plus Monte-Carlo samples (the minimiser
-    empirically sits at a corner).
+    larger m uses the box corners plus Monte-Carlo samples (the extrema
+    of the m-wise link quantities empirically sit at corners).
     """
     if m <= 3:
         axes = [np.linspace(-B, B, grid_points)] * m
         mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([g.ravel() for g in mesh], axis=-1)
-    else:
-        corners = np.array(
-            [[B if (idx >> b) & 1 else -B for b in range(m)]
-             for idx in range(1 << m)]
-        )
-        rng = np.random.default_rng(seed)
-        points = np.vstack([corners, rng.uniform(-B, B, size=(mc_points, m))])
-    p = softmax(points, axis=1)
-    hess = p[:, None, :] * np.eye(points.shape[1])[None, :, :] - p[:, :, None] * p[:, None, :]
-    vals = np.linalg.eigvalsh(hess)
-    return float(np.min(vals[:, 1]))
+        return np.stack([g.ravel() for g in mesh], axis=-1)
+    corners = np.array(
+        [[B if (idx >> b) & 1 else -B for b in range(m)] for idx in range(1 << m)]
+    )
+    rng = np.random.default_rng(seed)
+    return np.vstack([corners, rng.uniform(-B, B, size=(mc_points, m))])
 
 
 def plackett_luce(m: int, B: float = 1.0) -> MWiseLink:
     """The softmax choice model: P[item i] proportional to e^{w_i}.
 
-    The curvature matrix is beta * (I - 11^T/m) with beta the numerically
-    minimised second eigenvalue of the exact Hessian over [-B, B]^m.  At
-    m = 2 the choice probability coincides with the BTL link at sigma = 1.
+    beta is the second eigenvalue of the exact Hessian of -log F,
+    minimised over the box points of [-B, B]^m.  At m = 2 the choice
+    probability coincides with the BTL link at sigma = 1.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    beta = pl_curvature_coefficient(m, B)
-    curvature = beta * (np.eye(m) - np.ones((m, m)) / m)
-    return MWiseLink(name="plackett_luce", m=m, B=B, beta=beta,
-                     curvature=curvature)
+    p = softmax(box_points(m, B), axis=1)
+    hess = p[:, None, :] * np.eye(m)[None, :, :] - p[:, :, None] * p[:, None, :]
+    beta = float(np.min(np.linalg.eigvalsh(hess)[:, 1]))
+    return MWiseLink(name="plackett_luce", m=m, B=B, beta=beta)

@@ -122,3 +122,32 @@ def measurement_matrix(design) -> np.ndarray:
         rows[i, j] = 1.0
         rows[i, k] = -1.0
     return rows
+
+
+def gv_distinct_packing(d: int, target: int, seed, max_rejects: int) -> np.ndarray:
+    """The distinctness branch of the GV packing, one candidate at a time.
+
+    Draws the same batches from the same generator as the package, and
+    keeps a candidate when its bytes were not seen before, stopping at the
+    target or once more than max_rejects candidates were discarded.
+    """
+    rng = np.random.default_rng(seed)
+    seen = set()
+    rows = []
+    rejects = 0
+    while len(rows) < target and rejects <= max_rejects:
+        batch = max(target - len(rows) + 1024, 4096)
+        bits = rng.integers(0, 2, size=(batch, d), dtype=np.uint8)
+        bits[:, 0] = 0
+        for row in bits:
+            key = row.tobytes()
+            if key in seen:
+                rejects += 1
+                if rejects > max_rejects:
+                    break
+                continue
+            seen.add(key)
+            rows.append(row)
+            if len(rows) == target:
+                break
+    return np.array(rows, dtype=np.uint8).reshape(-1, d)

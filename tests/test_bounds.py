@@ -27,7 +27,7 @@ from ranktopo.graph import ComparisonDesign, HyperDesign, build_topology, spectr
 from ranktopo.models import make_link, model_params, plackett_luce
 from ranktopo.synth import CardinalModel, even_allocation, gen_quality, sample_outcomes
 
-from oracles import exact_projection
+from oracles import exact_projection, gv_distinct_packing
 
 SINGLE_EDGE = ComparisonDesign(2, ((0, 1, 1.0),))
 
@@ -177,6 +177,40 @@ class TestGVPacking:
         assert packing.M < packing.target
         small = gv_packing(10, 0.01, seed=0, max_rejects=10)
         assert small.shortfall and small.M == 1
+
+    def test_distinctness_branch_matches_sequential_scan(self):
+        """The batched distinctness screen keeps exactly what a one-at-a-time
+        scan keeps, shortfalls included."""
+        shortfalls = 0
+        for d in (2, 3, 5, 7, 9, 14, 24):
+            for seed in range(3):
+                for max_rejects in (0, 2, 30, 1_000_000):
+                    packing = gv_packing(d, 0.01, seed=seed, max_rejects=max_rejects)
+                    expected = gv_distinct_packing(d, packing.target, seed, max_rejects)
+                    np.testing.assert_array_equal(packing.vectors, expected)
+                    assert packing.shortfall == (len(expected) < packing.target)
+                    shortfalls += packing.shortfall
+        assert shortfalls > 0
+
+    def test_distinctness_branch_across_batches(self, monkeypatch):
+        """Draws with only 8 distinct rows: the screen carries kept keys and
+        rejects from batch to batch until the reject budget runs out."""
+        real_rng = np.random.default_rng
+
+        class EightRows:
+            def __init__(self, seed=None):
+                self.rng = real_rng(seed)
+
+            def integers(self, low, high, size=None, dtype=None):
+                bits = self.rng.integers(low, high, size=size, dtype=dtype)
+                bits[:, 4:] = 0
+                return bits
+
+        monkeypatch.setattr("ranktopo.bounds.np.random.default_rng", EightRows)
+        packing = gv_packing(12, 0.05, seed=3, max_rejects=6000)
+        assert packing.target == 9 and packing.M == 8 and packing.shortfall
+        expected = gv_distinct_packing(12, packing.target, 3, 6000)
+        np.testing.assert_array_equal(packing.vectors, expected)
 
 
 class TestFanoBound:

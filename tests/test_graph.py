@@ -13,6 +13,7 @@ from ranktopo.graph import (
     HyperDesign,
     build_topology,
     design_from_json,
+    _laplacian,
     hypergraph_laplacian,
     laplacian_seminorm,
     lower_bound_statistic,
@@ -176,6 +177,32 @@ class TestDesignInvariants:
         with pytest.raises(ValueError):
             ComparisonDesign(1, ((0, 0, 1.0),))
 
+    @pytest.mark.parametrize("edges", [
+        ((0, 1, float("nan")),),
+        ((0, 1, float("inf")), (0, 1, float("-inf"))),
+        ((0.5, 1, 1.0),),
+        ((0, float("nan"), 1.0),),
+        ((0, 1),),
+        (),
+    ])
+    def test_malformed_edges_rejected(self, edges):
+        with pytest.raises(ValueError):
+            ComparisonDesign(2, edges)
+
+    def test_json_nan_weight_rejected(self):
+        with pytest.raises(ValueError):
+            design_from_json('{"d": 2, "kind": "custom", "edges": [[0, 1, NaN]]}')
+
+    def test_array_edges_equal_tuple_edges(self):
+        rows = ((0, 1, 0.25), (1, 2, 0.75))
+        design = ComparisonDesign(3, np.array(rows))
+        assert design == ComparisonDesign(3, rows)
+        assert design.edges == rows
+        assert all(type(j) is int and type(k) is int for j, k, _ in design.edges)
+        j, k, w = design.edge_arrays
+        assert j.dtype == k.dtype == np.intp and w.dtype == float
+        assert not any(a.flags.writeable for a in design.edge_arrays)
+
 
 class TestSpectralSummary:
     def test_reconstruction(self):
@@ -273,6 +300,89 @@ class TestHypergraph:
             HyperDesign(4, 3, ((0, 1, 9),))
         with pytest.raises(ValueError):
             HyperDesign(4, 5, ((0, 1, 2, 3, 4),))
+
+
+def _expander_multiset(q):
+    """Margulis-Gabber-Galil incidences, self-loops dropped, one per row."""
+    pairs = []
+    for x in range(q):
+        for y in range(q):
+            for u, v in (((x + 2 * y) % q, y), ((x + 2 * y + 1) % q, y),
+                         (x, (y + 2 * x) % q), (x, (y + 2 * x + 1) % q)):
+                if x * q + y != u * q + v:
+                    pairs.append((x * q + y, u * q + v))
+    return np.array(pairs)
+
+
+class TestSharedBuilders:
+    @pytest.mark.parametrize("kind,d", [(c[0], c[2]) for c in TOPOLOGY_CASES])
+    def test_laplacian_matches_dense_oracle(self, kind, d):
+        """L = X^T diag(w) X with one differencing row per design edge."""
+        design = build_topology(kind, d)
+        x = measurement_matrix(design)
+        w = np.array([e[2] for e in design.edges])
+        np.testing.assert_allclose(design.laplacian, x.T @ (w[:, None] * x),
+                                   rtol=0, atol=1e-15)
+
+    def test_expander_multi_edges_accumulate(self):
+        """Repeated pairs add up: X^T X / n over the raw incidence multiset."""
+        pairs = _expander_multiset(5)
+        n = len(pairs)
+        assert len(np.unique(np.sort(pairs, axis=1), axis=0)) < n  # multi-edges
+        x = np.zeros((n, 25))
+        x[np.arange(n), pairs[:, 0]] = 1.0
+        x[np.arange(n), pairs[:, 1]] = -1.0
+        oracle = x.T @ x / n
+        direct = _laplacian(25, pairs[:, 0], pairs[:, 1], np.full(n, 1.0 / n))
+        np.testing.assert_allclose(direct, oracle, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(build_topology("expander", 25).laplacian, oracle,
+                                   rtol=0, atol=1e-15)
+
+    def test_hyper_laplacian_matches_per_subset_formula(self):
+        """Average of E_i (m I - 11^T) E_i^T over a repeated, non-complete multiset."""
+        d, m = 7, 3
+        subsets = ((0, 1, 2), (2, 3, 4), (0, 1, 2), (4, 6, 5), (6, 0, 3), (2, 3, 4))
+        expected = np.zeros((d, d))
+        for subset in subsets:
+            sel = np.zeros((d, m))
+            sel[list(subset), range(m)] = 1.0
+            expected += sel @ (m * np.eye(m) - np.ones((m, m))) @ sel.T
+        expected /= len(subsets)
+        np.testing.assert_allclose(hypergraph_laplacian(HyperDesign(d, m, subsets)),
+                                   expected, rtol=0, atol=1e-15)
+
+    def test_connectivity_agrees_with_lambda2(self):
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(300):
+            d = int(rng.integers(2, 40))
+            num = int(rng.integers(1, 2 * d))
+            j = rng.integers(0, d, size=num)
+            k = (j + rng.integers(1, d, size=num)) % d
+            design = ComparisonDesign(d, np.column_stack([j, k, np.full(num, 1.0 / num)]))
+            connected = spectrum(design).lambda2 > 0
+            assert design.connected == connected
+            seen.add(connected)
+            subsets = tuple(tuple(int(v) for v in rng.choice(d, size=2, replace=False))
+                            for _ in range(num))
+            hyper = HyperDesign(d, 2, subsets)
+            assert hyper.connected == (spectrum(hyper).lambda2 > 0)
+        assert seen == {True, False}
+
+    def test_connectivity_of_long_relabelled_paths(self):
+        """A path under a random labelling joins up; cutting one edge splits it."""
+        rng = np.random.default_rng(6)
+        for d in (2, 3, 50, 1000):
+            order = rng.permutation(d)
+            j, k = order[:-1], order[1:]
+            path = ComparisonDesign(d, np.column_stack([j, k, np.full(d - 1, 1.0 / (d - 1))]))
+            assert path.connected
+            if d > 2:
+                cut = int(rng.integers(0, d - 1))
+                keep = np.arange(d - 1) != cut
+                split = ComparisonDesign(d, np.column_stack(
+                    [j[keep], k[keep], np.full(d - 2, 1.0 / (d - 2))]))
+                assert not split.connected
 
 
 class TestOptimality:

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ranktopo
 from ranktopo.bounds import gv_packing
 from ranktopo.estimate import design_digest, mle_ordinal
 from ranktopo.graph import EigensolverError, build_topology, spectrum
@@ -93,3 +97,13 @@ class TestPackingPropagation:
         assert full > 0 and capped > 0
         assert capped != full
         assert capped == fano_pipeline(design, params, 1e5, seed=5, packing_cap=8)
+
+
+class TestImportWeight:
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        """scipy.sparse adds over 0.1 s to a fresh ``import ranktopo``."""
+        code = "import sys, ranktopo; print('scipy.sparse' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(ranktopo.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
+        assert out.stdout.strip() == "False"

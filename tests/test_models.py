@@ -198,19 +198,21 @@ class TestPlackettLuce:
             assert abs(pl.choice_prob(x) - pl.choice_prob(x + t)) < 1e-10
 
     def test_shift_probabilities_sum_to_one(self):
-        """sum_j F(x^T R_j) = 1: the cyclic shifts enumerate the choices."""
+        """The position probabilities enumerate the choices: they sum to one."""
         pl = plackett_luce(5)
         rng = np.random.default_rng(2)
         for _ in range(100):
             x = rng.uniform(-2, 2, size=5)
-            total = sum(pl.choice_prob(x @ r) for r in pl.shifts)
-            assert abs(total - 1.0) < 1e-10
+            assert abs(pl.position_probs(x).sum() - 1.0) < 1e-10
 
     def test_shifts_put_each_position_first(self):
+        """Position j is chosen as often as the first item of x rotated by j."""
         pl = plackett_luce(4)
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        for j, r in enumerate(pl.shifts):
-            assert (x @ r)[0] == x[j]
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            x = rng.uniform(-2, 2, size=4)
+            rotated = [pl.choice_prob(np.roll(x, -j)) for j in range(4)]
+            np.testing.assert_allclose(pl.position_probs(x), rotated, rtol=0, atol=1e-15)
 
     def test_hessian_matches_finite_differences(self):
         pl = plackett_luce(3)
@@ -246,16 +248,14 @@ class TestPlackettLuce:
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_curvature_lower_bounds_hessian(self, m):
-        """H = beta (I - 11^T/m) satisfies H <= Hessian over the box."""
+        """beta (I - 11^T/m) <= Hessian of -log F over the box."""
         pl = plackett_luce(m, B=1.0)
         assert pl.beta > 0
-        vals = np.linalg.eigvalsh(pl.curvature)
-        assert abs(vals[0]) < 1e-12
-        np.testing.assert_allclose(vals[1:], pl.beta, atol=1e-12)
+        floor = pl.beta * (np.eye(m) - np.ones((m, m)) / m)
         rng = np.random.default_rng(6)
         for _ in range(200):
             x = rng.uniform(-1, 1, size=m)
-            gap = np.linalg.eigvalsh(pl.neg_log_hessian(x) - pl.curvature)
+            gap = np.linalg.eigvalsh(pl.neg_log_hessian(x) - floor)
             assert gap[0] >= -1e-9
 
     def test_beta_m2_closed_form(self):
