@@ -1,19 +1,18 @@
 """Command-line front end: topology reports, bound evaluation, experiment campaigns.
 
-Campaign cells fan out over a thread pool whose size is capped by the
-RANKTOPO_THREADS environment variable; per-row seeds are derived up front
-from the base seed, so scheduling never changes the numbers.
+Campaign trials run one after another; each row's seed is derived from the
+base seed, the cell and the trial index, so any row can be replayed alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +25,8 @@ from .graph import (PAIRWISE_KINDS, HyperDesign, build_topology, optimality_repo
 from .models import make_link, model_params, plackett_luce
 from .synth import CardinalModel, even_allocation, gen_quality, sample_comparisons, sample_outcomes
 
-CSV_HEADER = ("topology,d,n,trial,seed,sq_l2,sq_lap,rescaled,converged,iterations,"
-              "grad_norm,runtime_ms")
-
-
-def _pool_size(requested: int | None) -> int:
-    cap = os.environ.get("RANKTOPO_THREADS")
-    size = requested if requested else (os.cpu_count() or 1)
-    if cap:
-        size = min(size, max(int(cap), 1))
-    return max(size, 1)
+CSV_COLUMNS = ("topology", "d", "n", "trial", "seed", "sq_l2", "sq_lap", "rescaled",
+               "converged", "iterations", "grad_norm", "error", "runtime_ms")
 
 
 def row_seed(base_seed: int, cell_index: int, trial: int) -> int:
@@ -84,78 +75,75 @@ class ExperimentConfig:
 def run_trial(kind: str, d: int, n: int, family: str, sigma: float, B: float,
               m: int, w_gen: str, seed: int, w_variant: str = "pinv",
               opts: SolverOptions = SolverOptions()) -> dict:
-    """One campaign cell trial, reproducible from its integer seed."""
+    """One campaign cell trial, reproducible from its integer seed.
+
+    ``runtime_ms`` covers sampling and estimation only: the design, the
+    hyper-design and the link are built, and w* drawn, before it starts.
+    """
     design = build_topology(kind, d)
+    if family == "plackett_luce":
+        target = HyperDesign(d=d, m=m, subsets=tuple(itertools.combinations(range(d), m)))
+        link, estimate = plackett_luce(m, B), mle_mwise
+    else:
+        target, link, estimate = design, make_link(family, sigma), mle_ordinal
     rng = np.random.default_rng(seed)
     w_star = gen_quality(w_gen, d, B, rng, design=design, variant=w_variant)
     start = time.perf_counter()
-    if family == "plackett_luce":
-        hyper = HyperDesign(d=d, m=m,
-                            subsets=tuple(itertools.combinations(range(d), m)))
-        link = plackett_luce(m, B)
-        comps = sample_comparisons(hyper, n, rng)
-        batch = sample_outcomes(link, w_star, hyper, comps, rng)
-        result = mle_mwise(batch, hyper, link, B, opts)
-        summary = spectrum(design)
-    else:
-        link = make_link(family, sigma)
-        comps = sample_comparisons(design, n, rng)
-        batch = sample_outcomes(link, w_star, design, comps, rng)
-        result = mle_ordinal(batch, design, link, B, opts)
-        summary = spectrum(design)
+    comps = sample_comparisons(target, n, rng)
+    batch = sample_outcomes(link, w_star, target, comps, rng)
+    result = estimate(batch, target, link, B, opts)
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    metrics = error_metrics(result.w_hat, w_star, summary)
+    metrics = error_metrics(result.w_hat, w_star, design)
     return {
         "topology": kind, "d": d, "n": n, "seed": seed,
         "sq_l2": metrics.sq_l2, "sq_lap": metrics.sq_lap,
         "rescaled": n * metrics.sq_l2 / (d * d),
         "converged": result.converged, "iterations": result.iterations,
-        "grad_norm": result.grad_norm, "runtime_ms": runtime_ms,
+        "grad_norm": result.grad_norm, "error": "", "runtime_ms": runtime_ms,
     }
 
 
 def run_campaign(config: ExperimentConfig, threads: int | None = None,
                  log=sys.stderr) -> list[dict]:
+    """Run every trial in turn; a failed one gives NaN metrics and its ``error``.
+
+    ``threads`` is ignored; it is kept for compatibility.
+    """
     config.validate()
     cells = [(kind, d, n) for kind in config.kinds
              for d in config.d_list for n in config.n_list]
-    jobs = []
+    rows = []
     for cell_index, (kind, d, n) in enumerate(cells):
         for trial in range(config.trials):
-            jobs.append((kind, d, n, trial, row_seed(config.base_seed, cell_index, trial)))
-
-    def work(job):
-        kind, d, n, trial, seed = job
-        try:
-            row = run_trial(kind, d, n, config.family, config.sigma, config.B,
-                            config.m, config.w_gen, seed, config.w_variant)
-        except Exception as exc:  # a failed trial must not abort the campaign
-            print(f"trial failed ({kind}, d={d}, n={n}, trial={trial}): {exc}",
-                  file=log)
-            row = {"topology": kind, "d": d, "n": n, "seed": seed,
-                   "sq_l2": float("nan"), "sq_lap": float("nan"),
-                   "rescaled": float("nan"), "converged": False,
-                   "iterations": 0, "grad_norm": float("nan"),
-                   "runtime_ms": float("nan")}
-        row["trial"] = trial
-        return row
-
-    with ThreadPoolExecutor(max_workers=_pool_size(threads)) as pool:
-        rows = list(pool.map(work, jobs))
+            seed = row_seed(config.base_seed, cell_index, trial)
+            try:
+                row = run_trial(kind, d, n, config.family, config.sigma, config.B,
+                                config.m, config.w_gen, seed, config.w_variant)
+            except Exception as exc:  # a failed trial must not abort the campaign
+                error = f"{type(exc).__name__}: {exc}"
+                print(f"trial failed ({kind}, d={d}, n={n}, trial={trial}): {error}",
+                      file=log)
+                row = dict.fromkeys(CSV_COLUMNS, float("nan"))
+                row.update(topology=kind, d=d, n=n, seed=seed, converged=False,
+                           iterations=0, error=error)
+            row["trial"] = trial
+            rows.append(row)
     rows.sort(key=lambda r: (r["topology"], r["d"], r["n"], r["trial"]))
     return rows
 
 
+def _csv_field(column: str, value) -> str:
+    if column == "runtime_ms":
+        return f"{float(value):.3f}"
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
 def rows_to_csv(rows: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['topology']},{r['d']},{r['n']},{r['trial']},{r['seed']},"
-            f"{float(r['sq_l2'])!r},{float(r['sq_lap'])!r},{float(r['rescaled'])!r},"
-            f"{r['converged']},{r['iterations']},{float(r['grad_norm'])!r},"
-            f"{float(r['runtime_ms']):.3f}"
-        )
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([_csv_field(c, r[c]) for c in CSV_COLUMNS] for r in rows)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +192,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    rows = run_campaign(config, threads=args.threads)
+    rows = run_campaign(config)
     csv_text = rows_to_csv(rows)
     if config.out == "-":
         sys.stdout.write(csv_text)
@@ -212,6 +200,9 @@ def cmd_simulate(args) -> int:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
         print(f"wrote {len(rows)} rows to {config.out}")
+    failed = sum(bool(r["error"]) for r in rows)  # failed rows are also unconverged
+    not_converged = sum(not r["converged"] for r in rows) - failed
+    print(f"rows {len(rows)}, not converged {not_converged}, failed {failed}", file=sys.stderr)
     return 0
 
 
@@ -282,7 +273,6 @@ def _empirical_cvo(sigma_ord: float, sigma_card: float, B: float, d: int,
     """Matched Monte-Carlo risks under even allocation."""
     design = build_topology("complete", d)
     link = make_link("thurstone", sigma_ord)
-    summary = spectrum(design)
     num_pairs = len(design.edges)
     ord_risk = 0.0
     card_risk = 0.0
@@ -292,11 +282,11 @@ def _empirical_cvo(sigma_ord: float, sigma_card: float, B: float, d: int,
         comps = even_allocation(num_pairs, n)
         batch = sample_outcomes(link, w_star, design, comps, rng)
         est = mle_ordinal(batch, design, link, B)
-        ord_risk += error_metrics(est.w_hat, w_star, summary).sq_l2
+        ord_risk += error_metrics(est.w_hat, w_star, design).sq_l2
         items = even_allocation(d, n)
         cbatch = sample_outcomes(CardinalModel("item", sigma_card), w_star, None, items, rng)
         cest = mean_cardinal(cbatch, d)
-        card_risk += error_metrics(cest.w_hat, w_star, summary).sq_l2
+        card_risk += error_metrics(cest.w_hat, w_star, design).sq_l2
     return {"ordinal_risk": ord_risk / trials, "cardinal_risk": card_risk / trials,
             "d": d, "n": n, "trials": trials}
 
@@ -345,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out", help="output CSV path, or - for stdout")
-    p_sim.add_argument("--threads", type=int)
+    p_sim.add_argument("--threads", type=int, help="ignored; kept for compatibility")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bounds = sub.add_parser("bounds", help="evaluate minimax bound formulas")

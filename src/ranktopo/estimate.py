@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import (ComparisonDesign, HyperDesign, SpectralSummary, _connected, _laplacian,
-                    spectrum)
+from .graph import ComparisonDesign, HyperDesign, _connected, _laplacian, spectrum
 from .models import LinkFunction, MWiseLink
 from .synth import ObservationBatch, QualityVector
 
@@ -335,13 +334,14 @@ def mean_cardinal(batch: ObservationBatch, d: int) -> EstimateResult:
 
 
 def error_metrics(w_hat: QualityVector | np.ndarray, w_star: QualityVector | np.ndarray,
-                  summary: SpectralSummary) -> ErrorMetrics:
-    """Squared Euclidean and squared Laplacian semi-norm errors."""
+                  design: ComparisonDesign) -> ErrorMetrics:
+    """Squared Euclidean error, and squared Laplacian semi-norm error taken
+    edge by edge: sum_e w_e (delta_j - delta_k)^2 over ``design.edge_arrays``."""
     a = w_hat.values if isinstance(w_hat, QualityVector) else np.asarray(w_hat, dtype=float)
     b = w_star.values if isinstance(w_star, QualityVector) else np.asarray(w_star, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    if a.shape != b.shape or a.shape != (design.d,):
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}, d={design.d}")
     delta = a - b
-    coords = summary.eigenvectors @ delta
-    sq_lap = float(max(np.sum(summary.eigenvalues * coords**2), 0.0))
-    return ErrorMetrics(sq_l2=float(delta @ delta), sq_lap=sq_lap)
+    j, k, w = design.edge_arrays
+    diff = delta[j] - delta[k]
+    return ErrorMetrics(sq_l2=float(delta @ delta), sq_lap=float(w @ (diff * diff)))

@@ -301,9 +301,15 @@ class MWiseLink:
         return json.dumps({"family": self.name, "m": self.m, "B": self.B})
 
 
+def _box_corners(m: int, B: float) -> np.ndarray:
+    """The 2^m corners of [-B, B]^m, one per row; bit b of row i picks +B."""
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    return np.where(bits == 1, float(B), -float(B))
+
+
 def box_points(m: int, B: float, grid_points: int = 51, mc_points: int = 4000,
                seed: int = 0) -> np.ndarray:
-    """Points of [-B, B]^m at which box extrema are taken, one per row.
+    """Points of [-B, B]^m at which ``mwise_prefactors`` takes box extrema.
 
     m <= 3 uses a full grid at resolution 2B/(grid_points-1) per axis;
     larger m uses the box corners plus Monte-Carlo samples (the extrema
@@ -313,23 +319,21 @@ def box_points(m: int, B: float, grid_points: int = 51, mc_points: int = 4000,
         axes = [np.linspace(-B, B, grid_points)] * m
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=-1)
-    corners = np.array(
-        [[B if (idx >> b) & 1 else -B for b in range(m)] for idx in range(1 << m)]
-    )
     rng = np.random.default_rng(seed)
-    return np.vstack([corners, rng.uniform(-B, B, size=(mc_points, m))])
+    return np.vstack([_box_corners(m, B), rng.uniform(-B, B, size=(mc_points, m))])
 
 
 def plackett_luce(m: int, B: float = 1.0) -> MWiseLink:
     """The softmax choice model: P[item i] proportional to e^{w_i}.
 
-    beta is the second eigenvalue of the exact Hessian of -log F,
-    minimised over the box points of [-B, B]^m.  At m = 2 the choice
-    probability coincides with the BTL link at sigma = 1.
+    beta is the least second eigenvalue of the exact Hessian diag(p) - pp^T
+    of -log F over the 2^m corners of [-B, B]^m, where the box minimum
+    sits (tests check it against box samples and a multistart optimiser).
+    At m = 2 the choice probability coincides with the BTL link at sigma = 1.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    p = softmax(box_points(m, B), axis=1)
+    p = softmax(_box_corners(m, B), axis=1)
     hess = p[:, None, :] * np.eye(m)[None, :, :] - p[:, :, None] * p[:, None, :]
     beta = float(np.min(np.linalg.eigvalsh(hess)[:, 1]))
     return MWiseLink(name="plackett_luce", m=m, B=B, beta=beta)

@@ -112,7 +112,7 @@ def test_criterion_02_paired_cardinal_risk():
             batch = sample_outcomes(CardinalModel("pair", 1.0), w_star, design,
                                     comps, rng)
             est = ls_paired_cardinal(batch, design)
-            total += error_metrics(est.w_hat, w_star, summary).sq_l2
+            total += error_metrics(est.w_hat, w_star, design).sq_l2
         target = summary.trace_pinv / n
         deviation = abs(total / trials - target) / target
         assert deviation < 0.05, f"relative deviation {deviation:.4f}"
@@ -126,7 +126,7 @@ def test_criterion_03_cardinal_location_risk():
     """
     with _Criterion(3, "cardinal location risk", 30.0):
         d, n, sigma_c, trials = 2, 50, 1.0, 5000
-        summary = spectrum(build_topology("complete", d))
+        design = build_topology("complete", d)
         items = even_allocation(d, n)
         total = 0.0
         for t in range(trials):
@@ -135,7 +135,7 @@ def test_criterion_03_cardinal_location_risk():
             batch = sample_outcomes(CardinalModel("item", sigma_c), w_star, None,
                                     items, rng)
             est = mean_cardinal(batch, d)
-            total += error_metrics(est.w_hat, w_star, summary).sq_l2
+            total += error_metrics(est.w_hat, w_star, design).sq_l2
         target = sigma_c**2 * d / n
         deviation = abs(total / trials - target) / target
         assert deviation < 0.03, f"relative deviation {deviation:.4f}"
@@ -282,7 +282,6 @@ def test_criterion_08_constructive_lower_bound():
         params = model_params(link, 1.0)
         bound = fano_pipeline(design, params, 1e4)
         assert bound > 0
-        summary = spectrum(design)
         risks = []
         for t in range(200):
             rng = np.random.default_rng(row_seed(8, 0, t))
@@ -290,7 +289,7 @@ def test_criterion_08_constructive_lower_bound():
             comps = sample_comparisons(design, 10_000, rng)
             batch = sample_outcomes(link, w_star, design, comps, rng)
             est = mle_ordinal(batch, design, link, 1.0)
-            risks.append(error_metrics(est.w_hat, w_star, summary).sq_lap)
+            risks.append(error_metrics(est.w_hat, w_star, design).sq_lap)
         mc_risk = float(np.mean(risks))
         std_err = float(np.std(risks, ddof=1)) / math.sqrt(len(risks))
         assert bound <= mc_risk + 3 * std_err, (

@@ -472,7 +472,7 @@ class TestCardinalRiskIdentity:
         from ranktopo.cli import row_seed
 
         d, n, sigma_c, trials = 2, 50, 1.0, 5000
-        summary = spectrum(build_topology("complete", d))
+        design = build_topology("complete", d)
         items = even_allocation(d, n)
         total = 0.0
         for t in range(trials):
@@ -481,7 +481,7 @@ class TestCardinalRiskIdentity:
             batch = sample_outcomes(CardinalModel("item", sigma_c), w, None,
                                     items, rng)
             est = mean_cardinal(batch, d)
-            total += error_metrics(est.w_hat, w, summary).sq_l2
+            total += error_metrics(est.w_hat, w, design).sq_l2
         target = sigma_c**2 * d / n
         assert abs(total / trials - target) / target < 0.03
 

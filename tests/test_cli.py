@@ -1,5 +1,7 @@
 """Tests for the command-line interface and campaign runner."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -13,9 +15,10 @@ from ranktopo.cli import (
     run_campaign,
     run_trial,
 )
+from ranktopo.estimate import SolverOptions
 
 CSV_COLUMNS = ["topology", "d", "n", "trial", "seed", "sq_l2", "sq_lap",
-               "rescaled", "converged", "iterations", "grad_norm", "runtime_ms"]
+               "rescaled", "converged", "iterations", "grad_norm", "error", "runtime_ms"]
 
 
 def strip_runtime(csv_text: str) -> str:
@@ -60,13 +63,6 @@ class TestSimulateCommand:
         one = rows_to_csv(run_campaign(ExperimentConfig(**self.CONFIG), threads=1))
         many = rows_to_csv(run_campaign(ExperimentConfig(**self.CONFIG), threads=8))
         assert strip_runtime(one) == strip_runtime(many)
-
-    def test_thread_env_cap(self, monkeypatch):
-        monkeypatch.setenv("RANKTOPO_THREADS", "1")
-        capped = rows_to_csv(run_campaign(ExperimentConfig(**self.CONFIG), threads=16))
-        monkeypatch.delenv("RANKTOPO_THREADS")
-        free = rows_to_csv(run_campaign(ExperimentConfig(**self.CONFIG), threads=2))
-        assert strip_runtime(capped) == strip_runtime(free)
 
     def test_csv_schema_and_row_replay(self):
         rows = run_campaign(ExperimentConfig(**self.CONFIG), threads=2)
@@ -149,6 +145,63 @@ class TestSimulateCommand:
         assert all(r["iterations"] == 0 and np.isnan(r["grad_norm"]) for r in failed)
         good = [r for r in rows if r["n"] == 100]
         assert all(np.isfinite(r["sq_l2"]) for r in good)
+
+    def test_failed_cell_reports_its_cause(self, monkeypatch, capsys):
+        import ranktopo.cli as cli_mod
+
+        original_trial, original_mle = cli_mod.run_trial, cli_mod.mle_ordinal
+        def explode(kind, d, n, *args, **kwargs):
+            if n == 200:
+                raise RuntimeError("boom, at n=200")
+            return original_trial(kind, d, n, *args, **kwargs)
+
+        def one_step(batch, design, link, B, opts):
+            return original_mle(batch, design, link, B, SolverOptions(max_iters=1))
+
+        monkeypatch.setattr(cli_mod, "run_trial", explode)
+        monkeypatch.setattr(cli_mod, "mle_ordinal", one_step)
+        code = main(["simulate", "--kind", "complete", "--d", "4", "--n", "100",
+                     "--n", "200", "--trials", "2", "--seed", "0", "--out", "-"])
+        assert code == 0
+        captured = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [r["error"] for r in rows] == ["", "", "RuntimeError: boom, at n=200",
+                                              "RuntimeError: boom, at n=200"]
+        assert [r["converged"] for r in rows] == ["False"] * 4
+        assert [r["sq_l2"] for r in rows][2:] == ["nan", "nan"]
+        assert captured.err.splitlines()[-1] == "rows 4, not converged 2, failed 2"
+
+    def test_topology_with_comma_round_trips(self, capsys):
+        code = main(["simulate", "--kind", "complete_bipartite(3,5)", "--d", "8",
+                     "--n", "400", "--trials", "2", "--seed", "5", "--out", "-"])
+        assert code == 0
+        text = capsys.readouterr().out
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 2
+        for row in rows:
+            assert list(row) == CSV_COLUMNS and None not in row.values()
+            assert row["topology"] == "complete_bipartite(3,5)"
+            assert row["d"] == "8" and row["error"] == ""
+        # rows without a comma are written exactly as plain joins
+        plain = rows_to_csv(run_campaign(ExperimentConfig(**self.CONFIG)))
+        for line, row in zip(plain.splitlines()[1:], csv.DictReader(io.StringIO(plain))):
+            assert line == ",".join(row[c] for c in CSV_COLUMNS)
+
+    def test_campaigns_need_no_spectrum(self, monkeypatch, capsys):
+        import ranktopo.cli as cli_mod
+
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("campaigns must not decompose the Laplacian")
+
+        monkeypatch.setattr(cli_mod, "spectrum", no_spectrum)
+        for family, m in (("thurstone", 2), ("btl", 2), ("plackett_luce", 3)):
+            config = ExperimentConfig(kinds=["complete"], d_list=[5], n_list=[500],
+                                      family=family, m=m, trials=2, base_seed=3)
+            rows = run_campaign(config, log=io.StringIO())
+            assert all(r["error"] == "" and r["converged"] for r in rows)
+        assert main(["cvo", "--sigma-ord", "1", "--sigma-card", "1", "--empirical",
+                     "--d", "4", "--n", "120", "--trials", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["empirical"]["trials"] == 3
 
 
 class TestBoundsCommand:

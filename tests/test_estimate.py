@@ -229,7 +229,7 @@ class TestOrdinalMLE:
         comps = sample_comparisons(design, 1_000_000, rng)
         batch = sample_outcomes(link, w_star, design, comps, rng)
         result = mle_ordinal(batch, design, link, 1.0)
-        metrics = error_metrics(result.w_hat, w_star, spectrum(design))
+        metrics = error_metrics(result.w_hat, w_star, design)
         assert metrics.sq_l2 < 0.01
 
 
@@ -419,13 +419,13 @@ class TestMeanCardinal:
 
 class TestErrorMetrics:
     def test_identical_vectors(self):
-        summary = spectrum(build_topology("complete", 4))
-        metrics = error_metrics(np.ones(4) * 0.1, np.ones(4) * 0.1, summary)
+        design = build_topology("complete", 4)
+        metrics = error_metrics(np.ones(4) * 0.1, np.ones(4) * 0.1, design)
         assert metrics.sq_l2 == 0.0 and metrics.sq_lap == 0.0
 
     def test_constant_difference_in_nullspace(self):
-        summary = spectrum(build_topology("star", 5))
-        metrics = error_metrics(np.ones(5), np.zeros(5), summary)
+        design = build_topology("star", 5)
+        metrics = error_metrics(np.ones(5), np.zeros(5), design)
         assert abs(metrics.sq_l2 - 5.0) < 1e-12
         assert metrics.sq_lap < 1e-12
 
@@ -437,13 +437,28 @@ class TestErrorMetrics:
         for _ in range(100):
             delta = rng.standard_normal(7)
             delta -= delta.mean()
-            metrics = error_metrics(delta, np.zeros(7), summary)
+            metrics = error_metrics(delta, np.zeros(7), design)
             assert metrics.sq_lap >= summary.lambda2 * metrics.sq_l2 - 1e-10
 
+    def test_seminorm_is_laplacian_quadratic_form(self):
+        """sq_lap equals delta^T L delta on random designs, and is 0 along 1."""
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            d = int(rng.integers(2, 12))
+            pairs = np.array(list(itertools.combinations(range(d), 2)))
+            pairs = pairs[rng.permutation(len(pairs))[:int(rng.integers(1, len(pairs) + 1))]]
+            w = rng.random(len(pairs))
+            design = ComparisonDesign(d, np.column_stack([pairs, w / w.sum()]))
+            delta = rng.standard_normal(d)
+            metrics = error_metrics(delta, np.zeros(d), design)
+            assert metrics.sq_lap == pytest.approx(delta @ design.laplacian @ delta,
+                                                   rel=1e-12, abs=1e-15)
+            assert error_metrics(np.full(d, rng.normal()), np.zeros(d), design).sq_lap == 0.0
+
     def test_length_mismatch(self):
-        summary = spectrum(build_topology("complete", 4))
+        design = build_topology("complete", 4)
         with pytest.raises(ValueError):
-            error_metrics(np.zeros(3), np.zeros(4), summary)
+            error_metrics(np.zeros(3), np.zeros(4), design)
 
 
 class TestSolverOptions:

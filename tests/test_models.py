@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 from scipy.special import expit, ndtr
 
 from ranktopo.models import (
     ModelParams,
+    box_points,
     compute_gamma,
     compute_zeta,
     make_link,
@@ -257,6 +259,26 @@ class TestPlackettLuce:
             x = rng.uniform(-1, 1, size=m)
             gap = np.linalg.eigvalsh(pl.neg_log_hessian(x) - floor)
             assert gap[0] >= -1e-9
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_beta_is_box_sample_minimum(self, m):
+        """beta equals, bit for bit, the least lambda_2 over the box sample."""
+        for B in (0.25, 0.7, 1.0, 2.0):
+            p = softmax(box_points(m, B), axis=1)
+            hess = p[:, None, :] * np.eye(m) - p[:, :, None] * p[:, None, :]
+            assert plackett_luce(m, B).beta == float(np.min(np.linalg.eigvalsh(hess)[:, 1]))
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_no_box_point_below_beta(self, m):
+        """A bounded multistart optimiser finds no lambda_2 below beta."""
+        rng = np.random.default_rng(m)
+        for B in (0.5, 1.0, 2.0):
+            pl = plackett_luce(m, B)
+            lam2 = lambda x: float(np.linalg.eigvalsh(pl.neg_log_hessian(x))[1])
+            found = [minimize(lam2, x0, method="L-BFGS-B", bounds=[(-B, B)] * m).fun
+                     for x0 in rng.uniform(-B, B, size=(12, m))]
+            assert min(found) >= pl.beta - 1e-12
+            assert min(found) <= pl.beta + 1e-6  # the search does reach the minimum
 
     def test_beta_m2_closed_form(self):
         # lambda_2 of the 2x2 Hessian is 2p(1-p), minimised at the corner
