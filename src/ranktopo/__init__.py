@@ -44,7 +44,6 @@ from .graph import (
     build_topology,
     design_from_json,
     hypergraph_laplacian,
-    laplacian_seminorm,
     lower_bound_statistic,
     optimality_report,
     spectrum,
@@ -82,7 +81,7 @@ __all__ = [
     "project_feasible",
     "ComparisonDesign", "HyperDesign", "OptimalityReport", "SpectralSummary",
     "build_topology", "design_from_json", "hypergraph_laplacian",
-    "laplacian_seminorm", "lower_bound_statistic", "optimality_report", "spectrum",
+    "lower_bound_statistic", "optimality_report", "spectrum",
     "LinkFunction", "ModelParams", "MWiseLink", "compute_gamma", "compute_zeta",
     "make_link", "model_params", "plackett_luce",
     "CardinalModel", "ObservationBatch", "QualityVector", "batch_from_csv",

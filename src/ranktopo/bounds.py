@@ -158,9 +158,29 @@ def gv_target(d: int, alpha: float) -> int:
     return int(math.floor(math.exp(d / 2.0 * inner)))
 
 
+# The distance branch of gv_packing draws candidates _GV_BATCH at a time and
+# compares _GV_BLOCK packed vectors with a batch per step, so its temporaries
+# stay near _GV_BLOCK * _GV_BATCH * 8 bytes (2 MB) per 64-bit word.
+_GV_BATCH = 1024
+_GV_BLOCK = 256
+
+
 def _void_keys(bits: np.ndarray) -> np.ndarray:
     packed = np.packbits(bits, axis=1)
     return packed.view(f"V{packed.shape[1]}").ravel()
+
+
+def _packed_words(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows packed into zero-padded uint64 words, one row per vector."""
+    packed = np.packbits(bits, axis=1)
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return packed.view(np.uint64)
+
+
+def _near(rows: np.ndarray, cols: np.ndarray, need: int) -> np.ndarray:
+    """Whether each packed row lies at Hamming distance below need from each column."""
+    counts = np.bitwise_count(rows[:, None, :] ^ cols[None, :, :])
+    return counts.sum(axis=2, dtype=np.uint16) < need
 
 
 def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> PackingSet:
@@ -170,10 +190,14 @@ def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> Pa
     at squared Hamming distance >= alpha*d from everything kept so far,
     until the Eq.-24 target is reached or max_rejects candidates have been
     discarded (the non-constructive existence bound says nothing about
-    constructibility, so shortfalls are reported, not hidden).  When
-    alpha*d <= 1 the distance condition is plain distinctness, which is
-    checked a batch at a time over bit-packed keys so that large targets
-    stay cheap.
+    constructibility, so shortfalls are reported, not hidden).  Both
+    branches return the vectors, and draw the random numbers, of that
+    one-candidate-at-a-time scan.  When alpha*d <= 1 the distance condition
+    is plain distinctness, which is checked a batch at a time over
+    bit-packed keys so that large targets stay cheap.  Otherwise each
+    batch is tested against the kept set as packed 64-bit words, a block
+    of kept vectors per step (np.bitwise_count of the XOR), and conflicts
+    inside the batch are settled in scan order.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -208,25 +232,39 @@ def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> Pa
             kept, rejects = int(kept_so_far[end - 1]), int(rejects_so_far[end - 1])
         vectors = np.concatenate(chunks)
     else:
-        kept: list[np.ndarray] = []
-        matrix = np.zeros((0, d), dtype=np.uint8)
-        rejects = 0
-        while len(kept) < target and rejects <= max_rejects:
-            batch = rng.integers(0, 2, size=(1024, d), dtype=np.uint8)
-            batch[:, 0] = 0
-            for cand in batch:
-                if matrix.shape[0]:
-                    dists = np.sum(matrix != cand, axis=1)
-                    if dists.min() < min_dist:
-                        rejects += 1
-                        if rejects > max_rejects:
-                            break
-                        continue
-                kept.append(cand)
-                matrix = np.vstack([matrix, cand])
-                if len(kept) == target:
-                    break
-        vectors = matrix
+        # Each batch gives the outcome of scanning it one candidate at a
+        # time: a candidate is kept when no vector kept before it, in an
+        # earlier batch or earlier in this one, lies within min_dist.  The
+        # earlier batches are tested in blocks of packed words; conflicts
+        # inside the batch are settled greedily in scan order from the
+        # batch's own distance matrix.  The scan ends as in the branch above.
+        need = math.ceil(min_dist)  # integer distances: dist < min_dist iff dist < need
+        chunks = [np.zeros((0, d), dtype=np.uint8)]
+        kept_words = np.zeros((0, (d + 63) // 64), dtype=np.uint64)
+        kept = rejects = 0
+        while kept < target and rejects <= max_rejects:
+            bits = rng.integers(0, 2, size=(_GV_BATCH, d), dtype=np.uint8)
+            bits[:, 0] = 0
+            words = _packed_words(bits)
+            free = np.ones(_GV_BATCH, dtype=bool)
+            for s in range(0, kept_words.shape[0], _GV_BLOCK):
+                free &= ~_near(kept_words[s:s + _GV_BLOCK], words, need).any(axis=0)
+            fresh = np.zeros(_GV_BATCH, dtype=bool)
+            for s in range(0, _GV_BATCH, _GV_BLOCK):
+                block = np.flatnonzero(free[s:s + _GV_BLOCK]) + s
+                for i, row in zip(block, _near(words[block], words, need)):
+                    if free[i]:
+                        fresh[i] = True
+                        free &= ~row
+            kept_so_far = kept + np.cumsum(fresh)
+            rejects_so_far = rejects + np.cumsum(~fresh)
+            stops = np.flatnonzero((kept_so_far == target) | (rejects_so_far > max_rejects))
+            end = stops[0] + 1 if stops.size else _GV_BATCH
+            fresh[end:] = False
+            chunks.append(bits[fresh])
+            kept_words = np.concatenate([kept_words, words[fresh]])
+            kept, rejects = int(kept_so_far[end - 1]), int(rejects_so_far[end - 1])
+        vectors = np.concatenate(chunks)
 
     m_found = vectors.shape[0]
     return PackingSet(vectors=vectors, alpha=alpha, M=m_found,

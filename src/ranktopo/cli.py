@@ -72,6 +72,11 @@ class ExperimentConfig:
                 build_topology(kind, d)  # raises on incompatible dimensions
 
 
+def complete_hyper(d: int, m: int) -> HyperDesign:
+    """The complete m-wise hyper-design: every m-item subset once, in lexicographic order."""
+    return HyperDesign(d=d, m=m, subsets=tuple(itertools.combinations(range(d), m)))
+
+
 def run_trial(kind: str, d: int, n: int, family: str, sigma: float, B: float,
               m: int, w_gen: str, seed: int, w_variant: str = "pinv",
               opts: SolverOptions = SolverOptions()) -> dict:
@@ -82,7 +87,7 @@ def run_trial(kind: str, d: int, n: int, family: str, sigma: float, B: float,
     """
     design = build_topology(kind, d)
     if family == "plackett_luce":
-        target = HyperDesign(d=d, m=m, subsets=tuple(itertools.combinations(range(d), m)))
+        target = complete_hyper(d, m)
         link, estimate = plackett_luce(m, B), mle_mwise
     else:
         target, link, estimate = design, make_link(family, sigma), mle_ordinal
@@ -210,8 +215,7 @@ def cmd_bounds(args) -> int:
     if args.theorem.startswith("T4"):
         if parse_kind(args.kind)[0] != "complete":
             raise ValueError("m-wise bounds support only the complete hyper-design")
-        hyper = HyperDesign(d=args.d, m=args.m,
-                            subsets=tuple(itertools.combinations(range(args.d), args.m)))
+        hyper = complete_hyper(args.d, args.m)
         report = minimax_bounds(args.theorem, hyper, plackett_luce(args.m, args.B),
                                 args.n)
         print(report.to_json())

@@ -174,11 +174,21 @@ class HyperDesign:
             raise ValueError(f"need 2 <= m <= d, got m={self.m}, d={self.d}")
         if not self.subsets:
             raise ValueError("design has no subsets")
-        for subset in self.subsets:
-            if len(subset) != self.m or len(set(subset)) != self.m:
-                raise ValueError(f"subset {subset} is not {self.m} distinct items")
-            if not all(0 <= i < self.d for i in subset):
-                raise ValueError(f"subset {subset} out of range for d={self.d}")
+        try:
+            shape = self.subset_array.shape
+        except ValueError:  # ragged: subsets of different lengths
+            shape = ()
+        if shape[1:] != (self.m,):
+            raise ValueError(f"subsets are not all {self.m} items")
+        sa = self.subset_array
+        ordered = np.sort(sa, axis=1)
+        for bad, what in (
+            ((sa < 0) | (sa >= self.d), f"out of range for d={self.d}"),
+            (ordered[:, 1:] == ordered[:, :-1], f"is not {self.m} distinct items"),
+        ):
+            rows = bad.any(axis=1)
+            if rows.any():
+                raise ValueError(f"subset {self.subsets[rows.argmax()]} {what}")
 
     @cached_property
     def connected(self) -> bool:
@@ -209,15 +219,16 @@ def hypergraph_laplacian(design: HyperDesign) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Eigendecomposition L = U^T diag(eigenvalues) U with derived quantities.
+    """Spectrum of a Laplacian, with derived quantities.
 
-    Rows of ``eigenvectors`` are eigenvectors, eigenvalues ascending.
-    Eigenvalues within ``zero_tolerance`` of zero are reported as exact
-    zeros and excluded from the pseudo-inverse trace.
+    ``eigenvalues`` ascend; those within ``zero_tolerance`` of zero are
+    reported as exact zeros and excluded from the pseudo-inverse trace.
+    The eigenvectors are computed from ``laplacian`` on first use only, so
+    a summary read for its eigenvalues never pays for them.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    laplacian: np.ndarray
     trace_pinv: float
     lambda2: float
     zero_tolerance: float
@@ -225,6 +236,11 @@ class SpectralSummary:
     @property
     def d(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Rows are eigenvectors, in the order of ``eigenvalues``: L = U^T diag U."""
+        return _eigensolve(np.linalg.eigh, self.laplacian)[1].T
 
     @cached_property
     def pinv_diag(self) -> np.ndarray:
@@ -246,25 +262,29 @@ class SpectralSummary:
         return "\n".join(lines) + "\n"
 
 
-def spectrum(design: ComparisonDesign | HyperDesign | np.ndarray,
-             zero_tolerance: float = DEFAULT_ZERO_TOL) -> SpectralSummary:
-    """Eigendecompose a design's (hyper)graph Laplacian.
-
-    Eigenvalues are clamped to exact zero below zero_tolerance * lambda_max;
-    eigensolver non-convergence surfaces as EigensolverError.
-    """
-    lap = design if isinstance(design, np.ndarray) else design.laplacian
+def _eigensolve(solver, lap: np.ndarray):
     try:
-        vals, vecs = np.linalg.eigh(lap)
+        return solver(lap)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def spectrum(design: ComparisonDesign | HyperDesign | np.ndarray,
+             zero_tolerance: float = DEFAULT_ZERO_TOL) -> SpectralSummary:
+    """Eigenvalues of a design's (hyper)graph Laplacian, from ``eigvalsh``.
+
+    Eigenvalues are clamped to exact zero below zero_tolerance * lambda_max;
+    eigensolver non-convergence surfaces as EigensolverError.  The summary
+    keeps the Laplacian and computes eigenvectors only when they are read.
+    """
+    lap = design if isinstance(design, np.ndarray) else design.laplacian
+    vals = _eigensolve(np.linalg.eigvalsh, lap)
     lam_max = float(vals[-1]) if vals[-1] > 0 else 0.0
     abs_tol = zero_tolerance * lam_max
     if np.any(vals < -max(abs_tol, 1e-10)):
         raise EigensolverError(
             f"Laplacian has a significantly negative eigenvalue {vals[0]}"
         )
-    vals = vals.copy()
     vals[np.abs(vals) <= abs_tol] = 0.0
     vals[vals < 0] = 0.0
     nonzero = vals[vals > 0]
@@ -272,24 +292,11 @@ def spectrum(design: ComparisonDesign | HyperDesign | np.ndarray,
     lambda2 = float(vals[1]) if len(vals) > 1 else 0.0
     return SpectralSummary(
         eigenvalues=vals,
-        eigenvectors=vecs.T,
+        laplacian=lap,
         trace_pinv=trace_pinv,
         lambda2=lambda2,
         zero_tolerance=abs_tol,
     )
-
-
-def laplacian_seminorm(summary: SpectralSummary, u: np.ndarray, v: np.ndarray) -> float:
-    """sqrt((u-v)^T L (u-v)); zero along constant shifts."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (summary.d,) or v.shape != (summary.d,):
-        raise ValueError(
-            f"vectors must have length {summary.d}, got {u.shape} and {v.shape}"
-        )
-    coords = summary.eigenvectors @ (u - v)
-    val = float(np.sum(summary.eigenvalues * coords**2))
-    return math.sqrt(max(val, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -151,3 +151,30 @@ def gv_distinct_packing(d: int, target: int, seed, max_rejects: int) -> np.ndarr
             if len(rows) == target:
                 break
     return np.array(rows, dtype=np.uint8).reshape(-1, d)
+
+
+def gv_distance_packing(d: int, alpha: float, target: int, seed,
+                        max_rejects: int) -> np.ndarray:
+    """The distance branch of the GV packing, one candidate at a time.
+
+    Draws the same 1,024-row batches from the same generator as the
+    package, and keeps a candidate when it differs from every kept vector
+    in at least alpha*d coordinates, stopping at the target or once more
+    than max_rejects candidates were discarded.
+    """
+    rng = np.random.default_rng(seed)
+    matrix = np.zeros((0, d), dtype=np.uint8)
+    rejects = 0
+    while matrix.shape[0] < target and rejects <= max_rejects:
+        batch = rng.integers(0, 2, size=(1024, d), dtype=np.uint8)
+        batch[:, 0] = 0
+        for cand in batch:
+            if matrix.shape[0] and np.sum(matrix != cand, axis=1).min() < alpha * d:
+                rejects += 1
+                if rejects > max_rejects:
+                    break
+                continue
+            matrix = np.vstack([matrix, cand])
+            if matrix.shape[0] == target:
+                break
+    return matrix

@@ -27,7 +27,7 @@ from ranktopo.graph import ComparisonDesign, HyperDesign, build_topology, spectr
 from ranktopo.models import make_link, model_params, plackett_luce
 from ranktopo.synth import CardinalModel, even_allocation, gen_quality, sample_outcomes
 
-from oracles import exact_projection, gv_distinct_packing
+from oracles import exact_projection, gv_distance_packing, gv_distinct_packing
 
 SINGLE_EDGE = ComparisonDesign(2, ((0, 1, 1.0),))
 
@@ -211,6 +211,44 @@ class TestGVPacking:
         assert packing.target == 9 and packing.M == 8 and packing.shortfall
         expected = gv_distinct_packing(12, packing.target, 3, 6000)
         np.testing.assert_array_equal(packing.vectors, expected)
+
+
+    @pytest.mark.parametrize("free_bits", [None, slice(1, 11), slice(1, 13)])
+    def test_distance_branch_matches_sequential_scan(self, monkeypatch, free_bits):
+        """The packed-word distance screen keeps exactly what a one-at-a-time
+        scan keeps, for one- and two-word vectors.  Plain draws are almost
+        never rejected; draws with only a few free bits force rejects across
+        batches, stops inside a batch at the reject limit, and shortfalls."""
+        real_rng = np.random.default_rng
+
+        class FewBits:
+            def __init__(self, seed=None):
+                self.rng = real_rng(seed)
+
+            def integers(self, low, high, size=None, dtype=None):
+                bits = self.rng.integers(low, high, size=size, dtype=dtype)
+                if free_bits is not None:
+                    fixed = np.ones(size[1], dtype=bool)
+                    fixed[free_bits] = False
+                    fixed[-3:] = False  # the last word of a two-word vector varies too
+                    bits[:, fixed] = 0
+                return bits
+
+        monkeypatch.setattr("ranktopo.bounds.np.random.default_rng", FewBits)
+        shortfalls = []
+        for d, alpha in ((24, 0.05), (40, 0.05), (64, 0.1), (70, 0.1), (100, 0.12)):
+            for seed in range(2):
+                for max_rejects in (0, 7, 2500) if free_bits else (0,):
+                    packing = gv_packing(d, alpha, seed=seed, max_rejects=max_rejects)
+                    assert packing.target == gv_target(d, alpha)
+                    expected = gv_distance_packing(d, alpha, packing.target, seed, max_rejects)
+                    np.testing.assert_array_equal(packing.vectors, expected)
+                    assert packing.shortfall == (len(expected) < packing.target)
+                    shortfalls.append(packing.shortfall)
+        if free_bits is None:
+            assert not any(shortfalls)
+        else:
+            assert any(shortfalls) and not all(shortfalls)
 
 
 class TestFanoBound:

@@ -204,6 +204,30 @@ class TestSimulateCommand:
         assert json.loads(capsys.readouterr().out)["empirical"]["trials"] == 3
 
 
+class TestEigenvalueOnlyPaths:
+    def test_no_eigenvectors_are_computed(self, monkeypatch, capsys):
+        from ranktopo.bounds import minimax_bounds
+        from ranktopo.cli import complete_hyper
+        from ranktopo.graph import build_topology
+        from ranktopo.models import make_link, model_params, plackett_luce
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigenvalue-only paths must not compute eigenvectors")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert main(["design", "--d", "64", "--n", "1e5", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) >= 7
+        assert main(["spectrum", "--kind", "path", "--d", "64"]) == 0
+        assert json.loads(capsys.readouterr().out)["lambda2"] > 0
+        design = build_topology("cycle", 64)
+        params = model_params(make_link("btl", 1.0), 1.0)
+        for theorem in ("T1_lap", "T2_l2", "T3_paired"):
+            assert minimax_bounds(theorem, design, params, 1e5).upper > 0
+        hyper, link = complete_hyper(6, 3), plackett_luce(3, 1.0)
+        for theorem in ("T4_mwise_lap", "T4_mwise_l2"):
+            assert minimax_bounds(theorem, hyper, link, 1e5).upper > 0
+
+
 class TestBoundsCommand:
     def test_t3_value(self, capsys):
         code = main(["bounds", "--theorem", "T3_paired", "--kind", "complete",

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from ranktopo.cli import main
+from ranktopo.estimate import error_metrics
 from ranktopo.graph import (
     ComparisonDesign,
     HyperDesign,
@@ -15,7 +16,6 @@ from ranktopo.graph import (
     design_from_json,
     _laplacian,
     hypergraph_laplacian,
-    laplacian_seminorm,
     lower_bound_statistic,
     optimality_report,
     spectrum,
@@ -226,32 +226,33 @@ class TestSpectralSummary:
 
 
 class TestSeminorm:
+    """The squared Laplacian semi-norm, as ``error_metrics`` reports it."""
+
     def test_zero_cases(self):
-        summary = spectrum(build_topology("complete", 5))
+        design = build_topology("complete", 5)
         u = np.arange(5.0)
-        assert laplacian_seminorm(summary, u, u) == 0.0
-        assert laplacian_seminorm(summary, u + 1.0, u) < 1e-12
+        assert error_metrics(u, u, design).sq_lap == 0.0
+        assert error_metrics(u + 1.0, u, design).sq_lap < 1e-24
 
     def test_single_edge_value(self):
         design = ComparisonDesign(2, ((0, 1, 1.0),), "single")
-        summary = spectrum(design)
-        value = laplacian_seminorm(summary, np.array([0.2, 0.0]), np.zeros(2))
-        assert abs(value - 0.2) < 1e-12
+        value = error_metrics(np.array([0.2, 0.0]), np.zeros(2), design).sq_lap
+        assert abs(math.sqrt(value) - 0.2) < 1e-12
 
     def test_length_mismatch(self):
-        summary = spectrum(build_topology("complete", 4))
+        design = build_topology("complete", 4)
         with pytest.raises(ValueError):
-            laplacian_seminorm(summary, np.zeros(3), np.zeros(4))
+            error_metrics(np.zeros(3), np.zeros(4), design)
 
     def test_matches_direct_quadratic_form(self):
         design = build_topology("path", 7)
-        summary = spectrum(design)
         rng = np.random.default_rng(11)
         for _ in range(50):
             u = rng.standard_normal(7)
             v = rng.standard_normal(7)
             direct = math.sqrt((u - v) @ design.laplacian @ (u - v))
-            assert abs(laplacian_seminorm(summary, u, v) - direct) < 1e-10
+            value = math.sqrt(error_metrics(u, v, design).sq_lap)
+            assert abs(value - direct) < 1e-10
 
 
 class TestHypergraph:
@@ -300,6 +301,15 @@ class TestHypergraph:
             HyperDesign(4, 3, ((0, 1, 9),))
         with pytest.raises(ValueError):
             HyperDesign(4, 5, ((0, 1, 2, 3, 4),))
+        # A repeated item, a negative index or a wrong length anywhere in the
+        # list rejects the design, naming the offending subset where it can.
+        with pytest.raises(ValueError, match=r"subset \(1, 3, 1\) is not 3 distinct items"):
+            HyperDesign(4, 3, ((0, 1, 2), (1, 3, 1)))
+        with pytest.raises(ValueError, match=r"subset \(0, -1, 3\) out of range for d=4"):
+            HyperDesign(4, 3, ((0, 1, 2), (0, -1, 3)))
+        for subsets in (((0, 1, 2), (1, 2)), ((0, 1, 2, 3),)):
+            with pytest.raises(ValueError, match="subsets are not all 3 items"):
+                HyperDesign(4, 3, subsets)
 
 
 def _expander_multiset(q):
