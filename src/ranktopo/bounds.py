@@ -159,28 +159,50 @@ def gv_target(d: int, alpha: float) -> int:
 
 
 # The distance branch of gv_packing draws candidates _GV_BATCH at a time and
-# compares _GV_BLOCK packed vectors with a batch per step, so its temporaries
+# compares _GV_BLOCK kept vectors with a batch per step, so its temporaries
 # stay near _GV_BLOCK * _GV_BATCH * 8 bytes (2 MB) per 64-bit word.
 _GV_BATCH = 1024
 _GV_BLOCK = 256
-
-
-def _void_keys(bits: np.ndarray) -> np.ndarray:
-    packed = np.packbits(bits, axis=1)
-    return packed.view(f"V{packed.shape[1]}").ravel()
-
-
-def _packed_words(bits: np.ndarray) -> np.ndarray:
-    """0/1 rows packed into zero-padded uint64 words, one row per vector."""
-    packed = np.packbits(bits, axis=1)
-    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
-    return packed.view(np.uint64)
 
 
 def _near(rows: np.ndarray, cols: np.ndarray, need: int) -> np.ndarray:
     """Whether each packed row lies at Hamming distance below need from each column."""
     counts = np.bitwise_count(rows[:, None, :] ^ cols[None, :, :])
     return counts.sum(axis=2, dtype=np.uint16) < need
+
+
+def _first_seen(kept: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Whether each row of words differs from every kept row and every earlier row.
+
+    Only rows whose leading word occurs more than once go to the exact
+    np.unique, whose return_index marks first occurrences.
+    """
+    rows = np.concatenate([kept, words])
+    lead = np.sort(rows[:, 0])
+    repeated = lead[1:][lead[1:] == lead[:-1]]
+    fresh = np.ones(rows.shape[0], dtype=bool)
+    if repeated.size:
+        tied = np.flatnonzero(np.isin(rows[:, 0], repeated))
+        _, first = np.unique(rows[tied], axis=0, return_index=True)
+        fresh[tied] = False
+        fresh[tied[first]] = True
+    return fresh[kept.shape[0]:]
+
+
+def _far_from(kept: np.ndarray, words: np.ndarray, need: int) -> np.ndarray:
+    """Whether each row of words lies at distance >= need from every kept row
+    and from every earlier row of words that is itself far."""
+    free = np.ones(words.shape[0], dtype=bool)
+    for s in range(0, kept.shape[0], _GV_BLOCK):
+        free &= ~_near(kept[s:s + _GV_BLOCK], words, need).any(axis=0)
+    fresh = np.zeros(words.shape[0], dtype=bool)
+    for s in range(0, words.shape[0], _GV_BLOCK):
+        block = np.flatnonzero(free[s:s + _GV_BLOCK]) + s
+        for i, row in zip(block, _near(words[block], words, need)):
+            if free[i]:
+                fresh[i] = True
+                free &= ~row
+    return fresh
 
 
 def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> PackingSet:
@@ -190,85 +212,48 @@ def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> Pa
     at squared Hamming distance >= alpha*d from everything kept so far,
     until the Eq.-24 target is reached or max_rejects candidates have been
     discarded (the non-constructive existence bound says nothing about
-    constructibility, so shortfalls are reported, not hidden).  Both
-    branches return the vectors, and draw the random numbers, of that
-    one-candidate-at-a-time scan.  When alpha*d <= 1 the distance condition
-    is plain distinctness, which is checked a batch at a time over
-    bit-packed keys so that large targets stay cheap.  Otherwise each
-    batch is tested against the kept set as packed 64-bit words, a block
-    of kept vectors per step (np.bitwise_count of the XOR), and conflicts
-    inside the batch are settled in scan order.
+    constructibility, so shortfalls are reported, not hidden).
+
+    Candidates are drawn directly as packed words, ceil(d/64) uint64 per
+    vector: coordinate i is bit i % 64 of word i // 64, with bit 0 and the
+    padding bits of the last word cleared.  One loop serves both branches
+    and returns the vectors of a one-candidate-at-a-time scan over those
+    draws.  When alpha*d <= 1 the distance condition is plain
+    distinctness: rows whose leading word repeats go to an exact
+    np.unique.  Otherwise each batch is tested against the kept set a
+    block of kept vectors per step (np.bitwise_count of the XOR), and
+    conflicts inside the batch are settled in scan order.  The kept words
+    are unpacked to an M x d 0/1 matrix once, at the end.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     target = gv_target(d, alpha)
     rng = np.random.default_rng(seed)
-    min_dist = alpha * d
-
-    if min_dist <= 1.0:
-        # Distinct vectors suffice.  Each batch gives the outcome of scanning
-        # it one candidate at a time: a candidate is kept when its packed
-        # key is new (np.unique's first occurrence over the kept keys, then
-        # the batch in order), and the scan ends at the candidate that
-        # reaches the target or takes the rejects past max_rejects.
-        keys = np.zeros(0, dtype=f"V{(d + 7) // 8}")
-        chunks = [np.zeros((0, d), dtype=np.uint8)]
-        kept = rejects = 0
-        while kept < target and rejects <= max_rejects:
-            batch = max(target - kept + 1024, 4096)
-            bits = rng.integers(0, 2, size=(batch, d), dtype=np.uint8)
-            bits[:, 0] = 0
-            new_keys = _void_keys(bits)
-            _, first = np.unique(np.concatenate([keys, new_keys]), return_index=True)
-            fresh = np.zeros(batch, dtype=bool)
-            fresh[first[first >= keys.size] - keys.size] = True
-            kept_so_far = kept + np.cumsum(fresh)
-            rejects_so_far = rejects + np.cumsum(~fresh)
-            stops = np.flatnonzero((kept_so_far == target) | (rejects_so_far > max_rejects))
-            end = stops[0] + 1 if stops.size else batch
-            fresh[end:] = False
-            chunks.append(bits[fresh])
-            keys = np.concatenate([keys, new_keys[fresh]])
-            kept, rejects = int(kept_so_far[end - 1]), int(rejects_so_far[end - 1])
-        vectors = np.concatenate(chunks)
-    else:
-        # Each batch gives the outcome of scanning it one candidate at a
-        # time: a candidate is kept when no vector kept before it, in an
-        # earlier batch or earlier in this one, lies within min_dist.  The
-        # earlier batches are tested in blocks of packed words; conflicts
-        # inside the batch are settled greedily in scan order from the
-        # batch's own distance matrix.  The scan ends as in the branch above.
-        need = math.ceil(min_dist)  # integer distances: dist < min_dist iff dist < need
-        chunks = [np.zeros((0, d), dtype=np.uint8)]
-        kept_words = np.zeros((0, (d + 63) // 64), dtype=np.uint64)
-        kept = rejects = 0
-        while kept < target and rejects <= max_rejects:
-            bits = rng.integers(0, 2, size=(_GV_BATCH, d), dtype=np.uint8)
-            bits[:, 0] = 0
-            words = _packed_words(bits)
-            free = np.ones(_GV_BATCH, dtype=bool)
-            for s in range(0, kept_words.shape[0], _GV_BLOCK):
-                free &= ~_near(kept_words[s:s + _GV_BLOCK], words, need).any(axis=0)
-            fresh = np.zeros(_GV_BATCH, dtype=bool)
-            for s in range(0, _GV_BATCH, _GV_BLOCK):
-                block = np.flatnonzero(free[s:s + _GV_BLOCK]) + s
-                for i, row in zip(block, _near(words[block], words, need)):
-                    if free[i]:
-                        fresh[i] = True
-                        free &= ~row
-            kept_so_far = kept + np.cumsum(fresh)
-            rejects_so_far = rejects + np.cumsum(~fresh)
-            stops = np.flatnonzero((kept_so_far == target) | (rejects_so_far > max_rejects))
-            end = stops[0] + 1 if stops.size else _GV_BATCH
-            fresh[end:] = False
-            chunks.append(bits[fresh])
-            kept_words = np.concatenate([kept_words, words[fresh]])
-            kept, rejects = int(kept_so_far[end - 1]), int(rejects_so_far[end - 1])
-        vectors = np.concatenate(chunks)
-
-    m_found = vectors.shape[0]
-    return PackingSet(vectors=vectors, alpha=alpha, M=m_found,
-                      target=target, shortfall=m_found < target)
+    distinct = alpha * d <= 1.0
+    need = math.ceil(alpha * d)  # integer distances: dist < alpha*d iff dist < need
+    n_words = (d + 63) // 64
+    mask = np.full(n_words, np.iinfo(np.uint64).max, dtype=np.uint64)
+    mask[-1] >>= np.uint64(64 * n_words - d)
+    mask[0] &= ~np.uint64(1)
+    kept_words = np.zeros((0, n_words), dtype=np.uint64)
+    kept = rejects = 0
+    while kept < target and rejects <= max_rejects:
+        # The scan ends at the candidate that reaches the target or takes
+        # the rejects past max_rejects.
+        batch = max(target - kept + 1024, 4096) if distinct else _GV_BATCH
+        words = rng.integers(0, 2**64, size=(batch, n_words), dtype=np.uint64) & mask
+        fresh = _first_seen(kept_words, words) if distinct else _far_from(kept_words, words, need)
+        kept_so_far = kept + np.cumsum(fresh)
+        rejects_so_far = rejects + np.cumsum(~fresh)
+        stops = np.flatnonzero((kept_so_far == target) | (rejects_so_far > max_rejects))
+        end = stops[0] + 1 if stops.size else batch
+        fresh[end:] = False
+        kept_words = np.concatenate([kept_words, words[fresh]])
+        kept, rejects = int(kept_so_far[end - 1]), int(rejects_so_far[end - 1])
+    little = kept_words.astype("<u8", copy=False).view(np.uint8)
+    vectors = np.unpackbits(little, axis=1, count=d, bitorder="little")
+    return PackingSet(vectors=vectors, alpha=alpha, M=kept, target=target,
+                      shortfall=kept < target)
 
 
 def fano_bound(delta_sq: float, beta: float, M: int) -> float:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import ComparisonDesign, HyperDesign, _connected, _laplacian, spectrum
+from .graph import ComparisonDesign, HyperDesign, _connected, _laplacian
 from .models import LinkFunction, MWiseLink
 from .synth import ObservationBatch, QualityVector
 
@@ -289,8 +289,10 @@ def ls_paired_cardinal(batch: ObservationBatch, design: ComparisonDesign) -> Est
     """Least squares for paired cardinal data: w = (1/n) L^dagger X^T y.
 
     L is the Laplacian of the batch's realised measurement matrix, so a
-    noiseless batch is inverted exactly on any connected sample.  The
-    result sums to zero automatically because L^dagger annihilates 1.
+    noiseless batch is inverted exactly on any connected sample.  Since
+    X^T y is orthogonal to 1 and the sample is connected, w is the solution
+    of (L + 11^T/d) w = X^T y / n, found with one linear solve; it sums to
+    zero.
     """
     if batch.kind != "cardinal_pair":
         raise ValueError(f"expected a cardinal_pair batch, got {batch.kind!r}")
@@ -306,8 +308,7 @@ def ls_paired_cardinal(batch: ObservationBatch, design: ComparisonDesign) -> Est
     xty = np.zeros(design.d)
     np.add.at(xty, j_idx, sums)
     np.add.at(xty, k_idx, -sums)
-    summary = spectrum(lap)
-    w = summary.pinv() @ (xty / batch.n)
+    w = np.linalg.solve(lap + 1.0 / design.d, xty / batch.n)
     w = w - np.mean(w)  # remove float residue along the nullspace
     resid = np.asarray(batch.outcomes, dtype=float) - (w[j_idx] - w[k_idx])[batch.entry_indices]
     objective = float(resid @ resid / (2.0 * batch.n))

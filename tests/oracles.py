@@ -124,6 +124,21 @@ def measurement_matrix(design) -> np.ndarray:
     return rows
 
 
+def gv_word_draw(rng, rows: int, d: int) -> np.ndarray:
+    """The package's candidate draw for a GV packing, as a 0/1 matrix.
+
+    The package draws ceil(d/64) uniform uint64 words per candidate;
+    coordinate i is bit i % 64 of word i // 64, read here with shifts, and
+    the first coordinate is pinned to zero.
+    """
+    words = rng.integers(0, 2**64, size=(rows, (d + 63) // 64), dtype=np.uint64)
+    i = np.arange(d)
+    bits = (words[:, i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
+    bits = bits.astype(np.uint8)
+    bits[:, 0] = 0
+    return bits
+
+
 def gv_distinct_packing(d: int, target: int, seed, max_rejects: int) -> np.ndarray:
     """The distinctness branch of the GV packing, one candidate at a time.
 
@@ -137,9 +152,7 @@ def gv_distinct_packing(d: int, target: int, seed, max_rejects: int) -> np.ndarr
     rejects = 0
     while len(rows) < target and rejects <= max_rejects:
         batch = max(target - len(rows) + 1024, 4096)
-        bits = rng.integers(0, 2, size=(batch, d), dtype=np.uint8)
-        bits[:, 0] = 0
-        for row in bits:
+        for row in gv_word_draw(rng, batch, d):
             key = row.tobytes()
             if key in seen:
                 rejects += 1
@@ -166,9 +179,7 @@ def gv_distance_packing(d: int, alpha: float, target: int, seed,
     matrix = np.zeros((0, d), dtype=np.uint8)
     rejects = 0
     while matrix.shape[0] < target and rejects <= max_rejects:
-        batch = rng.integers(0, 2, size=(1024, d), dtype=np.uint8)
-        batch[:, 0] = 0
-        for cand in batch:
+        for cand in gv_word_draw(rng, 1024, d):
             if matrix.shape[0] and np.sum(matrix != cand, axis=1).min() < alpha * d:
                 rejects += 1
                 if rejects > max_rejects:

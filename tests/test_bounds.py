@@ -202,9 +202,8 @@ class TestGVPacking:
                 self.rng = real_rng(seed)
 
             def integers(self, low, high, size=None, dtype=None):
-                bits = self.rng.integers(low, high, size=size, dtype=dtype)
-                bits[:, 4:] = 0
-                return bits
+                words = self.rng.integers(low, high, size=size, dtype=dtype)
+                return words & np.uint64(0b1111)  # only coordinates 1-3 vary
 
         monkeypatch.setattr("ranktopo.bounds.np.random.default_rng", EightRows)
         packing = gv_packing(12, 0.05, seed=3, max_rejects=6000)
@@ -212,6 +211,32 @@ class TestGVPacking:
         expected = gv_distinct_packing(12, packing.target, 3, 6000)
         np.testing.assert_array_equal(packing.vectors, expected)
 
+    def test_distinctness_branch_with_several_words(self, monkeypatch):
+        """Leading words take only four values, so the exact fallback decides
+        every row, and rows that tie on their leading word can still differ
+        in later words.  A small target lets alpha*d <= 1 run at d >= 64."""
+        real_rng = np.random.default_rng
+
+        class FewLeadingWords:
+            def __init__(self, seed=None):
+                self.rng = real_rng(seed)
+
+            def integers(self, low, high, size=None, dtype=None):
+                words = self.rng.integers(low, high, size=size, dtype=dtype)
+                return words & np.uint64(0b111)  # bits 0-2 of every word vary
+
+        monkeypatch.setattr("ranktopo.bounds.np.random.default_rng", FewLeadingWords)
+        monkeypatch.setattr("ranktopo.bounds.gv_target", lambda d, alpha: 20)
+        shortfalls = []
+        for d in (64, 65, 100, 128):
+            for seed in range(2):
+                for max_rejects in (0, 7, 5000):
+                    packing = gv_packing(d, 1.0 / d, seed=seed, max_rejects=max_rejects)
+                    expected = gv_distinct_packing(d, 20, seed, max_rejects)
+                    np.testing.assert_array_equal(packing.vectors, expected)
+                    assert packing.shortfall == (len(expected) < 20)
+                    shortfalls.append(packing.shortfall)
+        assert any(shortfalls) and not all(shortfalls)
 
     @pytest.mark.parametrize("free_bits", [None, slice(1, 11), slice(1, 13)])
     def test_distance_branch_matches_sequential_scan(self, monkeypatch, free_bits):
@@ -226,13 +251,15 @@ class TestGVPacking:
                 self.rng = real_rng(seed)
 
             def integers(self, low, high, size=None, dtype=None):
-                bits = self.rng.integers(low, high, size=size, dtype=dtype)
+                words = self.rng.integers(low, high, size=size, dtype=dtype)
                 if free_bits is not None:
-                    fixed = np.ones(size[1], dtype=bool)
-                    fixed[free_bits] = False
-                    fixed[-3:] = False  # the last word of a two-word vector varies too
-                    bits[:, fixed] = 0
-                return bits
+                    # d is the loop's dimension at the time of the draw; the
+                    # last word of a two-word vector varies too.
+                    mask = np.zeros(size[1], dtype=np.uint64)
+                    for i in (*range(d)[free_bits], d - 3, d - 2, d - 1):
+                        mask[i // 64] |= np.uint64(1 << (i % 64))
+                    words &= mask
+                return words
 
         monkeypatch.setattr("ranktopo.bounds.np.random.default_rng", FewBits)
         shortfalls = []

@@ -227,6 +227,24 @@ class TestEigenvalueOnlyPaths:
         for theorem in ("T4_mwise_lap", "T4_mwise_l2"):
             assert minimax_bounds(theorem, hyper, link, 1e5).upper > 0
 
+    def test_paired_least_squares_needs_no_spectrum(self, monkeypatch):
+        from ranktopo.estimate import ls_paired_cardinal
+        from ranktopo.graph import build_topology
+        from ranktopo.synth import CardinalModel, gen_quality, sample_comparisons, sample_outcomes
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("ls_paired_cardinal must not run an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eig)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eig)
+        design = build_topology("cycle", 32)
+        rng = np.random.default_rng(4)
+        w_star = gen_quality("uniform", 32, 1.0, rng)
+        comps = sample_comparisons(design, 500, rng)
+        batch = sample_outcomes(CardinalModel("pair", 0.0), w_star, design, comps, 0)
+        result = ls_paired_cardinal(batch, design)
+        np.testing.assert_allclose(result.w_hat.values, w_star.values, atol=1e-10)
+
 
 class TestBoundsCommand:
     def test_t3_value(self, capsys):

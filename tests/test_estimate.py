@@ -362,7 +362,7 @@ class TestPairedCardinal:
 
     @pytest.mark.parametrize("kind", ["complete", "star", "path", "barbell"])
     def test_noiseless_recovery(self, kind):
-        """y = X w* inverts exactly through the pseudo-inverse."""
+        """y = X w* inverts exactly through the linear solve."""
         design = build_topology(kind, 8)
         rng = np.random.default_rng(13)
         w_star = gen_quality("uniform", 8, 1.0, rng)
