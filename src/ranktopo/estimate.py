@@ -89,10 +89,13 @@ def project_feasible(x: np.ndarray, B: float, tol: float = 1e-10) -> np.ndarray:
     order = np.argsort(bps, kind="stable")
     bps = bps[order]
     free = np.cumsum(np.where(order < d, 1, -1))  # free entries past each breakpoint
-    sums = d * B - np.concatenate([[0.0], np.cumsum(free[:-1] * np.diff(bps))])
+    sums = np.empty(2 * d)
+    sums[0] = 0.0
+    np.cumsum(free[:-1] * (bps[1:] - bps[:-1]), out=sums[1:])
+    sums = d * B - sums
     k = int(np.searchsorted(-sums, 0.0, side="right")) - 1  # last sum >= 0
     tau = bps[k] + sums[k] / free[k] if sums[k] > 0 else bps[k]
-    return np.clip(x - tau, -B, B)
+    return np.minimum(np.maximum(x - tau, -B), B)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +194,11 @@ def mwise_nll_gradient(w: np.ndarray, batch: ObservationBatch, design: HyperDesi
 # ---------------------------------------------------------------------------
 
 
+# r(1) is projected for once its lower bound is within this factor of the
+# tolerance; the slack covers rounding in the two projections.
+_STOP_TEST_MARGIN = 2.0
+
+
 def _projected_gradient(objective: Callable[[np.ndarray], float],
                         gradient: Callable[[np.ndarray], np.ndarray],
                         d: int, B: float, opts: SolverOptions,
@@ -202,23 +210,33 @@ def _projected_gradient(objective: Callable[[np.ndarray], float],
     then sets alpha to the Barzilai-Borwein step s's / s'y, which tracks
     the inverse curvature along the last move and so adapts to
     ill-conditioned designs where a fixed step crawls.
+
+    It stops once r(1) <= ``grad_tolerance``, where r(a) = |P(w - a g) - w|,
+    but projects only for the direction on most iterations: r(a) does not
+    fall and r(a)/a does not rise as a grows (Calamai & More 1987, Lemma
+    2.2), so r(1) >= min(r(alpha), r(alpha)/alpha).  r(1) is computed when
+    that bound nears the tolerance, and on a ``max_iters`` or stalled exit,
+    at the start of the final iteration, to report ``grad_norm``.
     """
     w = np.zeros(d)
     f = objective(w)
     g = gradient(w)
     alpha = opts.initial_step
     converged = False
-    pg_norm = float("inf")
     iters = 0
     if callback is not None:
         callback(w, f)
     for iters in range(1, opts.max_iters + 1):
-        pg_norm = float(np.linalg.norm(project_feasible(w - g, B) - w))
-        if pg_norm <= opts.grad_tolerance:
-            converged = True
-            iters -= 1
-            break
+        w_start, g_start = w, g
         direction = project_feasible(w - alpha * g, B) - w
+        r = float(np.linalg.norm(direction))
+        pg_norm = None
+        if min(r, r / alpha) <= _STOP_TEST_MARGIN * opts.grad_tolerance:
+            pg_norm = float(np.linalg.norm(project_feasible(w - g, B) - w))
+            if pg_norm <= opts.grad_tolerance:
+                converged = True
+                iters -= 1
+                break
         slope = float(g @ direction)
         # The float slack keeps the line search from thrashing once the
         # per-step objective decrease falls below the resolution of f.
@@ -241,6 +259,8 @@ def _projected_gradient(objective: Callable[[np.ndarray], float],
         w, f, g = w_new, f_new, g_new
         if callback is not None:
             callback(w, f)
+    if pg_norm is None:
+        pg_norm = float(np.linalg.norm(project_feasible(w_start - g_start, B) - w_start))
     return w, converged, iters, f, pg_norm
 
 

@@ -250,12 +250,6 @@ class SpectralSummary:
         q[nz] = 1.0 / self.eigenvalues[nz]
         return q
 
-    def reconstruct(self) -> np.ndarray:
-        return self.eigenvectors.T @ np.diag(self.eigenvalues) @ self.eigenvectors
-
-    def pinv(self) -> np.ndarray:
-        return self.eigenvectors.T @ np.diag(self.pinv_diag) @ self.eigenvectors
-
     def to_csv(self) -> str:
         lines = ["index,eigenvalue"]
         lines += [f"{i},{float(v)!r}" for i, v in enumerate(self.eigenvalues)]
@@ -457,13 +451,10 @@ def lower_bound_statistic(summary: SpectralSummary) -> float:
     contribute zero (pseudo-inverse reading), which also covers the small-d'
     windows that formally include lambda_1 = 0.
     """
-    q = summary.pinv_diag
-    best = 0.0
-    for d_prime in range(2, summary.d + 1):
-        lo = int(math.floor(0.99 * d_prime))
-        window = float(np.sum(q[lo - 1:d_prime]))
-        best = max(best, window)
-    return best
+    prefix = np.concatenate([[0.0], np.cumsum(summary.pinv_diag)])
+    d_prime = np.arange(2, summary.d + 1)
+    lo = np.floor(0.99 * d_prime).astype(np.intp)
+    return float(np.max(prefix[d_prime] - prefix[lo - 1], initial=0.0))
 
 
 def optimality_report(summary: SpectralSummary, d: int,

@@ -189,3 +189,76 @@ def gv_distance_packing(d: int, alpha: float, target: int, seed,
             if matrix.shape[0] == target:
                 break
     return matrix
+
+
+def project_feasible_formula(x: np.ndarray, B: float) -> np.ndarray:
+    """The breakpoint projection onto {sum w = 0, |w|_inf <= B}, written
+    with ``np.diff``, a concatenated cumulative sum and ``np.clip``.
+
+    The package evaluates the same formula with plain ufunc calls; the two
+    must agree bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    d = x.size
+    bps = np.concatenate([x - B, x + B])
+    order = np.argsort(bps, kind="stable")
+    bps = bps[order]
+    free = np.cumsum(np.where(order < d, 1, -1))  # free entries past each breakpoint
+    sums = d * B - np.concatenate([[0.0], np.cumsum(free[:-1] * np.diff(bps))])
+    k = int(np.searchsorted(-sums, 0.0, side="right")) - 1  # last sum >= 0
+    tau = bps[k] + sums[k] / free[k] if sums[k] > 0 else bps[k]
+    return np.clip(x - tau, -B, B)
+
+
+def spg_two_projections(objective, gradient, d: int, B: float, opts):
+    """Monotone spectral projected gradient that projects twice per iteration.
+
+    Every iteration first computes the unit-step residual |P(w - g) - w|
+    and stops once it is at most ``opts.grad_tolerance``, then projects
+    again for the direction P(w - alpha g) - w.  The package's solver
+    projects for the unit-step residual only near the tolerance and must
+    return the same (w, converged, iterations, objective, residual).
+    """
+    w = np.zeros(d)
+    f = objective(w)
+    g = gradient(w)
+    alpha = opts.initial_step
+    converged = False
+    pg_norm = float("inf")
+    iters = 0
+    for iters in range(1, opts.max_iters + 1):
+        pg_norm = float(np.linalg.norm(project_feasible_formula(w - g, B) - w))
+        if pg_norm <= opts.grad_tolerance:
+            converged = True
+            iters -= 1
+            break
+        direction = project_feasible_formula(w - alpha * g, B) - w
+        slope = float(g @ direction)
+        slack = 1e-15 * max(1.0, abs(f))
+        lam = 1.0
+        w_new = w + direction
+        f_new = objective(w_new)
+        while f_new > f + opts.sufficient_decrease * lam * slope + slack:
+            lam *= opts.step_shrink
+            if lam < 1e-16:
+                break
+            w_new = w + lam * direction
+            f_new = objective(w_new)
+        if f_new > f + slack:
+            break
+        g_new = gradient(w_new)
+        s, y = w_new - w, g_new - g
+        sy = float(s @ y)
+        alpha = min(max(float(s @ s) / sy, 1e-10), 1e10) if sy > 0 else 1e10
+        w, f, g = w_new, f_new, g_new
+    return w, converged, iters, f, pg_norm
+
+
+def lower_bound_statistic_loop(pinv_diag: np.ndarray) -> float:
+    """max over d' in {2..d} of sum_{i=floor(0.99 d')}^{d'} q_i, one window
+    sum per d' (1-based indices into the ascending pseudo-inverse diagonal)."""
+    best = 0.0
+    for d_prime in range(2, pinv_diag.size + 1):
+        lo = int(math.floor(0.99 * d_prime))
+        best = max(best, float(np.sum(pinv_diag[lo - 1:d_prime])))
+    return best

@@ -9,8 +9,11 @@ from scipy.optimize import minimize
 from scipy.special import ndtri
 
 import ranktopo.cli as cli
+import ranktopo.estimate as estimate
 from ranktopo.estimate import (
     SolverOptions,
+    _mwise_closures,
+    _ordinal_closures,
     error_metrics,
     ls_paired_cardinal,
     mean_cardinal,
@@ -34,7 +37,12 @@ from ranktopo.synth import (
     sample_outcomes,
 )
 
-from oracles import exact_projection, fd_gradient
+from oracles import (
+    exact_projection,
+    fd_gradient,
+    project_feasible_formula,
+    spg_two_projections,
+)
 
 SINGLE_EDGE = ComparisonDesign(2, ((0, 1, 1.0),))
 
@@ -88,6 +96,17 @@ class TestProjection:
             out = project_feasible(rng.uniform(-10, 10, size=9), 1.0, tol=1e-12)
             assert abs(np.sum(out)) < 1e-9
             assert np.max(np.abs(out)) <= 1.0 + 1e-12
+
+    def test_matches_reference_formula_bitwise(self):
+        """Ufunc calls in place of np.diff, np.clip and a concatenated cumsum
+        leave every bit of the projection unchanged, ties included."""
+        rng = np.random.default_rng(17)
+        for _ in range(5000):
+            d = int(rng.integers(1, 70))
+            x = rng.integers(-6, 7, size=d) / 4.0 if rng.random() < 0.5 \
+                else rng.normal(scale=2.0, size=d)
+            b = float(rng.choice([0.25, 0.5, 1.0, rng.uniform(0.05, 3.0)]))
+            assert project_feasible(x, b).tobytes() == project_feasible_formula(x, b).tobytes()
 
     def test_identity_on_feasible_points(self):
         x = np.array([0.5, -0.2, -0.3])
@@ -234,21 +253,25 @@ class TestOrdinalMLE:
 
 
 def capture_mle(monkeypatch) -> list:
-    """Record (arguments, result) of every mle_ordinal call the CLI makes."""
+    """Record ((batch, design, link, B, opts), result) of every MLE the CLI
+    makes, ordinal and m-wise."""
     calls = []
 
-    def recording(batch, design, link, B, *args, **kwargs):
-        result = mle_ordinal(batch, design, link, B, *args, **kwargs)
-        calls.append(((batch, design, link, B), result))
-        return result
+    def recorder(mle):
+        def recording(batch, design, link, B, opts=SolverOptions()):
+            result = mle(batch, design, link, B, opts)
+            calls.append(((batch, design, link, B, opts), result))
+            return result
+        return recording
 
-    monkeypatch.setattr(cli, "mle_ordinal", recording)
+    monkeypatch.setattr(cli, "mle_ordinal", recorder(mle_ordinal))
+    monkeypatch.setattr(cli, "mle_mwise", recorder(mle_mwise))
     return calls
 
 
 def oracle_residual(args, result) -> float:
     """|P(w - grad) - w| with the KKT bisection projection."""
-    batch, design, link, B = args
+    batch, design, link, B, _ = args
     w = result.w_hat.values
     grad = ordinal_nll_gradient(w, batch, design, link)
     return float(np.linalg.norm(exact_projection(w - grad, B) - w))
@@ -290,6 +313,73 @@ class TestIllConditionedDesigns:
                             "uniform", 1509)
         assert row["converged"]
         assert row["iterations"] <= 50
+
+
+def assert_matches_two_projection_loop(calls) -> None:
+    for (batch, design, link, B, opts), result in calls:
+        closures = _mwise_closures if batch.kind == "mwise" else _ordinal_closures
+        w, converged, iters, f, pg_norm = spg_two_projections(
+            *closures(batch, design, link), design.d, B, opts)
+        assert result.w_hat.values.tobytes() == w.tobytes()
+        assert (result.converged, result.iterations, result.objective, result.grad_norm) \
+            == (converged, iters, f, pg_norm)
+
+
+class TestOneProjectionSolver:
+    """The solver projects for the unit-step residual only near the tolerance,
+    and returns what a loop that projects for it on every iteration returns."""
+
+    @pytest.mark.parametrize("kind, d, n, family, m", [
+        ("path", 64, 20000, "thurstone", 2),
+        ("cycle", 64, 20000, "thurstone", 2),
+        ("barbell", 64, 20000, "thurstone", 2),
+        ("star", 64, 20000, "thurstone", 2),
+        ("path", 16, 4000, "btl", 2),
+        ("cycle", 16, 4000, "btl", 2),
+        ("complete", 6, 3000, "plackett_luce", 3),
+        ("complete", 6, 3000, "plackett_luce", 4),
+    ])
+    def test_trial_matches_oracle(self, monkeypatch, kind, d, n, family, m):
+        calls = capture_mle(monkeypatch)
+        cli.run_trial(kind, d, n, family, 1.0, 1.0, m, "uniform", 1509)
+        assert len(calls) == 1 and calls[0][1].converged
+        assert_matches_two_projection_loop(calls)
+
+    def test_cvo_matches_oracle(self, monkeypatch, capsys):
+        calls = capture_mle(monkeypatch)
+        assert cli.main(["cvo", "--sigma-ord", "1", "--sigma-card", "2", "--B", "1",
+                         "--empirical", "--d", "6", "--n", "600", "--trials", "10",
+                         "--seed", "245314831"]) == 0
+        assert len(calls) == 10
+        assert_matches_two_projection_loop(calls)
+
+    def test_iteration_cap_matches_oracle(self, monkeypatch):
+        """On a max_iters exit grad_norm is the unit-step residual at the
+        start of the final iteration, as the oracle measures it."""
+        calls = capture_mle(monkeypatch)
+        cli.run_trial("path", 64, 20000, "thurstone", 1.0, 1.0, 2, "uniform", 1509,
+                      opts=SolverOptions(max_iters=5))
+        (_, result), = calls
+        assert not result.converged and result.iterations == 5
+        assert_matches_two_projection_loop(calls)
+
+    def test_one_projection_per_iteration(self, monkeypatch):
+        """Thurstone path at d=64 takes 466 iterations; a loop projecting
+        twice per iteration makes 933 projections.  The unit-step residual
+        is projected for only on the 38 iterations where the direction's
+        residual bounds it near the tolerance."""
+        calls = capture_mle(monkeypatch)
+        projections = []
+
+        def counting(x, B):
+            projections.append(1)
+            return project_feasible(x, B)
+
+        monkeypatch.setattr(estimate, "project_feasible", counting)
+        cli.run_trial("path", 64, 20000, "thurstone", 1.0, 1.0, 2, "uniform", 1509)
+        (_, result), = calls
+        assert result.converged
+        assert len(projections) <= result.iterations + 40
 
 
 class TestMWiseMLE:

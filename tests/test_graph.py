@@ -10,6 +10,7 @@ import scipy.linalg
 from ranktopo.cli import main
 from ranktopo.estimate import error_metrics
 from ranktopo.graph import (
+    PAIRWISE_KINDS,
     ComparisonDesign,
     HyperDesign,
     build_topology,
@@ -21,7 +22,7 @@ from ranktopo.graph import (
     spectrum,
 )
 
-from oracles import closed_form_spectrum, measurement_matrix
+from oracles import closed_form_spectrum, lower_bound_statistic_loop, measurement_matrix
 
 # (kind, smallest valid d >= 4, a larger valid d)
 TOPOLOGY_CASES = [
@@ -204,12 +205,20 @@ class TestDesignInvariants:
         assert not any(a.flags.writeable for a in design.edge_arrays)
 
 
+def pseudo_inverse(summary) -> np.ndarray:
+    """L^dagger = U^T diag(pinv_diag) U from the summary's eigensystem."""
+    u = summary.eigenvectors
+    return u.T @ np.diag(summary.pinv_diag) @ u
+
+
 class TestSpectralSummary:
     def test_reconstruction(self):
         for kind in ("complete", "path", "barbell"):
             design = build_topology(kind, 8)
             summary = spectrum(design)
-            err = np.linalg.norm(summary.reconstruct() - design.laplacian, "fro")
+            u = summary.eigenvectors
+            err = np.linalg.norm(u.T @ np.diag(summary.eigenvalues) @ u - design.laplacian,
+                                 "fro")
             assert err < 1e-8
 
     def test_zero_clamping(self):
@@ -220,7 +229,7 @@ class TestSpectralSummary:
     def test_pinv_identity_on_range(self):
         design = build_topology("star", 6)
         summary = spectrum(design)
-        product = summary.pinv() @ design.laplacian
+        product = pseudo_inverse(summary) @ design.laplacian
         centering = np.eye(6) - np.ones((6, 6)) / 6
         np.testing.assert_allclose(product, centering, atol=1e-10)
 
@@ -419,6 +428,19 @@ class TestOptimality:
         stat = lower_bound_statistic(spectrum(build_topology("complete", 10)))
         assert abs(stat - 9.0) < 1e-9
 
+    @pytest.mark.parametrize("d", [8, 64, 512, 1024])
+    def test_lb_statistic_matches_window_loop(self, d):
+        """The prefix-sum windows agree with one sum per window; the sums
+        associate differently, so agreement is to 1e-12 relative."""
+        for kind in PAIRWISE_KINDS:
+            try:
+                design = build_topology(kind, d)
+            except ValueError:
+                continue  # kind not buildable at this d
+            summary = spectrum(design)
+            want = lower_bound_statistic_loop(summary.pinv_diag)
+            assert lower_bound_statistic(summary) == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_thresholds_overridable(self):
         summary = spectrum(build_topology("path", 10))
         loose = optimality_report(summary, 10, c_opt=10.0)
@@ -441,7 +463,7 @@ class TestProjectionIdentity:
         n = x.shape[0]
         lap = x.T @ x / n
         np.testing.assert_allclose(lap, design.laplacian, atol=1e-12)
-        q = x @ spectrum(design).pinv() @ x.T / n
+        q = x @ pseudo_inverse(spectrum(design)) @ x.T / n
         assert abs(np.trace(q) - 7.0) < 1e-8
         assert abs(np.linalg.norm(q, 2) - 1.0) < 1e-8
         assert abs(np.linalg.norm(q, "fro") ** 2 - 7.0) < 1e-8
@@ -454,7 +476,7 @@ class TestRestrictedCauchySchwarz:
         design = build_topology("cycle", 9)
         summary = spectrum(design)
         lap = design.laplacian
-        lap_pinv = summary.pinv()
+        lap_pinv = pseudo_inverse(summary)
         rng = np.random.default_rng(99)
         for _ in range(1000):
             u = rng.standard_normal(9)
