@@ -277,7 +277,7 @@ def _empirical_cvo(sigma_ord: float, sigma_card: float, B: float, d: int,
     """Matched Monte-Carlo risks under even allocation."""
     design = build_topology("complete", d)
     link = make_link("thurstone", sigma_ord)
-    num_pairs = len(design.edges)
+    num_pairs = design.edge_arrays[0].size
     ord_risk = 0.0
     card_risk = 0.0
     for trial in range(trials):

@@ -41,14 +41,28 @@ class EigensolverError(RuntimeError):
     """Raised when the symmetric eigendecomposition fails to converge."""
 
 
+def _reject_first(bad: np.ndarray, what: str, j, k, w) -> None:
+    """Raise naming the first edge flagged in ``bad``, if any is."""
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"{what} {(float(j[i]), float(k[i]), float(w[i]))}")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _laplacian(d: int, j: np.ndarray, k: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_e w_e (e_j - e_k)(e_j - e_k)^T over parallel edge arrays.
 
     Repeated pairs accumulate; each entry sums its terms in edge order.
     """
-    flat = np.stack([j * d + j, k * d + k, j * d + k, k * d + j], axis=1).ravel()
-    vals = np.stack([w, w, -w, -w], axis=1).ravel()
-    return np.bincount(flat, weights=vals, minlength=d * d).reshape(d, d)
+    lap = np.bincount(np.stack([j * d + k, k * d + j], axis=1).ravel(),
+                      weights=np.repeat(-w, 2), minlength=d * d).reshape(d, d)
+    lap.flat[::d + 1] = np.bincount(np.stack([j, k], axis=1).ravel(),
+                                    weights=np.repeat(w, 2), minlength=d)
+    return lap
 
 
 def _connected(d: int, j: np.ndarray, k: np.ndarray) -> bool:
@@ -77,9 +91,11 @@ class ComparisonDesign:
 
     ``edges`` is any (E, 3) array-like of (j, k, w) rows: 0-based item
     indices and the fraction of the total number of comparisons the pair
-    receives, so weights must be nonnegative and sum to one.  The rows are
-    stored once, as the read-only arrays ``edge_arrays``; ``edges`` is a
-    tuple view of them.  Designs compare equal by value.
+    receives, so weights must be nonnegative and sum to one.
+    ``from_arrays`` takes the same edges as three parallel arrays.  Either
+    way they are stored once, as the read-only arrays ``edge_arrays``
+    (intp, intp, float64); ``edges`` is a tuple view of them.  Designs
+    compare equal by value.
     """
 
     d: int
@@ -87,32 +103,58 @@ class ComparisonDesign:
     kind: str
 
     def __init__(self, d: int, edges, kind: str = "custom") -> None:
+        rows = np.asarray(edges, dtype=float)
+        if rows.size and (rows.ndim != 2 or rows.shape[1] != 3):
+            raise ValueError(f"edges must be (j, k, w) rows, got shape {rows.shape}")
+        rows = rows.reshape(-1, 3)
+        j, k, w = rows.T
+        ends = rows[:, :2]
+        _reject_first(~np.isfinite(rows).all(axis=1), "non-finite edge", j, k, w)
+        _reject_first((ends != np.floor(ends)).any(axis=1),
+                      "non-integer item index in edge", j, k, w)
+        self._store(d, j, k, w, kind)
+
+    @classmethod
+    def from_arrays(cls, d: int, j, k, w, kind: str = "custom") -> ComparisonDesign:
+        """A design from parallel arrays: integer item indices j, k and weights w.
+
+        The arrays are checked as wholes and copied; the checks and the
+        stored form are those of the (E, 3) constructor.
+        """
+        j, k, w = np.asarray(j), np.asarray(k), np.asarray(w, dtype=float)
+        if j.ndim != 1 or not j.shape == k.shape == w.shape:
+            raise ValueError("edge arrays must be 1-D and of equal length, got shapes "
+                             f"{j.shape}, {k.shape}, {w.shape}")
+        for ends in (j, k):
+            if ends.size and ends.dtype.kind not in "iu":
+                raise ValueError(f"item indices must be integers, got dtype {ends.dtype}")
+        design = cls.__new__(cls)
+        design._store(d, j, k, w, kind)
+        return design
+
+    def _store(self, d: int, j: np.ndarray, k: np.ndarray, w: np.ndarray, kind: str) -> None:
+        """Check edges whose indices are finite integers; store read-only copies."""
         if d < 2:
             raise ValueError(f"need at least 2 items, got d={d}")
-        rows = np.asarray(edges, dtype=float)
-        if rows.size == 0:
+        if j.size == 0:
             raise ValueError("design has no edges")
-        if rows.ndim != 2 or rows.shape[1] != 3:
-            raise ValueError(f"edges must be (j, k, w) rows, got shape {rows.shape}")
-        ends, w = rows[:, :2], rows[:, 2]
         for bad, what in (
-            (~np.isfinite(rows).all(axis=1), "non-finite edge"),
-            ((ends != np.floor(ends)).any(axis=1), "non-integer item index in edge"),
-            (((ends < 0) | (ends >= d)).any(axis=1), f"out of range for d={d}: edge"),
-            (ends[:, 0] == ends[:, 1], "self-comparison is not a valid edge"),
+            (~np.isfinite(w), "non-finite edge"),
+            ((j < 0) | (j >= d) | (k < 0) | (k >= d), f"out of range for d={d}: edge"),
+            (j == k, "self-comparison is not a valid edge"),
             (w < 0, "negative weight in edge"),
         ):
-            if bad.any():
-                raise ValueError(f"{what} {tuple(rows[bad.argmax()].tolist())}")
-        # A correctly rounded sum: a running float sum of the d(d-1)/2 equal
-        # weights of a complete design drifts past the tolerance at d = 275.
-        total = math.fsum(w)
+            _reject_first(bad, what, j, k, w)
+        arrays = (j.astype(np.intp), k.astype(np.intp), w.astype(np.float64))
+        # np.sum sums pairwise: on nonnegative weights its error stays below
+        # about 30 ulp at any E a design can have, far inside the tolerance,
+        # where a running sum of the d(d-1)/2 equal weights of a complete
+        # design drifts past it at d = 275.
+        total = float(np.sum(arrays[2]))
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"edge weights sum to {total}, expected 1")
-        arrays = (ends[:, 0].astype(np.intp), ends[:, 1].astype(np.intp), w.copy())
-        for a in arrays:
-            a.flags.writeable = False
-        for name, value in (("d", d), ("edge_arrays", arrays), ("kind", kind)):
+        for name, value in (("d", d), ("edge_arrays", tuple(map(_read_only, arrays))),
+                            ("kind", kind)):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other) -> bool:
@@ -224,7 +266,8 @@ class SpectralSummary:
     ``eigenvalues`` ascend; those within ``zero_tolerance`` of zero are
     reported as exact zeros and excluded from the pseudo-inverse trace.
     The eigenvectors are computed from ``laplacian`` on first use only, so
-    a summary read for its eigenvalues never pays for them.
+    a summary read for its eigenvalues never pays for them.  A design's
+    summary is shared by every caller, so its arrays are read-only.
     """
 
     eigenvalues: np.ndarray
@@ -240,7 +283,7 @@ class SpectralSummary:
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Rows are eigenvectors, in the order of ``eigenvalues``: L = U^T diag U."""
-        return _eigensolve(np.linalg.eigh, self.laplacian)[1].T
+        return _read_only(_eigensolve(np.linalg.eigh, self.laplacian)[1].T)
 
     @cached_property
     def pinv_diag(self) -> np.ndarray:
@@ -248,7 +291,7 @@ class SpectralSummary:
         q = np.zeros_like(self.eigenvalues)
         nz = self.eigenvalues > 0
         q[nz] = 1.0 / self.eigenvalues[nz]
-        return q
+        return _read_only(q)
 
     def to_csv(self) -> str:
         lines = ["index,eigenvalue"]
@@ -263,18 +306,10 @@ def _eigensolve(solver, lap: np.ndarray):
         raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def spectrum(design: ComparisonDesign | HyperDesign | np.ndarray,
-             zero_tolerance: float = DEFAULT_ZERO_TOL) -> SpectralSummary:
-    """Eigenvalues of a design's (hyper)graph Laplacian, from ``eigvalsh``.
-
-    Eigenvalues are clamped to exact zero below zero_tolerance * lambda_max;
-    eigensolver non-convergence surfaces as EigensolverError.  The summary
-    keeps the Laplacian and computes eigenvectors only when they are read.
-    """
-    lap = design if isinstance(design, np.ndarray) else design.laplacian
+def _summarise(lap: np.ndarray) -> SpectralSummary:
     vals = _eigensolve(np.linalg.eigvalsh, lap)
     lam_max = float(vals[-1]) if vals[-1] > 0 else 0.0
-    abs_tol = zero_tolerance * lam_max
+    abs_tol = DEFAULT_ZERO_TOL * lam_max
     if np.any(vals < -max(abs_tol, 1e-10)):
         raise EigensolverError(
             f"Laplacian has a significantly negative eigenvalue {vals[0]}"
@@ -285,12 +320,30 @@ def spectrum(design: ComparisonDesign | HyperDesign | np.ndarray,
     trace_pinv = float(np.sum(1.0 / nonzero)) if nonzero.size else 0.0
     lambda2 = float(vals[1]) if len(vals) > 1 else 0.0
     return SpectralSummary(
-        eigenvalues=vals,
+        eigenvalues=_read_only(vals),
         laplacian=lap,
         trace_pinv=trace_pinv,
         lambda2=lambda2,
         zero_tolerance=abs_tol,
     )
+
+
+def spectrum(design: ComparisonDesign | HyperDesign | np.ndarray) -> SpectralSummary:
+    """Eigenvalues of a design's (hyper)graph Laplacian, from ``eigvalsh``.
+
+    Eigenvalues are clamped to exact zero below DEFAULT_ZERO_TOL *
+    lambda_max; eigensolver non-convergence surfaces as EigensolverError.
+    The summary keeps the Laplacian and computes eigenvectors only when
+    they are read.  A design is immutable, so its summary is computed once
+    and kept on it, like its Laplacian; a bare Laplacian array is solved
+    afresh on every call.
+    """
+    if isinstance(design, np.ndarray):
+        return _summarise(design)
+    cache = vars(design)
+    if "_spectrum" not in cache:
+        cache["_spectrum"] = _summarise(design.laplacian)
+    return cache["_spectrum"]
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +365,13 @@ def _unweighted(d: int, j: np.ndarray, k: np.ndarray, kind: str) -> ComparisonDe
 
     Repeated pairs merge into one edge, sorted by (min, max) item.
     """
-    codes, counts = np.unique(np.minimum(j, k) * d + np.maximum(j, k), return_counts=True)
-    return ComparisonDesign(
-        d, np.column_stack([codes // d, codes % d, counts / counts.sum()]), kind)
+    lo, hi = np.minimum(j, k), np.maximum(j, k)
+    codes = lo * d + hi
+    if np.all(codes[1:] > codes[:-1]):  # already sorted, no repeats
+        return ComparisonDesign.from_arrays(d, lo, hi, np.full(codes.size, 1.0 / codes.size),
+                                            kind)
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return ComparisonDesign.from_arrays(d, lo[first], hi[first], counts / counts.sum(), kind)
 
 
 def _expander_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:

@@ -262,3 +262,23 @@ def lower_bound_statistic_loop(pinv_diag: np.ndarray) -> float:
         lo = int(math.floor(0.99 * d_prime))
         best = max(best, float(np.sum(pinv_diag[lo - 1:d_prime])))
     return best
+
+
+def unweighted_edge_arrays(d: int, j: np.ndarray, k: np.ndarray):
+    """Even budget over an edge multiset, by way of float (j, k, w) rows.
+
+    Repeated pairs merge through np.unique on the (min, max) pair codes,
+    which are decoded with // and %; each merged edge gets count / |E|.
+    Returns the (intp, intp, float64) columns of the row matrix.
+    """
+    codes, counts = np.unique(np.minimum(j, k) * d + np.maximum(j, k), return_counts=True)
+    rows = np.column_stack([codes // d, codes % d, counts / counts.sum()])
+    return rows[:, 0].astype(np.intp), rows[:, 1].astype(np.intp), rows[:, 2].copy()
+
+
+def laplacian_four_entry(d: int, j: np.ndarray, k: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_e w_e (e_j - e_k)(e_j - e_k)^T from one bincount over the four
+    entries (jj, kk, jk, kj) of every edge, in edge order."""
+    flat = np.stack([j * d + j, k * d + k, j * d + k, k * d + j], axis=1).ravel()
+    vals = np.stack([w, w, -w, -w], axis=1).ravel()
+    return np.bincount(flat, weights=vals, minlength=d * d).reshape(d, d)

@@ -378,6 +378,42 @@ class TestMinimaxBounds:
         summary = spectrum(hyper)
         assert abs(l2.upper - lap.upper / summary.lambda2) < 1e-12
 
+    @staticmethod
+    def count_eigvalsh(monkeypatch) -> list:
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    def test_one_eigensolve_per_design(self, monkeypatch):
+        design = build_topology("cycle", 64)
+        params = model_params(make_link("btl", 1.0), 1.0)
+        calls = self.count_eigvalsh(monkeypatch)
+        for theorem in ("T1_lap", "T2_l2", "T3_paired"):
+            minimax_bounds(theorem, design, params, 1e4)
+        assert calls == [(64, 64)]
+        eigenvalues = spectrum(design).eigenvalues
+        assert not eigenvalues.flags.writeable
+        with pytest.raises(ValueError):
+            eigenvalues[0] = 1.0
+        spectrum(design.laplacian)
+        spectrum(design.laplacian)  # a bare Laplacian is solved on every call
+        assert len(calls) == 3
+
+    def test_one_eigensolve_per_hyper_design(self, monkeypatch):
+        hyper = HyperDesign(8, 3, tuple(itertools.combinations(range(8), 3)))
+        pl = plackett_luce(3, B=1.0)
+        calls = self.count_eigvalsh(monkeypatch)
+        for theorem in ("T4_mwise_lap", "T4_mwise_l2"):
+            minimax_bounds(theorem, hyper, pl, 1000)
+        assert calls == [(8, 8)]
+        assert not spectrum(hyper).eigenvalues.flags.writeable
+
     def test_theorem_design_mismatch(self):
         design = build_topology("complete", 4)
         params = model_params(make_link("btl", 1.0), 1.0)

@@ -1,12 +1,15 @@
 """Tests for comparison-graph construction and spectral analysis."""
 
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from ranktopo import graph
 from ranktopo.cli import main
 from ranktopo.estimate import error_metrics
 from ranktopo.graph import (
@@ -22,7 +25,13 @@ from ranktopo.graph import (
     spectrum,
 )
 
-from oracles import closed_form_spectrum, lower_bound_statistic_loop, measurement_matrix
+from oracles import (
+    closed_form_spectrum,
+    laplacian_four_entry,
+    lower_bound_statistic_loop,
+    measurement_matrix,
+    unweighted_edge_arrays,
+)
 
 # (kind, smallest valid d >= 4, a larger valid d)
 TOPOLOGY_CASES = [
@@ -155,10 +164,24 @@ class TestDesignInvariants:
     def test_large_uniform_designs_build(self, capsys):
         """A running float sum of the equal weights drifts past the 1e-12
         weight-sum tolerance at these sizes; the check must not."""
-        for kind, d in (("complete", 292), ("barbell", 1024)):
-            assert build_topology(kind, d).d == d
+        for d in range(275, 401):
+            assert build_topology("complete", d).d == d
+        for d in range(416, 1101, 2):
+            assert build_topology("barbell", d).d == d
         assert main(["spectrum", "--kind", "complete", "--d", "292"]) == 0
         assert json.loads(capsys.readouterr().out)["d"] == 292
+
+    @pytest.mark.parametrize("build", ["rows", "arrays"])
+    def test_weight_sum_tolerance(self, build):
+        """Sums 2e-12 off one are rejected, 5e-13 off accepted (tolerance 1e-12)."""
+        def make(excess):
+            w = np.array([0.25, 0.75 + excess])
+            if build == "rows":
+                return ComparisonDesign(3, np.column_stack([[0, 1], [1, 2], w]))
+            return ComparisonDesign.from_arrays(3, [0, 1], [1, 2], w)
+        assert make(5e-13).d == 3
+        with pytest.raises(ValueError, match="edge weights sum to 1.000000000002"):
+            make(2e-12)
 
     def test_connectivity_flag_matches_lambda2(self):
         two_cliques = ComparisonDesign(
@@ -167,28 +190,61 @@ class TestDesignInvariants:
         assert spectrum(two_cliques).lambda2 == 0.0
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError):
-            ComparisonDesign(2, ((0, 0, 1.0),))  # self loop
-        with pytest.raises(ValueError):
-            ComparisonDesign(2, ((0, 1, 0.5),))  # weights don't sum to 1
-        with pytest.raises(ValueError):
-            ComparisonDesign(2, ((0, 1, 2.0), (0, 1, -1.0)))  # negative weight
-        with pytest.raises(ValueError):
-            ComparisonDesign(2, ((0, 3, 1.0),))  # out of range
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 2 items, got d=1"):
             ComparisonDesign(1, ((0, 0, 1.0),))
+        with pytest.raises(ValueError, match="edge weights sum to 0.5, expected 1"):
+            ComparisonDesign(2, ((0, 1, 0.5),))
 
-    @pytest.mark.parametrize("edges", [
-        ((0, 1, float("nan")),),
-        ((0, 1, float("inf")), (0, 1, float("-inf"))),
-        ((0.5, 1, 1.0),),
-        ((0, float("nan"), 1.0),),
-        ((0, 1),),
-        (),
+    @pytest.mark.parametrize("edges,message", [
+        pytest.param(edges, message, id=f"edges{i}") for i, (edges, message) in enumerate([
+            (((0, 1, 0.5), (0, 2, math.nan), (1, 2, math.nan)),
+             "non-finite edge (0.0, 2.0, nan)"),
+            (((0, 1, math.inf), (0, 1, -math.inf)), "non-finite edge (0.0, 1.0, inf)"),
+            (((0, 1, 0.5), (0.5, 1, 0.25), (1.5, 2, 0.25)),
+             "non-integer item index in edge (0.5, 1.0, 0.25)"),
+            (((0, math.nan, 1.0),), "non-finite edge (0.0, nan, 1.0)"),
+            (((0, 1),), "edges must be (j, k, w) rows, got shape (1, 2)"),
+            ((), "design has no edges"),
+            (((0, 1, 0.5), (0, 3, 0.25), (4, 1, 0.25)), "out of range for d=3: edge (0.0, 3.0, 0.25)"),
+            (((0, 1, 0.5), (-1, 1, 0.25), (0, 4, 0.25)),
+             "out of range for d=3: edge (-1.0, 1.0, 0.25)"),
+            (((0, 1, 0.5), (2, 2, 0.25), (1, 1, 0.25)),
+             "self-comparison is not a valid edge (2.0, 2.0, 0.25)"),
+            (((0, 1, 2.0), (0, 2, -0.5), (1, 2, -0.5)), "negative weight in edge (0.0, 2.0, -0.5)"),
+        ])
     ])
-    def test_malformed_edges_rejected(self, edges):
-        with pytest.raises(ValueError):
-            ComparisonDesign(2, edges)
+    def test_malformed_edges_rejected(self, edges, message):
+        """Each check names the first row that fails it."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ComparisonDesign(3, edges)
+        rows = np.asarray(edges, dtype=float)
+        if rows.ndim == 2 and rows.shape[1] == 3 and np.all(rows[:, :2] % 1 == 0):
+            j, k, w = rows.T
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ComparisonDesign.from_arrays(3, j.astype(int), k.astype(int), w)
+
+    @pytest.mark.parametrize("j,k,w,message", [
+        ([0, 1.0], [1, 2], [0.5, 0.5], "item indices must be integers, got dtype float64"),
+        ([0, 1], [1.5, 2.0], [0.5, 0.5], "item indices must be integers, got dtype float64"),
+        ([0, 1], [1, 2], [1.0], "1-D and of equal length, got shapes (2,), (2,), (1,)"),
+        ([0], [1, 2], [0.5, 0.5], "1-D and of equal length, got shapes (1,), (2,), (2,)"),
+        ([[0, 1]], [[1, 2]], [[0.5, 0.5]], "1-D and of equal length, got shapes (1, 2)"),
+        ([], [], [], "design has no edges"),
+        ([0, 2], [1, 3], [0.5, 0.5], "out of range for d=3: edge (2.0, 3.0, 0.5)"),
+    ])
+    def test_from_arrays_rejects_malformed(self, j, k, w, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ComparisonDesign.from_arrays(3, np.array(j), np.array(k), np.array(w))
+
+    def test_from_arrays_copies_and_matches_rows(self):
+        j, k = np.array([0, 1], dtype=np.int32), np.array([1, 2], dtype=np.uint8)
+        w = np.array([0.25, 0.75])
+        design = ComparisonDesign.from_arrays(3, j, k, w, "path3")
+        assert design == ComparisonDesign(3, ((0, 1, 0.25), (1, 2, 0.75)), "path3")
+        j[0], w[0] = 2, 0.5
+        assert design.edges == ((0, 1, 0.25), (1, 2, 0.75))
+        assert [a.dtype for a in design.edge_arrays] == [np.intp, np.intp, np.float64]
+        assert not any(a.flags.writeable for a in design.edge_arrays)
 
     def test_json_nan_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -369,6 +425,52 @@ class TestSharedBuilders:
         expected /= len(subsets)
         np.testing.assert_allclose(hypergraph_laplacian(HyperDesign(d, m, subsets)),
                                    expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", PAIRWISE_KINDS)
+    def test_build_matches_float_row_oracle(self, kind, monkeypatch):
+        """Edge arrays (values and dtypes) and Laplacian bytes equal those of
+        the float-row route, on the edge multiset each kind generates."""
+        multisets = []
+        unweighted = graph._unweighted
+
+        def spy(d, j, k, name):
+            multisets.append((j, k))
+            return unweighted(d, j, k, name)
+
+        monkeypatch.setattr(graph, "_unweighted", spy)
+        built = 0
+        for d in [*range(2, 130), 256, 512, 1024]:
+            try:
+                design = build_topology(kind, d)
+            except ValueError:
+                continue
+            want = unweighted_edge_arrays(d, *multisets.pop())
+            for got, ref in zip(design.edge_arrays, want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert design.laplacian.tobytes() == laplacian_four_entry(d, *want).tobytes()
+            built += 1
+        assert built
+
+    def test_laplacian_bit_equal_on_repeated_pairs(self):
+        """Entries sum their terms in edge order, repeats and zero weights included."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            d, num = int(rng.integers(2, 30)), int(rng.integers(1, 200))
+            j = rng.integers(0, d, size=num)
+            k = (j + rng.integers(1, d, size=num)) % d
+            w = rng.random(num) * (rng.random(num) < 0.9)
+            assert _laplacian(d, j, k, w).tobytes() == laplacian_four_entry(d, j, k, w).tobytes()
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_hyper_laplacian_bit_equal(self, m):
+        rng = np.random.default_rng(m)
+        d = 9
+        subsets = tuple(tuple(int(v) for v in rng.choice(d, size=m, replace=False))
+                        for _ in range(40))
+        pairs = np.array([p for s in subsets for p in itertools.combinations(s, 2)])
+        want = laplacian_four_entry(d, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)))
+        got = hypergraph_laplacian(HyperDesign(d, m, subsets))
+        assert got.tobytes() == (want / len(subsets)).tobytes()
 
     def test_connectivity_agrees_with_lambda2(self):
         rng = np.random.default_rng(5)
