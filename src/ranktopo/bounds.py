@@ -95,8 +95,8 @@ def kl_exact(w1, w2, design: ComparisonDesign | HyperDesign,
     if isinstance(design, HyperDesign):
         if not isinstance(link, MWiseLink):
             raise ValueError("hyper designs need an m-wise link")
-        scores1 = a[design.subset_array]
-        scores2 = b[design.subset_array]
+        scores1 = a[design.subsets]
+        scores2 = b[design.subsets]
         lp1 = link.log_position_probs(scores1)
         lp2 = link.log_position_probs(scores2)
         per_subset = np.sum(np.exp(lp1) * (lp1 - lp2), axis=1)
@@ -286,23 +286,20 @@ class MWisePrefactors:
         return self.sup_grad_hdag_sq / self.inf_choice_prob
 
 
-def mwise_prefactors(link: MWiseLink, grid_points: int = 51,
-                     mc_points: int = 4000, seed: int = 0) -> MWisePrefactors:
+def mwise_prefactors(link: MWiseLink) -> MWisePrefactors:
     """Box extrema of the m-wise link quantities over [-B, B]^m.
 
     With H = beta (I - 11^T/m), both lambda_2(H) and lambda_m(H) are beta,
     and since grad F is orthogonal to 1, |grad F|^2_{H^dagger} is
     |grad F|^2 / beta.
     """
-    points = box_points(link.m, link.B, grid_points, mc_points, seed)
+    points = box_points(link.m, link.B)
     p = softmax(points, axis=1)
-    p0 = p[:, 0]
-    grad_f = -p0[:, None] * p
-    grad_f[:, 0] += p0
+    grad_f = link.grad_choice_prob(points)
     grad_log = -p.copy()
     grad_log[:, 0] += 1.0
     return MWisePrefactors(
-        inf_choice_prob=float(p0.min()),
+        inf_choice_prob=float(p[:, 0].min()),
         sup_grad_hdag_sq=float(np.max(np.sum(grad_f**2, axis=1))) / link.beta,
         sup_grad_log_sq=float(np.max(np.sum(grad_log**2, axis=1))),
         lambda2_h=link.beta,

@@ -74,7 +74,8 @@ class ExperimentConfig:
 
 def complete_hyper(d: int, m: int) -> HyperDesign:
     """The complete m-wise hyper-design: every m-item subset once, in lexicographic order."""
-    return HyperDesign(d=d, m=m, subsets=tuple(itertools.combinations(range(d), m)))
+    subsets = np.fromiter(itertools.combinations(range(d), m), dtype=(np.intp, m))
+    return HyperDesign(d=d, m=m, subsets=subsets)
 
 
 def run_trial(kind: str, d: int, n: int, family: str, sigma: float, B: float,
@@ -274,11 +275,13 @@ def cmd_design(args) -> int:
 
 def _empirical_cvo(sigma_ord: float, sigma_card: float, B: float, d: int,
                    n: int, trials: int, seed: int) -> dict:
-    """Matched Monte-Carlo risks under even allocation."""
+    """Matched Monte-Carlo risks under even allocation; every trial enters the
+    means, and ``ordinal_not_converged`` counts the unconverged ordinal MLEs."""
     design = build_topology("complete", d)
     link = make_link("thurstone", sigma_ord)
     num_pairs = design.edge_arrays[0].size
     ord_risk = 0.0
+    not_converged = 0
     card_risk = 0.0
     for trial in range(trials):
         rng = np.random.default_rng(row_seed(seed, 0, trial))
@@ -286,13 +289,14 @@ def _empirical_cvo(sigma_ord: float, sigma_card: float, B: float, d: int,
         comps = even_allocation(num_pairs, n)
         batch = sample_outcomes(link, w_star, design, comps, rng)
         est = mle_ordinal(batch, design, link, B)
+        not_converged += not est.converged
         ord_risk += error_metrics(est.w_hat, w_star, design).sq_l2
         items = even_allocation(d, n)
         cbatch = sample_outcomes(CardinalModel("item", sigma_card), w_star, None, items, rng)
         cest = mean_cardinal(cbatch, d)
         card_risk += error_metrics(cest.w_hat, w_star, design).sq_l2
-    return {"ordinal_risk": ord_risk / trials, "cardinal_risk": card_risk / trials,
-            "d": d, "n": n, "trials": trials}
+    return {"ordinal_risk": ord_risk / trials, "ordinal_not_converged": not_converged,
+            "cardinal_risk": card_risk / trials, "d": d, "n": n, "trials": trials}
 
 
 def cmd_cvo(args) -> int:

@@ -72,7 +72,7 @@ def design_digest(design: ComparisonDesign) -> str:
     return hashlib.sha256(design.to_json().encode()).hexdigest()[:12]
 
 
-def project_feasible(x: np.ndarray, B: float, tol: float = 1e-10) -> np.ndarray:
+def project_feasible(x: np.ndarray, B: float) -> np.ndarray:
     """Euclidean projection onto {sum w = 0} intersect {|w|_inf <= B}.
 
     The projection is clip(x - tau, -B, B) for the shift tau that zeroes
@@ -80,8 +80,7 @@ def project_feasible(x: np.ndarray, B: float, tol: float = 1e-10) -> np.ndarray:
     breakpoints x_i - B (entry i leaves the upper bound) and x_i + B (it
     reaches the lower one); its slope between breakpoints is minus the
     number of free entries.  One sort and a cumulative sum evaluate it at
-    every breakpoint, and tau is solved for on the bracketing piece.  The
-    result is exact, so ``tol`` is accepted for compatibility and ignored.
+    every breakpoint, and tau is solved for on the bracketing piece.
     """
     x = np.asarray(x, dtype=float)
     d = x.size
@@ -158,18 +157,18 @@ def _mwise_counts(batch: ObservationBatch, num_subsets: int, m: int) -> np.ndarr
 
 
 def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLink):
-    counts = _mwise_counts(batch, len(design.subsets), link.m)
-    subset_array = design.subset_array
-    flat_subsets = subset_array.ravel()
+    subsets = design.subsets
+    counts = _mwise_counts(batch, len(subsets), link.m)
+    flat_subsets = subsets.ravel()
     totals = counts.sum(axis=1, keepdims=True)
     n = batch.n
 
     def objective(w: np.ndarray) -> float:
-        logp = link.log_position_probs(w[subset_array])
+        logp = link.log_position_probs(w[subsets])
         return float(-np.sum(counts * logp) / n)
 
     def gradient(w: np.ndarray) -> np.ndarray:
-        probs = link.position_probs(w[subset_array])
+        probs = link.position_probs(w[subsets])
         contrib = (totals * probs - counts) / n
         return np.bincount(flat_subsets, weights=contrib.ravel(),
                            minlength=design.d)

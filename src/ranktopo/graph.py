@@ -178,8 +178,8 @@ class ComparisonDesign:
 
     @cached_property
     def laplacian(self) -> np.ndarray:
-        """Scaled Laplacian, sum_e w_e (e_j - e_k)(e_j - e_k)^T; trace 2."""
-        return _laplacian(self.d, *self.edge_arrays)
+        """Scaled Laplacian, sum_e w_e (e_j - e_k)(e_j - e_k)^T; trace 2; read-only."""
+        return _read_only(_laplacian(self.d, *self.edge_arrays))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -196,54 +196,64 @@ def design_from_json(text: str) -> ComparisonDesign:
     return ComparisonDesign(int(obj["d"]), obj["edges"], obj.get("kind", "custom"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class HyperDesign:
     """m-wise comparison hypergraph: a multiset of m-item subsets.
 
-    Samples are spread evenly over the listed subsets.  Subset order fixes
-    the columns of the selection matrices, i.e. the positions that m-wise
-    winners refer to.
+    ``subsets`` is any (S, m) array-like of 0-based integer item indices.
+    It is checked as a whole and stored once, as a read-only intp array.
+    Samples are spread evenly over its rows.  Row order fixes the columns
+    of the selection matrices, i.e. the positions that m-wise winners
+    refer to.  Designs compare equal by value.
     """
 
     d: int
     m: int
-    subsets: tuple[tuple[int, ...], ...]
+    subsets: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValueError(f"need at least 2 items, got d={self.d}")
-        if not (2 <= self.m <= self.d):
-            raise ValueError(f"need 2 <= m <= d, got m={self.m}, d={self.d}")
-        if not self.subsets:
-            raise ValueError("design has no subsets")
+    def __init__(self, d: int, m: int, subsets) -> None:
+        if d < 2:
+            raise ValueError(f"need at least 2 items, got d={d}")
+        if not (2 <= m <= d):
+            raise ValueError(f"need 2 <= m <= d, got m={m}, d={d}")
         try:
-            shape = self.subset_array.shape
+            sa = np.asarray(subsets)
         except ValueError:  # ragged: subsets of different lengths
-            shape = ()
-        if shape[1:] != (self.m,):
-            raise ValueError(f"subsets are not all {self.m} items")
-        sa = self.subset_array
+            raise ValueError(f"subsets are not all {m} items") from None
+        if sa.shape[:1] == (0,):
+            raise ValueError("design has no subsets")
+        if sa.shape[1:] != (m,):
+            raise ValueError(f"subsets are not all {m} items")
+        if sa.dtype.kind not in "iu":
+            raise ValueError(f"item indices must be integers, got dtype {sa.dtype}")
         ordered = np.sort(sa, axis=1)
         for bad, what in (
-            ((sa < 0) | (sa >= self.d), f"out of range for d={self.d}"),
-            (ordered[:, 1:] == ordered[:, :-1], f"is not {self.m} distinct items"),
+            ((sa < 0) | (sa >= d), f"out of range for d={d}"),
+            (ordered[:, 1:] == ordered[:, :-1], f"is not {m} distinct items"),
         ):
             rows = bad.any(axis=1)
             if rows.any():
-                raise ValueError(f"subset {self.subsets[rows.argmax()]} {what}")
+                raise ValueError(f"subset {tuple(sa[rows.argmax()].tolist())} {what}")
+        for name, value in (("d", d), ("m", m), ("subsets", _read_only(sa.astype(np.intp)))):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HyperDesign):
+            return NotImplemented
+        return (self.d, self.m) == (other.d, other.m) and np.array_equal(self.subsets,
+                                                                         other.subsets)
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.m, self.subsets.tobytes()))
 
     @cached_property
     def connected(self) -> bool:
-        sa = self.subset_array  # each subset joins its items to its first
+        sa = self.subsets  # each subset joins its items to its first
         return _connected(self.d, np.repeat(sa[:, 0], self.m - 1), sa[:, 1:].ravel())
 
     @cached_property
     def laplacian(self) -> np.ndarray:
-        return hypergraph_laplacian(self)
-
-    @cached_property
-    def subset_array(self) -> np.ndarray:
-        return np.array(self.subsets, dtype=np.intp)
+        return _read_only(hypergraph_laplacian(self))
 
 
 def hypergraph_laplacian(design: HyperDesign) -> np.ndarray:
@@ -255,7 +265,7 @@ def hypergraph_laplacian(design: HyperDesign) -> np.ndarray:
     m = 2.
     """
     a, b = np.triu_indices(design.m, 1)
-    j, k = design.subset_array[:, a].ravel(), design.subset_array[:, b].ravel()
+    j, k = design.subsets[:, a].ravel(), design.subsets[:, b].ravel()
     return _laplacian(design.d, j, k, np.ones(j.size)) / len(design.subsets)
 
 
@@ -263,8 +273,8 @@ def hypergraph_laplacian(design: HyperDesign) -> np.ndarray:
 class SpectralSummary:
     """Spectrum of a Laplacian, with derived quantities.
 
-    ``eigenvalues`` ascend; those within ``zero_tolerance`` of zero are
-    reported as exact zeros and excluded from the pseudo-inverse trace.
+    ``eigenvalues`` ascend; those within DEFAULT_ZERO_TOL * lambda_max of zero
+    are reported as exact zeros and excluded from the pseudo-inverse trace.
     The eigenvectors are computed from ``laplacian`` on first use only, so
     a summary read for its eigenvalues never pays for them.  A design's
     summary is shared by every caller, so its arrays are read-only.
@@ -274,7 +284,6 @@ class SpectralSummary:
     laplacian: np.ndarray
     trace_pinv: float
     lambda2: float
-    zero_tolerance: float
 
     @property
     def d(self) -> int:
@@ -324,7 +333,6 @@ def _summarise(lap: np.ndarray) -> SpectralSummary:
         laplacian=lap,
         trace_pinv=trace_pinv,
         lambda2=lambda2,
-        zero_tolerance=abs_tol,
     )
 
 

@@ -246,7 +246,7 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
     if isinstance(model, MWiseLink):
         if not isinstance(design, HyperDesign) or design.m != model.m:
             raise ValueError("m-wise sampling requires a HyperDesign with matching m")
-        subset_scores = values[design.subset_array[comparisons]]
+        subset_scores = values[design.subsets[comparisons]]
         probs = model.position_probs(subset_scores)
         cum = np.cumsum(probs, axis=1)
         u = rng.random(n)

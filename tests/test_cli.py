@@ -1,12 +1,14 @@
 """Tests for the command-line interface and campaign runner."""
 
 import csv
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
+from ranktopo import cli
 from ranktopo.cli import (
     ExperimentConfig,
     main,
@@ -342,3 +344,22 @@ class TestCvoCommand:
         emp = payload["empirical"]
         assert emp["ordinal_risk"] > 0 and emp["cardinal_risk"] > 0
         assert emp["trials"] == 5
+
+    def test_empirical_counts_unconverged_trials(self, capsys, monkeypatch):
+        """An unconverged MLE is counted, and its risk still enters the mean."""
+        solve, calls = cli.mle_ordinal, []
+
+        def first_unconverged(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            calls.append(result)
+            return dataclasses.replace(result, converged=len(calls) > 1)
+
+        argv = ["cvo", "--sigma-ord", "1", "--sigma-card", "1",
+                "--empirical", "--d", "4", "--n", "120", "--trials", "5"]
+        assert main(argv) == 0
+        want = json.loads(capsys.readouterr().out)["empirical"]
+        monkeypatch.setattr(cli, "mle_ordinal", first_unconverged)
+        assert main(argv) == 0
+        emp = json.loads(capsys.readouterr().out)["empirical"]
+        assert len(calls) == 5 and emp["ordinal_not_converged"] == 1
+        assert emp["ordinal_risk"] == want["ordinal_risk"]

@@ -60,7 +60,7 @@ class TestProjection:
         for _ in range(200):
             x = rng.uniform(-3, 3, size=6)
             b = float(rng.uniform(0.1, 2.0))
-            ours = project_feasible(x, b, tol=1e-12)
+            ours = project_feasible(x, b)
             exact = exact_projection(x, b)
             np.testing.assert_allclose(ours, exact, rtol=0, atol=1e-12)
 
@@ -93,7 +93,7 @@ class TestProjection:
     def test_feasible_output(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            out = project_feasible(rng.uniform(-10, 10, size=9), 1.0, tol=1e-12)
+            out = project_feasible(rng.uniform(-10, 10, size=9), 1.0)
             assert abs(np.sum(out)) < 1e-9
             assert np.max(np.abs(out)) <= 1.0 + 1e-12
 

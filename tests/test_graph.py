@@ -277,6 +277,18 @@ class TestSpectralSummary:
                                  "fro")
             assert err < 1e-8
 
+    def test_laplacians_are_read_only(self):
+        """A write into a design's Laplacian raises, so its cached spectrum stays true."""
+        designs = (build_topology("path", 6), HyperDesign(4, 3, ((0, 1, 2), (1, 2, 3))))
+        for design in designs:
+            spectrum(design)
+            with pytest.raises(ValueError):
+                design.laplacian[0, 0] = 5.0
+            summary = spectrum(design)
+            u = summary.eigenvectors
+            np.testing.assert_allclose(u.T @ np.diag(summary.eigenvalues) @ u,
+                                       design.laplacian, rtol=0, atol=1e-12)
+
     def test_zero_clamping(self):
         summary = spectrum(build_topology("complete", 6))
         assert summary.eigenvalues[0] == 0.0
@@ -375,6 +387,27 @@ class TestHypergraph:
         for subsets in (((0, 1, 2), (1, 2)), ((0, 1, 2, 3),)):
             with pytest.raises(ValueError, match="subsets are not all 3 items"):
                 HyperDesign(4, 3, subsets)
+
+    def test_non_integer_indices_rejected(self):
+        """Float indices are refused, not truncated to a design never written."""
+        with pytest.raises(ValueError, match="item indices must be integers"):
+            HyperDesign(4, 3, ((0.5, 1, 2), (1, 2, 3.9)))
+        with pytest.raises(ValueError, match="item indices must be integers"):
+            HyperDesign(4, 3, np.array([[0.0, 1.0, 2.0]]))
+
+    def test_tuple_list_and_array_inputs_agree(self):
+        rows = ((0, 1, 2), (1, 2, 3), (0, 1, 2))
+        source = np.array(rows, dtype=np.int32)
+        designs = [HyperDesign(4, 3, rows), HyperDesign(4, 3, [list(r) for r in rows]),
+                   HyperDesign(4, 3, source)]
+        source[0, 0] = 3  # the design keeps its own copy
+        for design in designs:
+            assert design == designs[0] and hash(design) == hash(designs[0])
+            assert design.subsets.dtype == np.intp
+            assert design.subsets.tolist() == [list(r) for r in rows]
+            assert not design.subsets.flags.writeable
+        assert designs[0] != HyperDesign(4, 3, rows[:2])
+        assert designs[0] != HyperDesign(5, 3, rows)
 
 
 def _expander_multiset(q):

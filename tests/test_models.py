@@ -249,6 +249,17 @@ class TestPlackettLuce:
             np.testing.assert_allclose(pl.grad_choice_prob(x), grad, atol=1e-8)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_batched_derivatives_equal_row_by_row(self, m):
+        """Leading axes batch the Hessian and gradient; each row is bit-equal to its own call."""
+        pl = plackett_luce(m)
+        x = np.random.default_rng(m).uniform(-2, 2, size=(4, 6, m))
+        hess, grad = pl.neg_log_hessian(x), pl.grad_choice_prob(x)
+        assert hess.shape == (4, 6, m, m) and grad.shape == (4, 6, m)
+        for idx in np.ndindex(4, 6):
+            assert pl.neg_log_hessian(x[idx]).tobytes() == hess[idx].tobytes()
+            assert pl.grad_choice_prob(x[idx]).tobytes() == grad[idx].tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
     def test_curvature_lower_bounds_hessian(self, m):
         """beta (I - 11^T/m) <= Hessian of -log F over the box."""
         pl = plackett_luce(m, B=1.0)
