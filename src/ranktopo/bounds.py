@@ -125,8 +125,9 @@ def kl_upper(w1, w2, design: ComparisonDesign, params: ModelParams, n: float) ->
         if float(np.max(np.abs(v))) > params.B + 1e-12:
             raise ValueError("KL upper bound requires |w|_inf <= B")
     delta = a - b
-    sq = float(delta @ design.laplacian @ delta)
-    return n * params.zeta / params.sigma**2 * max(sq, 0.0)
+    j, k, w = design.edge_arrays
+    diff = delta[j] - delta[k]  # |delta|_L^2 edge by edge: no d x d Laplacian
+    return n * params.zeta / params.sigma**2 * float(w @ (diff * diff))
 
 
 # ---------------------------------------------------------------------------

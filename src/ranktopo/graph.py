@@ -14,14 +14,16 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 WEIGHT_SUM_TOL = 1e-12
 TRACE_TOL = 1e-9
-# Eigenvalues below DEFAULT_ZERO_TOL * lambda_max are treated as exact zeros
-# when forming pseudo-inverses and counting connected components spectrally.
+# On the eigvalsh route, eigenvalues below DEFAULT_ZERO_TOL * lambda_max are
+# treated as exact zeros when forming pseudo-inverses and counting connected
+# components spectrally.  A closed-form spectrum knows its exact zero and is
+# not clamped: the clamp would zero a path's lambda_2 from d of about 1.6e5.
 DEFAULT_ZERO_TOL = 1e-10
 
 PAIRWISE_KINDS = (
@@ -273,15 +275,18 @@ def hypergraph_laplacian(design: HyperDesign) -> np.ndarray:
 class SpectralSummary:
     """Spectrum of a Laplacian, with derived quantities.
 
-    ``eigenvalues`` ascend; those within DEFAULT_ZERO_TOL * lambda_max of zero
-    are reported as exact zeros and excluded from the pseudo-inverse trace.
-    The eigenvectors are computed from ``laplacian`` on first use only, so
-    a summary read for its eigenvalues never pays for them.  A design's
-    summary is shared by every caller, so its arrays are read-only.
+    ``eigenvalues`` ascend.  On the eigvalsh route, those within
+    DEFAULT_ZERO_TOL * lambda_max of zero are reported as exact zeros; a
+    closed-form spectrum has its exact zeros already.  Zeros are excluded
+    from the pseudo-inverse trace.  ``source`` is the design or the bare
+    Laplacian array summarised; the Laplacian and the eigenvectors are
+    computed from it on first use only, so a summary read for its
+    eigenvalues never pays for them.  A design's summary is shared by every
+    caller, so its arrays are read-only.
     """
 
     eigenvalues: np.ndarray
-    laplacian: np.ndarray
+    source: ComparisonDesign | HyperDesign | np.ndarray
     trace_pinv: float
     lambda2: float
 
@@ -289,9 +294,18 @@ class SpectralSummary:
     def d(self) -> int:
         return self.eigenvalues.shape[0]
 
+    @property
+    def laplacian(self) -> np.ndarray:
+        source = self.source
+        return source if isinstance(source, np.ndarray) else source.laplacian
+
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """Rows are eigenvectors, in the order of ``eigenvalues``: L = U^T diag U."""
+        """Rows are eigenvectors, in the order of ``eigenvalues``: L = U^T diag U.
+
+        Both ascend, so row i belongs to eigenvalue i whichever route gave
+        the eigenvalues.
+        """
         return _read_only(_eigensolve(np.linalg.eigh, self.laplacian)[1].T)
 
     @cached_property
@@ -315,7 +329,8 @@ def _eigensolve(solver, lap: np.ndarray):
         raise EigensolverError(f"symmetric eigensolver failed: {exc}") from exc
 
 
-def _summarise(lap: np.ndarray) -> SpectralSummary:
+def _dense_eigenvalues(lap: np.ndarray) -> np.ndarray:
+    """Ascending eigvalsh eigenvalues, clamped to zero below DEFAULT_ZERO_TOL * lambda_max."""
     vals = _eigensolve(np.linalg.eigvalsh, lap)
     lam_max = float(vals[-1]) if vals[-1] > 0 else 0.0
     abs_tol = DEFAULT_ZERO_TOL * lam_max
@@ -325,32 +340,44 @@ def _summarise(lap: np.ndarray) -> SpectralSummary:
         )
     vals[np.abs(vals) <= abs_tol] = 0.0
     vals[vals < 0] = 0.0
+    return vals
+
+
+def _summarise(vals: np.ndarray, source) -> SpectralSummary:
     nonzero = vals[vals > 0]
     trace_pinv = float(np.sum(1.0 / nonzero)) if nonzero.size else 0.0
     lambda2 = float(vals[1]) if len(vals) > 1 else 0.0
     return SpectralSummary(
         eigenvalues=_read_only(vals),
-        laplacian=lap,
+        source=source,
         trace_pinv=trace_pinv,
         lambda2=lambda2,
     )
 
 
 def spectrum(design: ComparisonDesign | HyperDesign | np.ndarray) -> SpectralSummary:
-    """Eigenvalues of a design's (hyper)graph Laplacian, from ``eigvalsh``.
+    """Eigenvalues of a design's (hyper)graph Laplacian.
 
-    Eigenvalues are clamped to exact zero below DEFAULT_ZERO_TOL *
-    lambda_max; eigensolver non-convergence surfaces as EigensolverError.
-    The summary keeps the Laplacian and computes eigenvectors only when
-    they are read.  A design is immutable, so its summary is computed once
-    and kept on it, like its Laplacian; a bare Laplacian array is solved
-    afresh on every call.
+    A design made by ``build_topology`` carries the closed-form spectrum of
+    its kind, except the expander: it is evaluated here, with no Laplacian
+    and no eigensolve.  Every other design, and a bare Laplacian array, goes
+    through ``eigvalsh``, with eigenvalues clamped to exact zero below
+    DEFAULT_ZERO_TOL * lambda_max; eigensolver non-convergence surfaces as
+    EigensolverError.  The summary computes the Laplacian and the
+    eigenvectors only when they are read.  A design is immutable, so its
+    summary is computed once and kept on it, like its Laplacian; a bare
+    Laplacian array is solved afresh on every call.
     """
     if isinstance(design, np.ndarray):
-        return _summarise(design)
+        return _summarise(_dense_eigenvalues(design), design)
     cache = vars(design)
     if "_spectrum" not in cache:
-        cache["_spectrum"] = _summarise(design.laplacian)
+        unscaled = cache.get("_unscaled_spectrum")
+        if unscaled is None:
+            vals = _dense_eigenvalues(design.laplacian)
+        else:  # a canonical kind has no repeated pair, so L = L' / |E|
+            vals = np.sort(unscaled()) / design.edge_arrays[0].size
+        cache["_spectrum"] = _summarise(vals, design)
     return cache["_spectrum"]
 
 
@@ -368,18 +395,52 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _unweighted(d: int, j: np.ndarray, k: np.ndarray, kind: str) -> ComparisonDesign:
+def _unweighted(d: int, j: np.ndarray, k: np.ndarray, kind: str,
+                unscaled_spectrum=None) -> ComparisonDesign:
     """Spread the budget evenly over an edge multiset: L = L' / |E|.
 
     Repeated pairs merge into one edge, sorted by (min, max) item.
+    ``unscaled_spectrum``, when given, is a zero-argument callable that
+    returns the eigenvalues of L' in any order; ``spectrum`` calls it on
+    first use in place of an eigensolve.
     """
     lo, hi = np.minimum(j, k), np.maximum(j, k)
     codes = lo * d + hi
     if np.all(codes[1:] > codes[:-1]):  # already sorted, no repeats
-        return ComparisonDesign.from_arrays(d, lo, hi, np.full(codes.size, 1.0 / codes.size),
-                                            kind)
-    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-    return ComparisonDesign.from_arrays(d, lo[first], hi[first], counts / counts.sum(), kind)
+        w = np.full(codes.size, 1.0 / codes.size)
+    else:
+        _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+        lo, hi, w = lo[first], hi[first], counts / counts.sum()
+    design = ComparisonDesign.from_arrays(d, lo, hi, w, kind)
+    if unscaled_spectrum is not None:
+        vars(design)["_unscaled_spectrum"] = unscaled_spectrum
+    return design
+
+
+# Closed-form Laplacian spectra (Brouwer & Haemers, Spectra of Graphs, 2012).
+# 4 sin^2(x/2) is 2 - 2 cos(x) without its cancellation near x = 0, where
+# 2 - 2 cos(pi/d) keeps only about 10 of 16 digits at d = 2^18.
+
+
+def _path_spectrum(d: int) -> np.ndarray:
+    return 4.0 * np.sin(np.pi / (2 * d) * np.arange(d)) ** 2
+
+
+def _cycle_spectrum(d: int) -> np.ndarray:
+    i = np.arange(d)  # lambda_i = lambda_{d-i}; keep the sine's argument <= pi/2
+    return 4.0 * np.sin(np.pi / d * np.minimum(i, d - i)) ** 2
+
+
+def _lattice_spectrum(m1: int, m2: int) -> np.ndarray:
+    return (_path_spectrum(m1)[:, None] + _path_spectrum(m2)).ravel()
+
+
+def _barbell_spectrum(half: int) -> partial:
+    # Vectors summing to zero over a clique's half-1 non-bridge items give
+    # half, 2(half-2) times; the four-cell quotient gives 0 and half, and the
+    # roots of x^2 - (half+2) x + 2, whose product is 2.
+    big = (half + 2 + math.sqrt((half + 2) ** 2 - 8)) / 2
+    return partial(np.repeat, [0.0, half, 2.0 / big, big], [1, 2 * half - 3, 1, 1])
 
 
 def _expander_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -428,6 +489,9 @@ def build_topology(kind: str, d: int,
     m1/m2 arguments or an inline form such as ``complete_bipartite(3,5)``;
     with neither, a balanced split is chosen.
 
+    Every kind but the expander carries its closed-form spectrum, which
+    ``spectrum`` evaluates on first use with no Laplacian and no eigensolve.
+
     Dimension preconditions: barbell needs even d, hypercube a power of
     two, lattice2d d = m1*m2 (both >= 2), complete_bipartite d = m1+m2,
     expander d = q^2 for prime q.
@@ -438,15 +502,19 @@ def build_topology(kind: str, d: int,
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     if name == "complete":
-        return _unweighted(d, *np.triu_indices(d, 1), name)
+        return _unweighted(d, *np.triu_indices(d, 1), name,
+                           partial(np.repeat, [0.0, d], [1, d - 1]))
     if name == "star":
-        return _unweighted(d, np.zeros(d - 1, np.intp), np.arange(1, d), name)
+        return _unweighted(d, np.zeros(d - 1, np.intp), np.arange(1, d), name,
+                           partial(np.repeat, [0.0, 1.0, d], [1, d - 2, 1]))
     if name == "path":
-        return _unweighted(d, np.arange(d - 1), np.arange(1, d), name)
+        return _unweighted(d, np.arange(d - 1), np.arange(1, d), name,
+                           partial(_path_spectrum, d))
     if name == "cycle":
         if d < 3:
             raise ValueError("cycle needs d >= 3")
-        return _unweighted(d, np.arange(d), (np.arange(d) + 1) % d, name)
+        return _unweighted(d, np.arange(d), (np.arange(d) + 1) % d, name,
+                           partial(_cycle_spectrum, d))
     if name == "barbell":
         if d % 2 != 0 or d < 4:
             raise ValueError(f"barbell needs even d >= 4, got {d}")
@@ -454,14 +522,16 @@ def build_topology(kind: str, d: int,
         a, b = np.triu_indices(half, 1)
         # two cliques and a single bridge between them
         return _unweighted(d, np.concatenate([a, a + half, [half - 1]]),
-                           np.concatenate([b, b + half, [half]]), name)
+                           np.concatenate([b, b + half, [half]]), name,
+                           _barbell_spectrum(half))
     if name == "complete_bipartite":
         if m1 is None or m2 is None:
             m1, m2 = _default_split(name, d)
         if m1 + m2 != d or m1 < 1 or m2 < 1:
             raise ValueError(f"complete_bipartite needs d = m1+m2, got {d} != {m1}+{m2}")
         a, b = np.divmod(np.arange(m1 * m2), m2)
-        return _unweighted(d, a, m1 + b, f"complete_bipartite({m1},{m2})")
+        return _unweighted(d, a, m1 + b, f"complete_bipartite({m1},{m2})",
+                           partial(np.repeat, [0.0, m2, m1, d], [1, m1 - 1, m2 - 1, 1]))
     if name == "lattice2d":
         if m1 is None or m2 is None:
             m1, m2 = _default_split(name, d)
@@ -470,14 +540,16 @@ def build_topology(kind: str, d: int,
         grid = np.arange(d).reshape(m1, m2)  # row-major: node r*m2 + c
         return _unweighted(d, np.concatenate([grid[:, :-1].ravel(), grid[:-1].ravel()]),
                            np.concatenate([grid[:, 1:].ravel(), grid[1:].ravel()]),
-                           f"lattice2d({m1},{m2})")
+                           f"lattice2d({m1},{m2})", partial(_lattice_spectrum, m1, m2))
     if name == "hypercube":
         bits = d.bit_length() - 1
         if d != 1 << bits or d < 4:
             raise ValueError(f"hypercube needs d a power of 2 (>= 4), got {d}")
         v = np.repeat(np.arange(d), bits)
         u = v ^ np.tile(1 << np.arange(bits), d)
-        return _unweighted(d, v[v < u], u[v < u], name)
+        return _unweighted(d, v[v < u], u[v < u], name,
+                           partial(np.repeat, 2.0 * np.arange(bits + 1),
+                                   [math.comb(bits, i) for i in range(bits + 1)]))
     if name == "expander":
         q = math.isqrt(d)
         if q * q != d or not _is_prime(q):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from ranktopo import graph
 from ranktopo.bounds import (
     BoundConstants,
     BoundReport,
@@ -23,7 +24,13 @@ from ranktopo.bounds import (
     mwise_prefactors,
 )
 from ranktopo.estimate import error_metrics, mean_cardinal
-from ranktopo.graph import ComparisonDesign, HyperDesign, build_topology, spectrum
+from ranktopo.graph import (
+    ComparisonDesign,
+    HyperDesign,
+    build_topology,
+    design_from_json,
+    spectrum,
+)
 from ranktopo.models import make_link, model_params, plackett_luce
 from ranktopo.synth import CardinalModel, even_allocation, gen_quality, sample_outcomes
 
@@ -100,6 +107,9 @@ class TestKLSandwich:
             exact = kl_exact(w1, w2, design, link, 50)
             upper = kl_upper(w1, w2, design, params, 50)
             assert exact <= upper + 1e-12
+            delta = w1 - w2  # the dense quadratic form kl_upper used to take
+            dense = 50 * params.zeta / params.sigma**2 * (delta @ design.laplacian @ delta)
+            assert upper == pytest.approx(dense, rel=1e-12, abs=0)
 
     def test_domain_enforced(self):
         params = model_params(make_link("btl", 1.0), 0.5)
@@ -391,7 +401,10 @@ class TestMinimaxBounds:
         return calls
 
     def test_one_eigensolve_per_design(self, monkeypatch):
-        design = build_topology("cycle", 64)
+        """A design with no closed-form spectrum is solved once for T1-T3."""
+        ends = np.arange(64)
+        design = ComparisonDesign.from_arrays(64, ends, (ends + 1) % 64, np.full(64, 1 / 64),
+                                              kind="cycle")
         params = model_params(make_link("btl", 1.0), 1.0)
         calls = self.count_eigvalsh(monkeypatch)
         for theorem in ("T1_lap", "T2_l2", "T3_paired"):
@@ -404,6 +417,30 @@ class TestMinimaxBounds:
         spectrum(design.laplacian)
         spectrum(design.laplacian)  # a bare Laplacian is solved on every call
         assert len(calls) == 3
+
+    def test_canonical_kinds_run_no_eigensolve(self, monkeypatch):
+        """A built cycle's closed form serves T1-T3: no eigvalsh, no d x d Laplacian."""
+        def no_laplacian(*args):
+            raise AssertionError("a canonical kind must not build its Laplacian")
+
+        monkeypatch.setattr(graph, "_laplacian", no_laplacian)
+        design = build_topology("cycle", 64)
+        params = model_params(make_link("btl", 1.0), 1.0)
+        calls = self.count_eigvalsh(monkeypatch)
+        for theorem in ("T1_lap", "T2_l2", "T3_paired"):
+            minimax_bounds(theorem, design, params, 1e4)
+        assert spectrum(design).lambda2 > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: design_from_json(build_topology("path", 64).to_json()),
+        lambda: build_topology("expander", 49),
+    ], ids=["path_from_json", "expander"])
+    def test_designs_without_closed_form_use_eigvalsh(self, make, monkeypatch):
+        design = make()
+        calls = self.count_eigvalsh(monkeypatch)
+        spectrum(design)
+        assert calls == [(design.d, design.d)]
 
     def test_one_eigensolve_per_hyper_design(self, monkeypatch):
         hyper = HyperDesign(8, 3, tuple(itertools.combinations(range(8), 3)))

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import time
 
 import numpy as np
 import pytest
@@ -228,6 +230,24 @@ class TestEigenvalueOnlyPaths:
         hyper, link = complete_hyper(6, 3), plackett_luce(3, 1.0)
         for theorem in ("T4_mwise_lap", "T4_mwise_l2"):
             assert minimax_bounds(theorem, hyper, link, 1e5).upper > 0
+
+    def test_path_spectrum_at_two_to_the_18(self, capsys):
+        """No d x d matrix and no zero clamp: the dense Laplacian would need 550 GB,
+        and the 1e-10 * lambda_max clamp would report this lambda_2 as 0."""
+        d = 1 << 18
+        start = time.perf_counter()
+        assert main(["spectrum", "--kind", "path", "--d", str(d)]) == 0
+        assert time.perf_counter() - start < 2.0
+        lambda2 = json.loads(capsys.readouterr().out)["lambda2"]
+        assert lambda2 == pytest.approx(4 * math.sin(math.pi / (2 * d)) ** 2 / (d - 1),
+                                        rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle", "star", "lattice2d", "hypercube"])
+    def test_sparse_design_at_two_to_the_14(self, kind, capsys):
+        start = time.perf_counter()
+        assert main(["design", "--d", "16384", "--n", "1e5", "--kind", kind, "--json"]) == 0
+        assert time.perf_counter() - start < 2.0
+        assert json.loads(capsys.readouterr().out)[0]["lambda2"] > 0
 
     def test_paired_least_squares_needs_no_spectrum(self, monkeypatch):
         from ranktopo.estimate import ls_paired_cardinal

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -261,6 +262,43 @@ class TestDesignInvariants:
         assert not any(a.flags.writeable for a in design.edge_arrays)
 
 
+class TestClosedFormSpectra:
+    """build_topology's closed forms against eigvalsh of the built Laplacian."""
+
+    @pytest.mark.parametrize("kind", [k for k in PAIRWISE_KINDS if k != "expander"])
+    def test_agree_with_eigvalsh(self, kind):
+        checked = 0
+        for d in [*range(2, 130), 256, 512, 1024]:
+            try:
+                design = build_topology(kind, d)
+            except ValueError:
+                continue
+            closed, dense = spectrum(design), spectrum(design.laplacian)
+            lam_max = closed.eigenvalues[-1]
+            np.testing.assert_allclose(closed.eigenvalues, np.linalg.eigvalsh(design.laplacian),
+                                       rtol=0, atol=1e-12 * lam_max)
+            # eigvalsh's error is absolute, so its relative error on quantities
+            # led by small eigenvalues grows as lambda_max / lambda_2
+            rel = 1e-12 * lam_max / closed.lambda2
+            for got, want in ((closed.lambda2, dense.lambda2),
+                              (closed.trace_pinv, dense.trace_pinv),
+                              (lower_bound_statistic(closed), lower_bound_statistic(dense))):
+                assert got == pytest.approx(want, rel=rel, abs=0)
+            checked += 1
+        assert checked
+
+    def test_pickled_design_keeps_its_closed_form(self, monkeypatch):
+        design = pickle.loads(pickle.dumps(build_topology("lattice2d", 12)))
+
+        def no_eig(*args, **kwargs):
+            raise AssertionError("a canonical kind must not run an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eig)
+        np.testing.assert_allclose(spectrum(design).eigenvalues,
+                                   closed_form_spectrum("lattice2d", 12, 3, 4),
+                                   rtol=0, atol=1e-15)
+
+
 def pseudo_inverse(summary) -> np.ndarray:
     """L^dagger = U^T diag(pinv_diag) U from the summary's eigensystem."""
     u = summary.eigenvectors
@@ -466,9 +504,9 @@ class TestSharedBuilders:
         multisets = []
         unweighted = graph._unweighted
 
-        def spy(d, j, k, name):
+        def spy(d, j, k, name, *closed_form):
             multisets.append((j, k))
-            return unweighted(d, j, k, name)
+            return unweighted(d, j, k, name, *closed_form)
 
         monkeypatch.setattr(graph, "_unweighted", spy)
         built = 0
