@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
+from .estimate import error_metrics
 from .graph import ComparisonDesign, HyperDesign, lower_bound_statistic, spectrum
 from .models import LinkFunction, ModelParams, MWiseLink, box_points, softmax
+from .synth import _values
 
 THEOREMS = ("T1_lap", "T2_l2", "T3_paired", "T4_mwise_lap", "T4_mwise_l2")
 
@@ -37,13 +39,12 @@ class BoundConstants:
     c_sample: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("c1l", "c1u", "c2l", "c2u", "c3l", "c3u", "c4l", "c4u", "c_sample"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("c1l", "c1u", "c2l", "c2u", "c3l", "c3u", "c4l", "c4u", "c_sample")}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,6 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # KL divergences
 # ---------------------------------------------------------------------------
-
-
-def _values(w) -> np.ndarray:
-    return np.asarray(getattr(w, "values", w), dtype=float)
 
 
 def kl_exact(w1, w2, design: ComparisonDesign | HyperDesign,
@@ -114,20 +111,17 @@ def kl_exact(w1, w2, design: ComparisonDesign | HyperDesign,
 
 
 def kl_upper(w1, w2, design: ComparisonDesign, params: ModelParams, n: float) -> float:
-    """The Laplacian-seminorm KL bound (n zeta / sigma^2) |w1 - w2|_L^2.
+    """The Laplacian-seminorm KL bound (n zeta / sigma^2) |w1 - w2|_L^2,
+    with the seminorm summed edge by edge as ``error_metrics`` does.
 
     Dominates kl_exact whenever both vectors lie in the bound set for
     params.B, the domain on which the bound is valid; membership is
     enforced here.
     """
-    a, b = _values(w1), _values(w2)
-    for v in (a, b):
+    for v in (_values(w1), _values(w2)):
         if float(np.max(np.abs(v))) > params.B + 1e-12:
             raise ValueError("KL upper bound requires |w|_inf <= B")
-    delta = a - b
-    j, k, w = design.edge_arrays
-    diff = delta[j] - delta[k]  # |delta|_L^2 edge by edge: no d x d Laplacian
-    return n * params.zeta / params.sigma**2 * float(w @ (diff * diff))
+    return n * params.zeta / params.sigma**2 * error_metrics(w1, w2, design).sq_lap
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +150,11 @@ def gv_target(d: int, alpha: float) -> int:
         raise ValueError(f"alpha must lie in (0, 1/4), got {alpha}")
     inner = math.log(2.0) + 2 * alpha * math.log(2 * alpha) \
         + (1 - 2 * alpha) * math.log(1 - 2 * alpha)
-    return int(math.floor(math.exp(d / 2.0 * inner)))
+    try:
+        return int(math.floor(math.exp(d / 2.0 * inner)))
+    except OverflowError:
+        raise ValueError(f"the GV packing target overflows a float at d={d}, "
+                         f"alpha={alpha}") from None
 
 
 # The distance branch of gv_packing draws candidates _GV_BATCH at a time and
@@ -315,18 +313,14 @@ def mwise_prefactors(link: MWiseLink) -> MWisePrefactors:
 
 def minimax_bounds(theorem: str, design: ComparisonDesign | HyperDesign,
                    params: ModelParams | MWiseLink, n: float,
-                   constants: BoundConstants = BoundConstants(),
-                   t1_display_reading: bool = False) -> BoundReport:
+                   constants: BoundConstants = BoundConstants()) -> BoundReport:
     """Evaluate one of the minimax lower/upper bound formula pairs.
 
     T1_lap / T2_l2 / T3_paired take a ComparisonDesign with ModelParams;
     T4_mwise_lap / T4_mwise_l2 take a HyperDesign with an MWiseLink.  The
     applicable flag records whether the lower bound's sample-size
-    condition holds; formulas are evaluated either way.
-
-    Two normalisations of the T1 lower bound are in circulation, differing
-    by a dimension factor; the default is the per-dimension rate, and
-    t1_display_reading switches to the d-times-larger reading.
+    condition holds; formulas are evaluated either way.  The T1 lower
+    bound is the per-dimension rate sigma^2 / (zeta n).
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
@@ -374,8 +368,6 @@ def minimax_bounds(theorem: str, design: ComparisonDesign | HyperDesign,
 
     if theorem == "T1_lap":
         lower = constants.c1l * sigma**2 / (zeta * n)
-        if t1_display_reading:
-            lower *= d
         upper = constants.c1u * (zeta / gamma) * sigma**2 * d / n
     elif theorem == "T2_l2":
         stat = max(float(d * d), lower_bound_statistic(summary))
@@ -405,11 +397,7 @@ class CvoReport:
     B: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"decision": self.decision, "b_l": self.b_l, "b_u": self.b_u,
-             "b": self.b, "sigma_ord": self.sigma_ord,
-             "sigma_card": self.sigma_card, "B": self.B}
-        )
+        return json.dumps(asdict(self))
 
 
 def cvo_decision(sigma_ord: float, sigma_card: float, B: float,

@@ -55,13 +55,20 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.kinds or not self.d_list or not self.n_list:
             raise ValueError("kinds, d and n lists must be non-empty")
+        if min(self.n_list) < 1:
+            raise ValueError(f"every n must be >= 1, got {min(self.n_list)}")
+        if self.sigma <= 0 or self.B <= 0:
+            raise ValueError(f"sigma and B must be positive, got {self.sigma} and {self.B}")
         if self.family not in ("thurstone", "btl", "plackett_luce"):
             raise ValueError(f"unknown model family {self.family!r}")
         if self.w_gen not in ("gaussian", "uniform", "packing"):
             raise ValueError(f"unknown quality generator {self.w_gen!r}")
+        if self.w_variant not in ("pinv", "sqrt_pinv"):
+            raise ValueError(f"unknown packing variant {self.w_variant!r}")
         if self.family == "plackett_luce":
-            if self.m < 2:
-                raise ValueError("m-wise campaigns need m >= 2")
+            if not 2 <= self.m <= min(self.d_list):
+                raise ValueError(f"m-wise campaigns need 2 <= m <= d, "
+                                 f"got m={self.m} and d={min(self.d_list)}")
             for kind in self.kinds:
                 if parse_kind(kind)[0] != "complete":
                     raise ValueError(
@@ -160,7 +167,7 @@ def rows_to_csv(rows: list[dict]) -> str:
 def cmd_spectrum(args) -> int:
     design = build_topology(args.kind, args.d, args.m1, args.m2)
     summary = spectrum(design)
-    report = optimality_report(summary, args.d)
+    report = optimality_report(summary)
     out = {
         "kind": design.kind, "d": args.d,
         "lambda2": summary.lambda2, "trace_pinv": summary.trace_pinv,
@@ -249,7 +256,7 @@ def cmd_design(args) -> int:
             print(f"skipped {kind}: {exc}", file=sys.stderr)
             continue
         summary = spectrum(design)
-        report = optimality_report(summary, args.d)
+        report = optimality_report(summary)
         rows.append({
             "kind": design.kind,
             "proxy": args.d / (summary.lambda2 * args.n),

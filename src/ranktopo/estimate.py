@@ -20,24 +20,19 @@ import numpy as np
 
 from .graph import ComparisonDesign, HyperDesign, _connected, _laplacian
 from .models import LinkFunction, MWiseLink
-from .synth import ObservationBatch, QualityVector
+from .synth import ObservationBatch, QualityVector, _values
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     max_iters: int = 5000
     grad_tolerance: float = 1e-8
-    initial_step: float = 1.0
-    step_shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        for name in ("grad_tolerance", "initial_step", "step_shrink",
-                     "sufficient_decrease"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.grad_tolerance <= 0:
+            raise ValueError("grad_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -196,6 +191,10 @@ def mwise_nll_gradient(w: np.ndarray, batch: ObservationBatch, design: HyperDesi
 # r(1) is projected for once its lower bound is within this factor of the
 # tolerance; the slack covers rounding in the two projections.
 _STOP_TEST_MARGIN = 2.0
+# The first step, and the Armijo line search's backtracking factor and sufficient decrease.
+_INITIAL_STEP = 1.0
+_STEP_SHRINK = 0.5
+_SUFFICIENT_DECREASE = 1e-4
 
 
 def _projected_gradient(objective: Callable[[np.ndarray], float],
@@ -220,7 +219,7 @@ def _projected_gradient(objective: Callable[[np.ndarray], float],
     w = np.zeros(d)
     f = objective(w)
     g = gradient(w)
-    alpha = opts.initial_step
+    alpha = _INITIAL_STEP
     converged = False
     iters = 0
     if callback is not None:
@@ -243,8 +242,8 @@ def _projected_gradient(objective: Callable[[np.ndarray], float],
         lam = 1.0
         w_new = w + direction
         f_new = objective(w_new)
-        while f_new > f + opts.sufficient_decrease * lam * slope + slack:
-            lam *= opts.step_shrink
+        while f_new > f + _SUFFICIENT_DECREASE * lam * slope + slack:
+            lam *= _STEP_SHRINK
             if lam < 1e-16:
                 break
             w_new = w + lam * direction
@@ -357,8 +356,7 @@ def error_metrics(w_hat: QualityVector | np.ndarray, w_star: QualityVector | np.
                   design: ComparisonDesign) -> ErrorMetrics:
     """Squared Euclidean error, and squared Laplacian semi-norm error taken
     edge by edge: sum_e w_e (delta_j - delta_k)^2 over ``design.edge_arrays``."""
-    a = w_hat.values if isinstance(w_hat, QualityVector) else np.asarray(w_hat, dtype=float)
-    b = w_star.values if isinstance(w_star, QualityVector) else np.asarray(w_star, dtype=float)
+    a, b = _values(w_hat), _values(w_star)
     if a.shape != b.shape or a.shape != (design.d,):
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}, d={design.d}")
     delta = a - b

@@ -577,8 +577,6 @@ class OptimalityReport:
     ratio_r: float
     lb_statistic: float
     classification: str
-    c_opt: float
-    c_sub: float
 
 
 def lower_bound_statistic(summary: SpectralSummary) -> float:
@@ -594,22 +592,18 @@ def lower_bound_statistic(summary: SpectralSummary) -> float:
     return float(np.max(prefix[d_prime] - prefix[lo - 1], initial=0.0))
 
 
-def optimality_report(summary: SpectralSummary, d: int,
-                      c_opt: float = 2.0, c_sub: float = 4.0) -> OptimalityReport:
-    """Classify a connected design as optimal / suboptimal / indeterminate."""
+def optimality_report(summary: SpectralSummary) -> OptimalityReport:
+    """Classify a connected design as optimal (ratio_r <= 2), else suboptimal
+    (lb_statistic > 4 d^2), else indeterminate."""
     if summary.lambda2 <= 0:
         raise ValueError("optimality analysis requires a connected design")
-    if d != summary.d:
-        raise ValueError(f"d={d} does not match summary dimension {summary.d}")
+    d = summary.d
     ratio = 1.0 / (summary.lambda2 * d)
     stat = lower_bound_statistic(summary)
-    if ratio <= c_opt:
+    if ratio <= 2.0:
         label = "optimal"
-    elif stat > c_sub * d * d:
+    elif stat > 4.0 * d * d:
         label = "suboptimal"
     else:
         label = "indeterminate"
-    return OptimalityReport(
-        ratio_r=ratio, lb_statistic=stat, classification=label,
-        c_opt=c_opt, c_sub=c_sub,
-    )
+    return OptimalityReport(ratio_r=ratio, lb_statistic=stat, classification=label)

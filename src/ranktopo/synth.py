@@ -48,6 +48,11 @@ class QualityVector:
         return self.values.shape[0]
 
 
+def _values(w: QualityVector | np.ndarray) -> np.ndarray:
+    """The scores of a QualityVector, or an array-like of scores, as floats."""
+    return w.values if isinstance(w, QualityVector) else np.asarray(w, dtype=float)
+
+
 @dataclass(frozen=True)
 class CardinalModel:
     """Gaussian measurement of single items or of score differences."""
@@ -227,7 +232,7 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
     models take the comparison entries as item indices directly and accept
     design=None.
     """
-    values = w.values if isinstance(w, QualityVector) else np.asarray(w, dtype=float)
+    values = _values(w)
     d = values.shape[0]
     comparisons = np.asarray(comparisons, dtype=np.intp)
     n = len(comparisons)

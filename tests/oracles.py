@@ -215,14 +215,16 @@ def spg_two_projections(objective, gradient, d: int, B: float, opts):
 
     Every iteration first computes the unit-step residual |P(w - g) - w|
     and stops once it is at most ``opts.grad_tolerance``, then projects
-    again for the direction P(w - alpha g) - w.  The package's solver
-    projects for the unit-step residual only near the tolerance and must
-    return the same (w, converged, iterations, objective, residual).
+    again for the direction P(w - alpha g) - w.  Its first step is 1, and
+    its Armijo search halves the step until the decrease reaches 1e-4 of
+    the slope, as in the package's solver.  The package's solver projects
+    for the unit-step residual only near the tolerance and must return the
+    same (w, converged, iterations, objective, residual).
     """
     w = np.zeros(d)
     f = objective(w)
     g = gradient(w)
-    alpha = opts.initial_step
+    alpha = 1.0
     converged = False
     pg_norm = float("inf")
     iters = 0
@@ -238,8 +240,8 @@ def spg_two_projections(objective, gradient, d: int, B: float, opts):
         lam = 1.0
         w_new = w + direction
         f_new = objective(w_new)
-        while f_new > f + opts.sufficient_decrease * lam * slope + slack:
-            lam *= opts.step_shrink
+        while f_new > f + 1e-4 * lam * slope + slack:
+            lam *= 0.5
             if lam < 1e-16:
                 break
             w_new = w + lam * direction

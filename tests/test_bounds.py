@@ -351,10 +351,7 @@ class TestMinimaxBounds:
         design = build_topology("complete", 8)
         params = model_params(make_link("thurstone", 1.0), 1.0)
         base = minimax_bounds("T1_lap", design, params, 500)
-        display = minimax_bounds("T1_lap", design, params, 500,
-                                 t1_display_reading=True)
         assert abs(base.lower - 1.0 / (params.zeta * 500)) < 1e-12
-        assert abs(display.lower - 8 * base.lower) < 1e-12
         assert abs(base.upper - (params.zeta / params.gamma) * 8 / 500) < 1e-12
 
     def test_applicability_threshold(self):

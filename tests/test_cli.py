@@ -50,7 +50,7 @@ class TestSpectrumCommand:
     def test_path_d10_not_optimal(self, capsys):
         assert main(["spectrum", "--kind", "path", "--d", "10"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["classification"] != "optimal"
+        assert payload["classification"] == "indeterminate"
         assert payload["ratio_r"] == pytest.approx(9.1943, abs=1e-3)
 
     def test_invalid_dimension_fails(self, capsys):
@@ -127,6 +127,27 @@ class TestSimulateCommand:
         with pytest.raises(ValueError):
             ExperimentConfig(kinds=["star"], d_list=[5], n_list=[100],
                              family="plackett_luce", m=3).validate()
+
+    @pytest.mark.parametrize("flags", [
+        ["--family", "plackett_luce", "--m", "5", "--d", "4"],
+        ["--sigma", "-1"],
+        ["--B", "0"],
+        ["--n", "0"],
+    ], ids=["m_above_d", "negative_sigma", "zero_B", "zero_n"])
+    def test_configs_that_fail_every_trial_are_rejected(self, flags, capsys):
+        code = main(["simulate", "--trials", "2", "--out", "-", *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_unknown_packing_variant_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kinds": ["path"], "d": [6], "n": [100],
+                                      "w_gen": "packing", "w_variant": "bogus",
+                                      "trials": 2, "out": "-"}))
+        assert main(["simulate", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bogus" in captured.err
 
     def test_failed_trials_do_not_abort(self, monkeypatch, capsys):
         import ranktopo.cli as cli_mod
@@ -307,6 +328,15 @@ class TestBoundsCommand:
         code = main(["bounds", "--theorem", "T4_mwise_lap", "--kind", "star",
                      "--d", "6", "--m", "3", "--n", "1000"])
         assert code == 1
+
+    def test_gv_target_overflow_is_an_error(self, capsys):
+        """exp overflows in the GV target from d of about 2,386 at alpha=0.01;
+        the command reports it as an error, not a traceback."""
+        code = main(["bounds", "--theorem", "T1_lap", "--constructive", "--kind", "path",
+                     "--d", "2400", "--n", "1e6"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "d=2400" in err and "alpha=0.01" in err
 
 
 class TestDesignCommand:

@@ -557,8 +557,13 @@ class TestSolverOptions:
             SolverOptions(max_iters=0)
         with pytest.raises(ValueError):
             SolverOptions(grad_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(step_shrink=-1.0)
+
+    @pytest.mark.parametrize("name", ["initial_step", "step_shrink", "sufficient_decrease"])
+    def test_line_search_constants_not_settable(self, name):
+        """A backtracking factor of 1 never shrinks the step, so the line
+        search cannot end; the line-search constants are not options."""
+        with pytest.raises(TypeError):
+            SolverOptions(**{name: 1.0})
 
     def test_iteration_cap_reported(self):
         batch = ordinal_batch([0] * 40, [1] * 30 + [-1] * 10, 2)

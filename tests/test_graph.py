@@ -579,21 +579,21 @@ class TestSharedBuilders:
 
 class TestOptimality:
     def test_complete_d10(self):
-        report = optimality_report(spectrum(build_topology("complete", 10)), 10)
+        report = optimality_report(spectrum(build_topology("complete", 10)))
         assert abs(report.ratio_r - 0.45) < 1e-10
         assert report.classification == "optimal"
 
     def test_star_d10(self):
-        report = optimality_report(spectrum(build_topology("star", 10)), 10)
+        report = optimality_report(spectrum(build_topology("star", 10)))
         assert report.classification == "optimal"
 
     def test_path_d10_not_optimal(self):
-        report = optimality_report(spectrum(build_topology("path", 10)), 10)
+        report = optimality_report(spectrum(build_topology("path", 10)))
         assert abs(report.ratio_r - 9.194278) < 1e-5
-        assert report.classification != "optimal"
+        assert report.classification == "indeterminate"
 
     def test_path_d40_suboptimal(self):
-        report = optimality_report(spectrum(build_topology("path", 40)), 40)
+        report = optimality_report(spectrum(build_topology("path", 40)))
         assert report.classification == "suboptimal"
 
     def test_lb_statistic_complete_d10(self):
@@ -614,17 +614,10 @@ class TestOptimality:
             want = lower_bound_statistic_loop(summary.pinv_diag)
             assert lower_bound_statistic(summary) == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_thresholds_overridable(self):
-        summary = spectrum(build_topology("path", 10))
-        loose = optimality_report(summary, 10, c_opt=10.0)
-        assert loose.classification == "optimal"
-        tight = optimality_report(summary, 10, c_sub=0.5)
-        assert tight.classification == "suboptimal"
-
     def test_disconnected_rejected(self):
         design = ComparisonDesign(4, ((0, 1, 0.5), (2, 3, 0.5)))
         with pytest.raises(ValueError):
-            optimality_report(spectrum(design), 4)
+            optimality_report(spectrum(design))
 
 
 class TestProjectionIdentity:
