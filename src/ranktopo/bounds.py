@@ -157,51 +157,86 @@ def gv_target(d: int, alpha: float) -> int:
                          f"alpha={alpha}") from None
 
 
-# The distance branch of gv_packing draws candidates _GV_BATCH at a time and
-# compares _GV_BLOCK kept vectors with a batch per step, so its temporaries
-# stay near _GV_BLOCK * _GV_BATCH * 8 bytes (2 MB) per 64-bit word.
-_GV_BATCH = 1024
-_GV_BLOCK = 256
+# Packed words of candidate pairs the GV screen compares at a time (8 MB).
+_PAIR_WORDS = 1 << 20
 
 
-def _near(rows: np.ndarray, cols: np.ndarray, need: int) -> np.ndarray:
-    """Whether each packed row lies at Hamming distance below need from each column."""
-    counts = np.bitwise_count(rows[:, None, :] ^ cols[None, :, :])
-    return counts.sum(axis=2, dtype=np.uint16) < need
+def _range_keys(rows: np.ndarray, edges: list[int]) -> np.ndarray:
+    """The first (at most 64) bits of each bit range [edges[r], edges[r+1])
+    of every packed row, one uint64 key row per range."""
+    keys = np.empty((len(edges) - 1, rows.shape[0]), dtype=np.uint64)
+    for key, lo, hi in zip(keys, edges[:-1], edges[1:]):
+        (word, shift), width = divmod(lo, 64), min(hi - lo, 64)
+        key[:] = rows[:, word] >> np.uint64(shift)
+        if shift + width > 64:
+            key |= rows[:, word + 1] << np.uint64(64 - shift)
+        key &= np.uint64(2**width - 1)
+    return keys
 
 
-def _first_seen(kept: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Whether each row of words differs from every kept row and every earlier row.
+def _key_groups(key: np.ndarray) -> np.ndarray:
+    """The rows whose key repeats, grouped by key and in scan order within a
+    group.  A sort tells whether any key repeats; only then are rows argsorted."""
+    ordered = np.sort(key)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return np.zeros(0, dtype=np.intp)
+    order = np.argsort(key)
+    same = key[order[1:]] == key[order[:-1]]
+    tied = order[np.r_[same, False] | np.r_[False, same]]
+    return tied[np.lexsort((tied, key[tied]))]
 
-    Only rows whose leading word occurs more than once go to the exact
-    np.unique, whose return_index marks first occurrences.
+
+def _close_pairs(rows, keys, groups, need: int, split: int, bound: int):
+    """Pairs (i, j), i < j, of rows in one key group, with i < bound and
+    j >= split, at Hamming distance below need.  Each pair comes once, from
+    the first range whose keys tie, in arrays of about _PAIR_WORDS words."""
+    for r, (key, tied) in enumerate(zip(keys, groups)):
+        new = np.r_[True, key[tied[1:]] != key[tied[:-1]]][:tied.size]
+        starts = np.flatnonzero(new)
+        sizes = np.diff(starts, append=tied.size)
+        group_start = np.repeat(starts, sizes)
+        partners = np.repeat(np.add.reduceat(tied < bound, starts, dtype=np.intp), sizes)
+        earlier = np.minimum(np.arange(tied.size) - group_start, partners) * (tied >= split)
+        total = np.cumsum(earlier)
+        lo = 0
+        while lo < tied.size:
+            cap = total[lo] - earlier[lo] + _PAIR_WORDS // rows.shape[1]
+            hi = max(lo + 1, int(np.searchsorted(total, cap, "right")))
+            e = earlier[lo:hi]
+            offsets = np.arange(e.sum()) - np.repeat(np.cumsum(e) - e, e)
+            i, j = tied[np.repeat(group_start[lo:hi], e) + offsets], np.repeat(tied[lo:hi], e)
+            close = np.bitwise_count(rows[i] ^ rows[j]).sum(axis=1, dtype=np.uint16) < need
+            i, j = i[close], j[close]
+            once = ~(keys[:r, i] == keys[:r, j]).any(axis=0)
+            yield i[once], j[once]
+            lo = hi
+
+
+def _fresh(kept: np.ndarray, words: np.ndarray, edges: list[int], need: int) -> np.ndarray:
+    """Whether each row of words lies at Hamming distance >= need from every
+    kept row and from every earlier row of words that is itself fresh.
+
+    Rows closer than need differ in at most need - 1 bits, so they agree on
+    one of the need ranges between edges; only rows whose range keys tie
+    are compared, exactly, over all words.  The batch is screened against
+    the kept rows first, then the conflicts among the rows left are settled
+    in scan order.
     """
+    split, n = kept.shape[0], kept.shape[0] + words.shape[0]
     rows = np.concatenate([kept, words])
-    lead = np.sort(rows[:, 0])
-    repeated = lead[1:][lead[1:] == lead[:-1]]
-    fresh = np.ones(rows.shape[0], dtype=bool)
-    if repeated.size:
-        tied = np.flatnonzero(np.isin(rows[:, 0], repeated))
-        _, first = np.unique(rows[tied], axis=0, return_index=True)
-        fresh[tied] = False
-        fresh[tied[first]] = True
-    return fresh[kept.shape[0]:]
-
-
-def _far_from(kept: np.ndarray, words: np.ndarray, need: int) -> np.ndarray:
-    """Whether each row of words lies at distance >= need from every kept row
-    and from every earlier row of words that is itself far."""
-    free = np.ones(words.shape[0], dtype=bool)
-    for s in range(0, kept.shape[0], _GV_BLOCK):
-        free &= ~_near(kept[s:s + _GV_BLOCK], words, need).any(axis=0)
-    fresh = np.zeros(words.shape[0], dtype=bool)
-    for s in range(0, words.shape[0], _GV_BLOCK):
-        block = np.flatnonzero(free[s:s + _GV_BLOCK]) + s
-        for i, row in zip(block, _near(words[block], words, need)):
-            if free[i]:
-                fresh[i] = True
-                free &= ~row
-    return fresh
+    keys = _range_keys(rows, edges)
+    groups = [_key_groups(key) for key in keys]
+    fresh = np.ones(n, dtype=bool)
+    for _, j in _close_pairs(rows, keys, groups, need, split, split):
+        fresh[j] = False
+    groups = [tied[fresh[tied] & (tied >= split)] for tied in groups]
+    pairs = [np.zeros((2, 0), dtype=np.intp)]
+    pairs += [np.stack(pair) for pair in _close_pairs(rows, keys, groups, need, split, n)]
+    pairs = np.concatenate(pairs, axis=1)
+    for i, j in pairs[:, np.argsort(pairs[0], kind="stable")].T.tolist():
+        if fresh[i]:
+            fresh[j] = False
+    return fresh[split:]
 
 
 def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> PackingSet:
@@ -215,21 +250,23 @@ def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> Pa
 
     Candidates are drawn directly as packed words, ceil(d/64) uint64 per
     vector: coordinate i is bit i % 64 of word i // 64, with bit 0 and the
-    padding bits of the last word cleared.  One loop serves both branches
-    and returns the vectors of a one-candidate-at-a-time scan over those
-    draws.  When alpha*d <= 1 the distance condition is plain
-    distinctness: rows whose leading word repeats go to an exact
-    np.unique.  Otherwise each batch is tested against the kept set a
-    block of kept vectors per step (np.bitwise_count of the XOR), and
-    conflicts inside the batch are settled in scan order.  The kept words
-    are unpacked to an M x d 0/1 matrix once, at the end.
+    padding bits of the last word cleared.  The result is that of a
+    one-candidate-at-a-time scan over those draws; the word stream does
+    not depend on how it is cut into batches, so the first batch is small
+    and later ones are sized by the share of draws kept so far.  One exact
+    screen serves every alpha: bits 1..d-1 are split into ceil(alpha*d)
+    ranges, and two vectors closer than alpha*d agree on a whole range, so
+    only rows whose range keys tie are compared (multi-index hashing,
+    Norouzi, Punjani & Fleet 2012).  With alpha*d <= 1 there is one range
+    and the screen is a distinctness test.  The kept words are unpacked to
+    an M x d 0/1 matrix once, at the end.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     target = gv_target(d, alpha)
     rng = np.random.default_rng(seed)
-    distinct = alpha * d <= 1.0
     need = math.ceil(alpha * d)  # integer distances: dist < alpha*d iff dist < need
+    edges = [1 + r * (d - 1) // need for r in range(need + 1)]
     n_words = (d + 63) // 64
     mask = np.full(n_words, np.iinfo(np.uint64).max, dtype=np.uint64)
     mask[-1] >>= np.uint64(64 * n_words - d)
@@ -239,16 +276,21 @@ def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> Pa
     while kept < target and rejects <= max_rejects:
         # The scan ends at the candidate that reaches the target or takes
         # the rejects past max_rejects.
-        batch = max(target - kept + 1024, 4096) if distinct else _GV_BATCH
+        wanted, spare = target - kept, max_rejects - rejects
+        # A small first batch keeps a stream of close draws cheap; later
+        # batches are sized by the share of draws kept so far.
+        guess = wanted * (kept + rejects) // kept if kept else min(wanted, 128)
+        batch = min(guess + wanted // 256 + 16, wanted + spare + 1)
         words = rng.integers(0, 2**64, size=(batch, n_words), dtype=np.uint64) & mask
-        fresh = _first_seen(kept_words, words) if distinct else _far_from(kept_words, words, need)
-        kept_so_far = kept + np.cumsum(fresh)
-        rejects_so_far = rejects + np.cumsum(~fresh)
-        stops = np.flatnonzero((kept_so_far == target) | (rejects_so_far > max_rejects))
-        end = stops[0] + 1 if stops.size else batch
-        fresh[end:] = False
-        kept_words = np.concatenate([kept_words, words[fresh]])
-        kept, rejects = int(kept_so_far[end - 1]), int(rejects_so_far[end - 1])
+        fresh = _fresh(kept_words, words, edges, need)
+        kept_at = np.flatnonzero(fresh)
+        take = min(kept_at.size, wanted)
+        end = int(kept_at[take - 1]) + 1 if take == wanted else batch
+        if end - take > spare:
+            end = int(np.flatnonzero(~fresh)[spare]) + 1
+            take = end - spare - 1
+        kept_words = np.concatenate([kept_words, words[kept_at[:take]]])
+        kept, rejects = kept + take, rejects + end - take
     little = kept_words.astype("<u8", copy=False).view(np.uint8)
     vectors = np.unpackbits(little, axis=1, count=d, bitorder="little")
     return PackingSet(vectors=vectors, alpha=alpha, M=kept, target=target,

@@ -245,6 +245,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_design(args) -> int:
+    if not args.n > 0:
+        raise ValueError(f"n must be positive, got {args.n}")
     kinds = args.kind or list(PAIRWISE_KINDS)
     rows = []
     for kind in kinds:
@@ -284,6 +286,8 @@ def _empirical_cvo(sigma_ord: float, sigma_card: float, B: float, d: int,
                    n: int, trials: int, seed: int) -> dict:
     """Matched Monte-Carlo risks under even allocation; every trial enters the
     means, and ``ordinal_not_converged`` counts the unconverged ordinal MLEs."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     design = build_topology("complete", d)
     link = make_link("thurstone", sigma_ord)
     num_pairs = design.edge_arrays[0].size

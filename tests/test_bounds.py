@@ -1,8 +1,10 @@
 """Tests for KL divergences, packings, the Fano machinery and bound reports."""
 
+import hashlib
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -222,9 +224,12 @@ class TestGVPacking:
         np.testing.assert_array_equal(packing.vectors, expected)
 
     def test_distinctness_branch_with_several_words(self, monkeypatch):
-        """Leading words take only four values, so the exact fallback decides
+        """Leading words take only four values, so the exact comparison decides
         every row, and rows that tie on their leading word can still differ
-        in later words.  A small target lets alpha*d <= 1 run at d >= 64."""
+        in later words.  A small target lets alpha*d <= 1 run at d >= 64, and
+        alpha*d reach 2 and 3 at d = 140 and 200, where every key range is
+        wider than 64 bits: rows whose 64-bit key prefix ties can still
+        differ further on in the range."""
         real_rng = np.random.default_rng
 
         class FewLeadingWords:
@@ -238,14 +243,17 @@ class TestGVPacking:
         monkeypatch.setattr("ranktopo.bounds.np.random.default_rng", FewLeadingWords)
         monkeypatch.setattr("ranktopo.bounds.gv_target", lambda d, alpha: 20)
         shortfalls = []
-        for d in (64, 65, 100, 128):
+        for d in (64, 65, 100, 128, 140, 200):
             for seed in range(2):
                 for max_rejects in (0, 7, 5000):
-                    packing = gv_packing(d, 1.0 / d, seed=seed, max_rejects=max_rejects)
-                    expected = gv_distinct_packing(d, 20, seed, max_rejects)
-                    np.testing.assert_array_equal(packing.vectors, expected)
-                    assert packing.shortfall == (len(expected) < 20)
-                    shortfalls.append(packing.shortfall)
+                    for need in (1, 2, 3):
+                        alpha = 1.0 / d if need == 1 else (need - 0.5) / d
+                        packing = gv_packing(d, alpha, seed=seed, max_rejects=max_rejects)
+                        expected = gv_distinct_packing(d, 20, seed, max_rejects) if need == 1 \
+                            else gv_distance_packing(d, alpha, 20, seed, max_rejects)
+                        np.testing.assert_array_equal(packing.vectors, expected)
+                        assert packing.shortfall == (len(expected) < 20)
+                        shortfalls.append(packing.shortfall)
         assert any(shortfalls) and not all(shortfalls)
 
     @pytest.mark.parametrize("free_bits", [None, slice(1, 11), slice(1, 13)])
@@ -286,6 +294,52 @@ class TestGVPacking:
             assert not any(shortfalls)
         else:
             assert any(shortfalls) and not all(shortfalls)
+
+    @pytest.mark.parametrize("d, need", [(70, 2), (100, 2), (100, 3), (128, 3)])
+    def test_key_ranges_across_the_word_boundary(self, monkeypatch, d, need):
+        """A key range that crosses bit 64 is read from both words, and from
+        its own bits only.  Ten bits vary: in every range, on both sides of
+        bit 64, and at the first bit after the straddling range (bit 67 at
+        d=100 and bit 85 at d=128 when need=3).  So pairs that agree on
+        nothing but the straddling range turn up, and a key that took in
+        the next range's first bit would miss them.  A small target lets
+        alpha*d stay at 1.5 and 2.5."""
+        real_rng = np.random.default_rng
+        free = np.zeros((d + 63) // 64, dtype=np.uint64)
+        for i in (1, 2, *range(62, 68), 84, 85):
+            if i < d:
+                free[i // 64] |= np.uint64(1 << (i % 64))
+
+        class FewBits:
+            def __init__(self, seed=None):
+                self.rng = real_rng(seed)
+
+            def integers(self, low, high, size=None, dtype=None):
+                return self.rng.integers(low, high, size=size, dtype=dtype) & free
+
+        monkeypatch.setattr("ranktopo.bounds.np.random.default_rng", FewBits)
+        monkeypatch.setattr("ranktopo.bounds.gv_target", lambda d, alpha: 20)
+        alpha = (need - 0.5) / d
+        shortfalls = []
+        for seed in range(3):
+            for max_rejects in (0, 7, 5000):
+                packing = gv_packing(d, alpha, seed=seed, max_rejects=max_rejects)
+                expected = gv_distance_packing(d, alpha, 20, seed, max_rejects)
+                np.testing.assert_array_equal(packing.vectors, expected)
+                assert packing.shortfall == (len(expected) < 20)
+                shortfalls.append(packing.shortfall)
+        assert any(shortfalls) and not all(shortfalls)
+
+    def test_distance_branch_is_near_linear(self):
+        """62,437 vectors at d=60 took 5.4 s when every candidate was compared
+        with every kept vector; the vectors are pinned by their SHA-256."""
+        start = time.perf_counter()
+        packing = gv_packing(60, 0.05, seed=3)
+        elapsed = time.perf_counter() - start
+        assert packing.M == 62437 and not packing.shortfall
+        assert hashlib.sha256(packing.vectors.tobytes()).hexdigest() == (
+            "e66638817e5bdacdb28b2a257c07d6bec5343a4d159ddfa7d3e6341b1e5b4dff")
+        assert elapsed < 2.0
 
 
 class TestFanoBound:

@@ -376,6 +376,12 @@ class TestDesignCommand:
         code = main(["design", "--d", "10", "--n", "100", "--kind", "hypercube"])
         assert code == 1
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_budget_is_an_error(self, n, capsys):
+        assert main(["design", "--d", "8", "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: n must be positive")
+
 
 class TestCvoCommand:
     def test_limit_decisions(self, capsys):
@@ -394,6 +400,13 @@ class TestCvoCommand:
         emp = payload["empirical"]
         assert emp["ordinal_risk"] > 0 and emp["cardinal_risk"] > 0
         assert emp["trials"] == 5
+
+    def test_empirical_needs_a_trial(self, capsys):
+        code = main(["cvo", "--sigma-ord", "1", "--sigma-card", "1",
+                     "--empirical", "--trials", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: trials must be >= 1")
 
     def test_empirical_counts_unconverged_trials(self, capsys, monkeypatch):
         """An unconverged MLE is counted, and its risk still enters the mean."""
