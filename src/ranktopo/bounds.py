@@ -18,7 +18,8 @@ import numpy as np
 
 from .estimate import error_metrics
 from .graph import ComparisonDesign, HyperDesign, lower_bound_statistic, spectrum
-from .models import LinkFunction, ModelParams, MWiseLink, box_points, softmax
+from .models import (LinkFunction, ModelParams, MWiseLink, box_points, make_link,
+                     model_params, softmax)
 from .synth import _values
 
 THEOREMS = ("T1_lap", "T2_l2", "T3_paired", "T4_mwise_lap", "T4_mwise_l2")
@@ -451,13 +452,10 @@ def cvo_decision(sigma_ord: float, sigma_card: float, B: float,
     b_l sigma^2 > sigma_c^2, and with loose default constants a genuine
     indeterminate band remains in between.
     """
-    from .models import compute_gamma, compute_zeta, make_link
-
     if sigma_ord <= 0 or sigma_card <= 0 or B <= 0:
         raise ValueError("all scales must be positive")
-    link = make_link("thurstone", sigma_ord)
-    zeta_g = compute_zeta(link, B)
-    gamma_g = compute_gamma(link, B)
+    params = model_params(make_link("thurstone", sigma_ord), B)
+    zeta_g, gamma_g = params.zeta, params.gamma
     b_l = constants.c2l / zeta_g
     b_u = constants.c2u * zeta_g / gamma_g
     b = int(math.ceil(constants.c_sample * sigma_ord**2 / (zeta_g * B**2)))
@@ -475,17 +473,28 @@ def cvo_decision(sigma_ord: float, sigma_card: float, B: float,
 # ---------------------------------------------------------------------------
 
 
+def _sq_dists(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of x, with an exactly
+    zero diagonal: s_i + s_i - 2 g_ii is 2 s_i - 2 s_i."""
+    gram = x @ x.T
+    sq = np.diag(gram)
+    return sq[:, None] + sq[None, :] - 2.0 * gram
+
+
 def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
                   alpha: float = 0.01, variant: str = "lap", seed: int = 0,
                   packing_cap: int = 512) -> float:
     """Execute the lower-bound proof recipe and return the numeric bound.
 
     Builds a packing (the three-vector proof set for d <= 9, else a GV
-    packing), maps it through the design's eigensystem into the bound set,
-    verifies membership, computes the mean KL through the seminorm bound,
-    and applies the Fano inequality with the realised minimum separation.
-    variant 'lap' lower-bounds the squared Laplacian seminorm risk,
-    variant 'l2' the squared Euclidean risk.
+    packing) as eigen-coordinates x, one row per vector, maps it through
+    the design's eigensystem L = U^T Lambda U into w = x U, verifies that
+    w lies in the bound set, computes the mean KL through the seminorm
+    bound, and applies the Fano inequality with the realised minimum
+    separation.  U is orthogonal, so every distance is one of the
+    eigen-coordinates: |w - w'|_L^2 = |(x - x') Lambda^{1/2}|^2 and
+    |w - w'|^2 = |x - x'|^2.  variant 'lap' lower-bounds the squared
+    Laplacian seminorm risk, variant 'l2' the squared Euclidean risk.
 
     Packings larger than packing_cap are truncated: any subset of a
     packing is still a packing, trading bound strength for tractable
@@ -501,17 +510,13 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
     sqrt_pinv = np.sqrt(summary.pinv_diag)
 
     if d <= 9:
+        # The origin and +-v along one eigenvector, |v|_L^2 = delta^2/d along
+        # the largest eigenvalue's for 'lap', delta^2 along lambda_2's for 'l2'.
         delta_sq = sigma**2 * math.log(2.0) / (8.0 * n * zeta)
-        if variant == "lap":
-            z = np.zeros((3, d))
-            z[0, -1] = -1.0
-            z[1, -1] = 1.0
-            w_set = math.sqrt(delta_sq / d) * (z * sqrt_pinv) @ summary.eigenvectors
-        else:
-            z = np.zeros((3, d))
-            z[0, 1] = 1.0
-            z[1, 1] = -1.0
-            w_set = math.sqrt(delta_sq) * (z * sqrt_pinv) @ summary.eigenvectors
+        col, radius_sq = (d - 1, delta_sq / d) if variant == "lap" else (1, delta_sq)
+        coords = np.zeros((3, d))
+        coords[:2, col] = [1.0, -1.0]
+        coords *= math.sqrt(radius_sq) * sqrt_pinv
     else:
         packing = gv_packing(d, alpha, seed)
         if packing.shortfall:
@@ -521,7 +526,7 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
         z = packing.vectors[:packing_cap].astype(float)
         if variant == "lap":
             delta_sq = 0.01 * sigma**2 * d / (n * zeta)
-            w_set = math.sqrt(delta_sq / d) * (z * sqrt_pinv) @ summary.eigenvectors
+            coords = math.sqrt(delta_sq / d) * z * sqrt_pinv
         else:
             delta_sq = 0.01 * sigma**2 * d * d / (4.0 * n * zeta)
             # Pair heavily-used packing coordinates with small eigenvalues:
@@ -529,28 +534,22 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
             # the eigenvalues ascend, keeping the mean KL small.
             counts = z.sum(axis=0)
             activity = counts * (z.shape[0] - counts)
-            order = np.argsort(-activity[1:], kind="stable") + 1
-            z_perm = np.zeros_like(z)
-            z_perm[:, 0] = z[:, 0]
-            z_perm[:, 1:] = z[:, order]
-            w_set = math.sqrt(delta_sq / d) * z_perm @ summary.eigenvectors
+            order = np.r_[0, np.argsort(-activity[1:], kind="stable") + 1]
+            coords = math.sqrt(delta_sq / d) * z[:, order]
 
+    m_count = coords.shape[0]
+    if m_count < 2:
+        raise ValueError(f"Fano needs a packing of size >= 2, got M={m_count}")
+    w_set = coords @ summary.eigenvectors
     peak = float(np.max(np.abs(w_set)))
     if peak > B + 1e-12:
         raise ValueError(
             f"packing leaves the bound set (|w|_inf = {peak:.3g} > B = {B}); "
             "the sample-size condition is too tight for these constants"
         )
-    m_count = w_set.shape[0]
-    gram = w_set @ design.laplacian @ w_set.T
-    diag = np.diag(gram)
-    lap_dists = diag[:, None] + diag[None, :] - 2.0 * gram
-    off = ~np.eye(m_count, dtype=bool)
-    beta = float(n * zeta / sigma**2 * np.mean(np.maximum(lap_dists[off], 0.0)))
-    if variant == "lap":
-        separation = float(np.min(lap_dists[off]))
-    else:
-        sq = np.sum(w_set**2, axis=1)
-        l2_dists = sq[:, None] + sq[None, :] - 2.0 * w_set @ w_set.T
-        separation = float(np.min(l2_dists[off]))
-    return fano_bound(max(separation, 0.0), beta, m_count)
+    lap_dists = _sq_dists(coords * np.sqrt(summary.eigenvalues))
+    beta = float(n * zeta / sigma**2 * np.maximum(lap_dists, 0.0).sum()
+                 / (m_count * (m_count - 1)))
+    dists = lap_dists if variant == "lap" else _sq_dists(coords)
+    np.fill_diagonal(dists, np.inf)
+    return fano_bound(max(float(dists.min()), 0.0), beta, m_count)

@@ -19,7 +19,6 @@ from functools import cached_property, partial
 import numpy as np
 
 WEIGHT_SUM_TOL = 1e-12
-TRACE_TOL = 1e-9
 # On the eigvalsh route, eigenvalues below DEFAULT_ZERO_TOL * lambda_max are
 # treated as exact zeros when forming pseudo-inverses and counting connected
 # components spectrally.  A closed-form spectrum knows its exact zero and is
@@ -273,31 +272,25 @@ def hypergraph_laplacian(design: HyperDesign) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Spectrum of a Laplacian, with derived quantities.
+    """Spectrum of a design's Laplacian, with derived quantities.
 
     ``eigenvalues`` ascend.  On the eigvalsh route, those within
     DEFAULT_ZERO_TOL * lambda_max of zero are reported as exact zeros; a
     closed-form spectrum has its exact zeros already.  Zeros are excluded
-    from the pseudo-inverse trace.  ``source`` is the design or the bare
-    Laplacian array summarised; the Laplacian and the eigenvectors are
-    computed from it on first use only, so a summary read for its
-    eigenvalues never pays for them.  A design's summary is shared by every
-    caller, so its arrays are read-only.
+    from the pseudo-inverse trace.  ``design`` is the design summarised;
+    its Laplacian and the eigenvectors are computed on first use only, so a
+    summary read for its eigenvalues never pays for them.  A design's
+    summary is shared by every caller, so its arrays are read-only.
     """
 
     eigenvalues: np.ndarray
-    source: ComparisonDesign | HyperDesign | np.ndarray
+    design: ComparisonDesign | HyperDesign
     trace_pinv: float
     lambda2: float
 
     @property
     def d(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @property
-    def laplacian(self) -> np.ndarray:
-        source = self.source
-        return source if isinstance(source, np.ndarray) else source.laplacian
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -306,7 +299,7 @@ class SpectralSummary:
         Both ascend, so row i belongs to eigenvalue i whichever route gave
         the eigenvalues.
         """
-        return _read_only(_eigensolve(np.linalg.eigh, self.laplacian)[1].T)
+        return _read_only(_eigensolve(np.linalg.eigh, self.design.laplacian)[1].T)
 
     @cached_property
     def pinv_diag(self) -> np.ndarray:
@@ -343,33 +336,18 @@ def _dense_eigenvalues(lap: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _summarise(vals: np.ndarray, source) -> SpectralSummary:
-    nonzero = vals[vals > 0]
-    trace_pinv = float(np.sum(1.0 / nonzero)) if nonzero.size else 0.0
-    lambda2 = float(vals[1]) if len(vals) > 1 else 0.0
-    return SpectralSummary(
-        eigenvalues=_read_only(vals),
-        source=source,
-        trace_pinv=trace_pinv,
-        lambda2=lambda2,
-    )
-
-
-def spectrum(design: ComparisonDesign | HyperDesign | np.ndarray) -> SpectralSummary:
+def spectrum(design: ComparisonDesign | HyperDesign) -> SpectralSummary:
     """Eigenvalues of a design's (hyper)graph Laplacian.
 
     A design made by ``build_topology`` carries the closed-form spectrum of
     its kind, except the expander: it is evaluated here, with no Laplacian
-    and no eigensolve.  Every other design, and a bare Laplacian array, goes
-    through ``eigvalsh``, with eigenvalues clamped to exact zero below
-    DEFAULT_ZERO_TOL * lambda_max; eigensolver non-convergence surfaces as
-    EigensolverError.  The summary computes the Laplacian and the
-    eigenvectors only when they are read.  A design is immutable, so its
-    summary is computed once and kept on it, like its Laplacian; a bare
-    Laplacian array is solved afresh on every call.
+    and no eigensolve.  Every other design goes through ``eigvalsh``, with
+    eigenvalues clamped to exact zero below DEFAULT_ZERO_TOL * lambda_max;
+    eigensolver non-convergence surfaces as EigensolverError.  The summary
+    computes the Laplacian and the eigenvectors only when they are read.
+    A design is immutable, so its summary is computed once and kept on it,
+    like its Laplacian.
     """
-    if isinstance(design, np.ndarray):
-        return _summarise(_dense_eigenvalues(design), design)
     cache = vars(design)
     if "_spectrum" not in cache:
         unscaled = cache.get("_unscaled_spectrum")
@@ -377,7 +355,13 @@ def spectrum(design: ComparisonDesign | HyperDesign | np.ndarray) -> SpectralSum
             vals = _dense_eigenvalues(design.laplacian)
         else:  # a canonical kind has no repeated pair, so L = L' / |E|
             vals = np.sort(unscaled()) / design.edge_arrays[0].size
-        cache["_spectrum"] = _summarise(vals, design)
+        nonzero = vals[vals > 0]
+        cache["_spectrum"] = SpectralSummary(
+            eigenvalues=_read_only(vals),
+            design=design,
+            trace_pinv=float(np.sum(1.0 / nonzero)) if nonzero.size else 0.0,
+            lambda2=float(vals[1]) if len(vals) > 1 else 0.0,
+        )
     return cache["_spectrum"]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ComparisonDesign, HyperDesign
+from .graph import ComparisonDesign, HyperDesign, spectrum
 from .models import LinkFunction, MWiseLink
 
 SUM_TOL = 1e-9
@@ -179,8 +179,6 @@ def gen_quality(kind: str, d: int, B: float, seed,
             raise ValueError("packing generation requires a design")
         if not design.connected:
             raise ValueError("packing generation requires a connected design")
-        from .graph import spectrum  # local import to avoid cycle at module load
-
         summary = spectrum(design)
         z = packing_sign_vector(d, rng)
         if variant == "pinv":

@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 
+from ranktopo.bounds import fano_bound, gv_packing
+from ranktopo.graph import spectrum
+
 
 def closed_form_spectrum(kind: str, d: int, m1: int | None = None,
                          m2: int | None = None) -> np.ndarray | None:
@@ -284,3 +287,77 @@ def laplacian_four_entry(d: int, j: np.ndarray, k: np.ndarray, w: np.ndarray) ->
     flat = np.stack([j * d + j, k * d + k, j * d + k, k * d + j], axis=1).ravel()
     vals = np.stack([w, w, -w, -w], axis=1).ravel()
     return np.bincount(flat, weights=vals, minlength=d * d).reshape(d, d)
+
+
+def fano_dense_laplacian(design, params, n: float, alpha: float = 0.01,
+                         variant: str = "lap", seed: int = 0,
+                         packing_cap: int = 512) -> float:
+    """The constructive Fano bound by the dense-Laplacian route.
+
+    The proof recipe of ``bounds.fano_pipeline``, taken as a whole: the
+    packing is mapped into item space, w = x U, and its Laplacian distances
+    are read back through the d x d matrix, w L w^T.
+    """
+    if variant not in ("lap", "l2"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if not design.connected:
+        raise ValueError("the pipeline requires a connected design")
+    summary = spectrum(design)
+    d = design.d
+    sigma, zeta, B = params.sigma, params.zeta, params.B
+    sqrt_pinv = np.sqrt(summary.pinv_diag)
+
+    if d <= 9:
+        delta_sq = sigma**2 * math.log(2.0) / (8.0 * n * zeta)
+        if variant == "lap":
+            z = np.zeros((3, d))
+            z[0, -1] = -1.0
+            z[1, -1] = 1.0
+            w_set = math.sqrt(delta_sq / d) * (z * sqrt_pinv) @ summary.eigenvectors
+        else:
+            z = np.zeros((3, d))
+            z[0, 1] = 1.0
+            z[1, 1] = -1.0
+            w_set = math.sqrt(delta_sq) * (z * sqrt_pinv) @ summary.eigenvectors
+    else:
+        packing = gv_packing(d, alpha, seed)
+        if packing.shortfall:
+            raise ValueError(
+                f"greedy packing shortfall: found {packing.M} of {packing.target} vectors"
+            )
+        z = packing.vectors[:packing_cap].astype(float)
+        if variant == "lap":
+            delta_sq = 0.01 * sigma**2 * d / (n * zeta)
+            w_set = math.sqrt(delta_sq / d) * (z * sqrt_pinv) @ summary.eigenvectors
+        else:
+            delta_sq = 0.01 * sigma**2 * d * d / (4.0 * n * zeta)
+            # Pair heavily-used packing coordinates with small eigenvalues:
+            # permute eigencoordinates 2..d so pair activity descends while
+            # the eigenvalues ascend, keeping the mean KL small.
+            counts = z.sum(axis=0)
+            activity = counts * (z.shape[0] - counts)
+            order = np.argsort(-activity[1:], kind="stable") + 1
+            z_perm = np.zeros_like(z)
+            z_perm[:, 0] = z[:, 0]
+            z_perm[:, 1:] = z[:, order]
+            w_set = math.sqrt(delta_sq / d) * z_perm @ summary.eigenvectors
+
+    peak = float(np.max(np.abs(w_set)))
+    if peak > B + 1e-12:
+        raise ValueError(
+            f"packing leaves the bound set (|w|_inf = {peak:.3g} > B = {B}); "
+            "the sample-size condition is too tight for these constants"
+        )
+    m_count = w_set.shape[0]
+    gram = w_set @ design.laplacian @ w_set.T
+    diag = np.diag(gram)
+    lap_dists = diag[:, None] + diag[None, :] - 2.0 * gram
+    off = ~np.eye(m_count, dtype=bool)
+    beta = float(n * zeta / sigma**2 * np.mean(np.maximum(lap_dists[off], 0.0)))
+    if variant == "lap":
+        separation = float(np.min(lap_dists[off]))
+    else:
+        sq = np.sum(w_set**2, axis=1)
+        l2_dists = sq[:, None] + sq[None, :] - 2.0 * w_set @ w_set.T
+        separation = float(np.min(l2_dists[off]))
+    return fano_bound(max(separation, 0.0), beta, m_count)

@@ -36,7 +36,8 @@ from ranktopo.graph import (
 from ranktopo.models import make_link, model_params, plackett_luce
 from ranktopo.synth import CardinalModel, even_allocation, gen_quality, sample_outcomes
 
-from oracles import exact_projection, gv_distance_packing, gv_distinct_packing
+from oracles import (exact_projection, fano_dense_laplacian, gv_distance_packing,
+                     gv_distinct_packing)
 
 SINGLE_EDGE = ComparisonDesign(2, ((0, 1, 1.0),))
 
@@ -465,9 +466,7 @@ class TestMinimaxBounds:
         assert not eigenvalues.flags.writeable
         with pytest.raises(ValueError):
             eigenvalues[0] = 1.0
-        spectrum(design.laplacian)
-        spectrum(design.laplacian)  # a bare Laplacian is solved on every call
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_canonical_kinds_run_no_eigensolve(self, monkeypatch):
         """A built cycle's closed form serves T1-T3: no eigvalsh, no d x d Laplacian."""
@@ -591,7 +590,31 @@ class TestCvoDecision:
                                 "sigma_card", "B"}
 
 
+def weighted_complete(d: int) -> ComparisonDesign:
+    """Every pair, at uneven weights; a custom design runs through eigvalsh."""
+    j, k = np.triu_indices(d, 1)
+    w = np.random.default_rng(d).uniform(0.1, 1.0, j.size)
+    return ComparisonDesign.from_arrays(d, j, k, w / w.sum())
+
+
+FANO_DESIGNS = [build_topology(kind, d) for kind, d in (
+    ("complete", 6), ("star", 9), ("path", 12), ("cycle", 14), ("barbell", 14),
+    ("complete_bipartite", 13), ("lattice2d", 12), ("hypercube", 16), ("expander", 25))]
+FANO_DESIGNS += [weighted_complete(7), weighted_complete(12)]
+
+
 class TestFanoPipeline:
+    @pytest.mark.parametrize("alpha", [0.01, 0.1])
+    @pytest.mark.parametrize("variant", ["lap", "l2"])
+    @pytest.mark.parametrize("design", FANO_DESIGNS, ids=lambda g: f"{g.kind}-{g.d}")
+    def test_matches_dense_laplacian_route(self, design, variant, alpha):
+        """Distances from eigen-coordinates equal those read back through L."""
+        params = model_params(make_link("btl", 1.0), 1.0)
+        want = fano_dense_laplacian(design, params, 1e6, alpha, variant, seed=1)
+        assert want > 0
+        assert fano_pipeline(design, params, 1e6, alpha, variant, seed=1) == pytest.approx(
+            want, rel=1e-12, abs=0)
+
     def test_positive_on_reference_instance(self):
         design = build_topology("complete", 10)
         params = model_params(make_link("btl", 1.0), 1.0)

@@ -338,6 +338,15 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "d=2400" in err and "alpha=0.01" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind, d, alpha", [("cycle", "12", "0.2"), ("star", "24", "0.24")])
+    def test_one_vector_packing_is_an_error(self, kind, d, alpha, capsys):
+        """A GV target of 1 leaves no pair for Fano; the command says so."""
+        code = main(["bounds", "--theorem", "T1_lap", "--kind", kind, "--d", d,
+                     "--n", "1e4", "--alpha", alpha, "--constructive"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: Fano needs a packing of size >= 2, got M=1\n"
+
 
 class TestDesignCommand:
     def test_d16_ranking(self, capsys):
