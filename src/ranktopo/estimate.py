@@ -2,11 +2,14 @@
 
 The ordinal and m-wise maximum-likelihood problems are convex over the
 feasible set {<1, w> = 0, |w|_inf <= B} thanks to strong log-concavity of
-the links, so spectral projected gradient (Barzilai-Borwein steps with a
-monotone Armijo line search) converges to the global constrained optimum.
-The feasible-set projection is exact: a breakpoint search for the shift
-that zeroes the sum of the clipped vector.  Paired cardinal and per-item
-cardinal estimates are closed form.
+the links.  Their Hessians are weighted comparison-graph Laplacians, so
+the solver takes Newton steps on the face of the box that the projected
+gradient picks out, with a monotone Armijo line search, and falls back to
+a spectral projected-gradient step where Newton cannot descend; it
+converges to the global constrained optimum.  The feasible-set projection
+is exact: a breakpoint search for the shift that zeroes the sum of the
+clipped vector.  Paired cardinal and per-item cardinal estimates are
+closed form.
 """
 
 from __future__ import annotations
@@ -107,158 +110,244 @@ def _ordinal_counts(batch: ObservationBatch, num_edges: int) -> tuple[np.ndarray
 
 def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
                       link: LinkFunction):
-    """Objective/gradient closures over per-edge win/loss counts.
+    """Closures over per-edge win/loss counts: point, objective, gradient, Hessian.
 
-    Aggregating once keeps the per-iteration cost at O(edges) regardless
-    of the sample count.
+    ``point(w)`` gathers the scaled edge differences t = (w_j - w_k)/sigma
+    once; the other three take that point, so an iterate shares one gather
+    among its objective, gradient and Hessian.  Aggregating the samples
+    once keeps the per-iteration cost at O(edges) regardless of the sample
+    count.  The Hessian is the comparison-graph Laplacian with edge weights
+    (W_e h(t_e) + L_e h(-t_e)) / (n sigma^2), h the second derivative of
+    -log F and W_e, L_e the wins and losses on edge e.
     """
     j_idx, k_idx, _ = design.edge_arrays
     wins, losses = _ordinal_counts(batch, len(j_idx))
-    sigma, n = link.sigma, batch.n
+    sigma, n, d = link.sigma, batch.n, design.d
 
-    def objective(w: np.ndarray) -> float:
-        t = (w[j_idx] - w[k_idx]) / sigma
+    def point(w: np.ndarray) -> np.ndarray:
+        return (w[j_idx] - w[k_idx]) / sigma
+
+    def objective(t: np.ndarray) -> float:
         # 1 - F(t) = F(-t) by link symmetry; evaluating the reflected CDF
         # keeps the log well away from cancellation.
         return float(-(wins @ link.log_cdf(t) + losses @ link.log_cdf(-t)) / n)
 
-    def gradient(w: np.ndarray) -> np.ndarray:
-        t = (w[j_idx] - w[k_idx]) / sigma
+    def gradient(t: np.ndarray) -> np.ndarray:
         slope = -(wins * link.pdf_over_cdf(t) - losses * link.pdf_over_cdf(-t))
         slope /= n * sigma
-        return (np.bincount(j_idx, weights=slope, minlength=design.d)
-                - np.bincount(k_idx, weights=slope, minlength=design.d))
+        return (np.bincount(j_idx, weights=slope, minlength=d)
+                - np.bincount(k_idx, weights=slope, minlength=d))
 
-    return objective, gradient
+    def hessian(t: np.ndarray) -> np.ndarray:
+        curvature = wins * link.neg_log_second(t) + losses * link.neg_log_second(-t)
+        return _laplacian(d, j_idx, k_idx, curvature / (n * sigma * sigma))
+
+    return point, objective, gradient, hessian
 
 
 def ordinal_nll(w: np.ndarray, batch: ObservationBatch, design: ComparisonDesign,
                 link: LinkFunction) -> float:
     """Negative log-likelihood of the ordinal model, averaged over samples."""
-    objective, _ = _ordinal_closures(batch, design, link)
-    return objective(np.asarray(w, dtype=float))
+    point, objective, _, _ = _ordinal_closures(batch, design, link)
+    return objective(point(np.asarray(w, dtype=float)))
 
 
 def ordinal_nll_gradient(w: np.ndarray, batch: ObservationBatch,
                          design: ComparisonDesign, link: LinkFunction) -> np.ndarray:
-    _, gradient = _ordinal_closures(batch, design, link)
-    return gradient(np.asarray(w, dtype=float))
+    point, _, gradient, _ = _ordinal_closures(batch, design, link)
+    return gradient(point(np.asarray(w, dtype=float)))
 
 
 def _mwise_counts(batch: ObservationBatch, num_subsets: int, m: int) -> np.ndarray:
-    flat = batch.entry_indices * m + np.asarray(batch.outcomes, dtype=np.intp)
-    return np.bincount(flat, minlength=num_subsets * m).astype(float).reshape(
-        num_subsets, m)
+    """Wins per (position, subset), as an (m, S) array."""
+    flat = np.asarray(batch.outcomes, dtype=np.intp) * num_subsets + batch.entry_indices
+    return np.bincount(flat, minlength=m * num_subsets).astype(float).reshape(
+        m, num_subsets)
 
 
 def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLink):
-    subsets = design.subsets
-    counts = _mwise_counts(batch, len(subsets), link.m)
-    flat_subsets = subsets.ravel()
-    totals = counts.sum(axis=1, keepdims=True)
-    n = batch.n
+    """The m-wise counterpart of ``_ordinal_closures``.
 
-    def objective(w: np.ndarray) -> float:
-        logp = link.log_position_probs(w[subsets])
+    Subsets are gathered column-major, as an (m, S) array, so every
+    reduction over a subset's m positions runs down whole columns.  The
+    point is the log choice probabilities.  The Hessian of -log p_k is
+    diag(p) - p p^T whichever position k won, and that is the Laplacian of
+    the subset's clique with weights p_a p_b; summed over subsets with
+    weights n_S / n it is one Laplacian on the pairs a < b of every subset.
+    """
+    columns = np.ascontiguousarray(design.subsets.T)
+    counts = _mwise_counts(batch, columns.shape[1], link.m)
+    totals = counts.sum(axis=0)
+    n, d = batch.n, design.d
+    flat_columns = columns.ravel()
+    a, b = np.triu_indices(link.m, 1)
+    pair_j, pair_k = columns[a].ravel(), columns[b].ravel()
+
+    def point(w: np.ndarray) -> np.ndarray:
+        return link.log_position_probs(w[columns], axis=0)
+
+    def objective(logp: np.ndarray) -> float:
         return float(-np.sum(counts * logp) / n)
 
-    def gradient(w: np.ndarray) -> np.ndarray:
-        probs = link.position_probs(w[subsets])
-        contrib = (totals * probs - counts) / n
-        return np.bincount(flat_subsets, weights=contrib.ravel(),
-                           minlength=design.d)
+    def gradient(logp: np.ndarray) -> np.ndarray:
+        contrib = (totals * np.exp(logp) - counts) / n
+        return np.bincount(flat_columns, weights=contrib.ravel(), minlength=d)
 
-    return objective, gradient
+    def hessian(logp: np.ndarray) -> np.ndarray:
+        probs = np.exp(logp)
+        weights = (totals / n) * probs[a] * probs[b]
+        return _laplacian(d, pair_j, pair_k, weights.ravel())
+
+    return point, objective, gradient, hessian
 
 
 def mwise_nll(w: np.ndarray, batch: ObservationBatch, design: HyperDesign,
               link: MWiseLink) -> float:
-    objective, _ = _mwise_closures(batch, design, link)
-    return objective(np.asarray(w, dtype=float))
+    point, objective, _, _ = _mwise_closures(batch, design, link)
+    return objective(point(np.asarray(w, dtype=float)))
 
 
 def mwise_nll_gradient(w: np.ndarray, batch: ObservationBatch, design: HyperDesign,
                        link: MWiseLink) -> np.ndarray:
-    _, gradient = _mwise_closures(batch, design, link)
-    return gradient(np.asarray(w, dtype=float))
+    point, _, gradient, _ = _mwise_closures(batch, design, link)
+    return gradient(point(np.asarray(w, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
-# Projected gradient solver
+# Active-set Newton solver
 # ---------------------------------------------------------------------------
 
 
-# r(1) is projected for once its lower bound is within this factor of the
-# tolerance; the slack covers rounding in the two projections.
-_STOP_TEST_MARGIN = 2.0
-# The first step, and the Armijo line search's backtracking factor and sufficient decrease.
+# The fallback's first step, and the Armijo line search's backtracking
+# factor and sufficient decrease.
 _INITIAL_STEP = 1.0
 _STEP_SHRINK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
 
 
-def _projected_gradient(objective: Callable[[np.ndarray], float],
-                        gradient: Callable[[np.ndarray], np.ndarray],
-                        d: int, B: float, opts: SolverOptions,
+def _newton_direction(hess: np.ndarray, g: np.ndarray, w: np.ndarray, z: np.ndarray,
+                      B: float) -> np.ndarray | None:
+    """Newton direction on the face that z = P(w - g) picks out, or None.
+
+    Coordinates that z puts at a bound are held there: they move to z.  The
+    others take the Newton step of the quadratic model with the held ones
+    fixed, from the bordered system [[H, 1], [1^T, 0]] that keeps the sum
+    at zero; a held coordinate's row and column are those of the identity.
+    A free coordinate at a bound that the step would push through it is
+    held too, and the system solved again.  An unsampled edge can
+    disconnect the sampled graph and leave the objective flat along the
+    shift of a component; the system is then singular, and its
+    least-squares solution is the Newton step on the rest.  None when the
+    step is not finite.
+    """
+    d = w.size
+    held = np.append(np.abs(z) == B, False)  # the border row is never held
+    direction = np.where(held[:d], z - w, 0.0)
+    kkt = np.ones((d + 1, d + 1))
+    kkt[:d, :d] = hess
+    kkt[d, d] = 0.0
+    rhs = np.append(-g - hess @ direction, -np.sum(direction))
+    while True:
+        kkt[held] = 0.0
+        kkt[:, held] = 0.0
+        kkt[held, held] = 1.0
+        rhs[held] = 0.0
+        try:
+            step = np.linalg.solve(kkt, rhs)[:d]
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(kkt, rhs)[0][:d]
+        if not np.all(np.isfinite(step)):
+            return None
+        through = ~held[:d] & (((w >= B) & (step > 0)) | ((w <= -B) & (step < 0)))
+        if not through.any():
+            return np.where(held[:d], direction, step)
+        held[:d] |= through
+
+
+def _line_search(point, objective, w: np.ndarray, f: float, slope: float,
+                 direction: np.ndarray, B: float):
+    """Armijo backtracking along ``direction`` from the largest feasible step.
+
+    The first trial stops at the first bound the direction reaches, if that
+    comes before the unit step, and sets that coordinate to exactly +-B.
+    Returns the accepted (w, point, f), or None once the step underflows.
+    """
+    lam, block = 1.0, None
+    moving = np.flatnonzero(direction)
+    if moving.size:
+        ratios = (np.copysign(B, direction[moving]) - w[moving]) / direction[moving]
+        first = int(np.argmin(ratios))
+        if ratios[first] < 1.0:
+            lam, block = float(ratios[first]), moving[first]
+    # The float slack keeps the line search from thrashing once the
+    # per-step objective decrease falls below the resolution of f.
+    slack = 1e-15 * max(1.0, abs(f))
+    while lam >= 1e-16:
+        w_new = np.clip(w + lam * direction, -B, B)
+        if block is not None:
+            w_new[block] = np.copysign(B, direction[block])
+        pt = point(w_new)
+        f_new = objective(pt)
+        if f_new <= f + _SUFFICIENT_DECREASE * lam * slope + slack:
+            return w_new, pt, f_new
+        lam *= _STEP_SHRINK
+        block = None
+    return None
+
+
+def _projected_gradient(closures, d: int, B: float, opts: SolverOptions,
                         callback: Callable[[np.ndarray, float], None] | None = None,
                         ) -> tuple[np.ndarray, bool, int, float, float]:
-    """Monotone spectral projected gradient (Birgin, Martinez & Raydan 2000).
+    """Projected Newton on the active face (Bertsekas 1982), SPG as fallback.
 
-    Each iteration moves along P(w - alpha g) - w with Armijo backtracking,
-    then sets alpha to the Barzilai-Borwein step s's / s'y, which tracks
-    the inverse curvature along the last move and so adapts to
-    ill-conditioned designs where a fixed step crawls.
-
-    It stops once r(1) <= ``grad_tolerance``, where r(a) = |P(w - a g) - w|,
-    but projects only for the direction on most iterations: r(a) does not
-    fall and r(a)/a does not rise as a grows (Calamai & More 1987, Lemma
-    2.2), so r(1) >= min(r(alpha), r(alpha)/alpha).  r(1) is computed when
-    that bound nears the tolerance, and on a ``max_iters`` or stalled exit,
-    at the start of the final iteration, to report ``grad_norm``.
+    Each iteration computes z = P(w - g) and stops once the unit-step
+    residual |z - w| is at most ``grad_tolerance``.  Otherwise it steps
+    along ``_newton_direction`` with ``_line_search``.  The Hessian is a
+    weighted comparison-graph Laplacian, so the step costs one dense solve
+    of the free coordinates and its iteration count does not grow as
+    lambda_2 shrinks.  When the Newton step is not finite or not a
+    descent direction, or its line search fails, the iteration takes a
+    spectral projected-gradient step instead (Birgin, Martinez & Raydan
+    2000): P(w - alpha g) - w with the Barzilai-Borwein step
+    alpha = s's / s'y of the last move.  ``grad_norm`` is the residual at
+    the start of the final iteration.
     """
+    point, objective, gradient, hessian = closures
     w = np.zeros(d)
-    f = objective(w)
-    g = gradient(w)
+    pt = point(w)
+    f = objective(pt)
+    g = gradient(pt)
     alpha = _INITIAL_STEP
     converged = False
     iters = 0
+    pg_norm = float("inf")
     if callback is not None:
         callback(w, f)
     for iters in range(1, opts.max_iters + 1):
-        w_start, g_start = w, g
-        direction = project_feasible(w - alpha * g, B) - w
-        r = float(np.linalg.norm(direction))
-        pg_norm = None
-        if min(r, r / alpha) <= _STOP_TEST_MARGIN * opts.grad_tolerance:
-            pg_norm = float(np.linalg.norm(project_feasible(w - g, B) - w))
-            if pg_norm <= opts.grad_tolerance:
-                converged = True
-                iters -= 1
-                break
-        slope = float(g @ direction)
-        # The float slack keeps the line search from thrashing once the
-        # per-step objective decrease falls below the resolution of f.
-        slack = 1e-15 * max(1.0, abs(f))
-        lam = 1.0
-        w_new = w + direction
-        f_new = objective(w_new)
-        while f_new > f + _SUFFICIENT_DECREASE * lam * slope + slack:
-            lam *= _STEP_SHRINK
-            if lam < 1e-16:
-                break
-            w_new = w + lam * direction
-            f_new = objective(w_new)
-        if f_new > f + slack:
+        z = project_feasible(w - g, B)
+        pg_norm = float(np.linalg.norm(z - w))
+        if pg_norm <= opts.grad_tolerance:
+            converged = True
+            iters -= 1
+            break
+        accepted = None
+        direction = _newton_direction(hessian(pt), g, w, z, B)
+        if direction is not None and (slope := float(g @ direction)) < 0:
+            accepted = _line_search(point, objective, w, f, slope, direction, B)
+        if accepted is None:
+            direction = project_feasible(w - alpha * g, B) - w
+            accepted = _line_search(point, objective, w, f, float(g @ direction),
+                                    direction, B)
+        if accepted is None:
             break  # backtracking stalled at machine precision
-        g_new = gradient(w_new)
+        w_new, pt, f = accepted
+        g_new = gradient(pt)
         s, y = w_new - w, g_new - g
         sy = float(s @ y)
         alpha = min(max(float(s @ s) / sy, 1e-10), 1e10) if sy > 0 else 1e10
-        w, f, g = w_new, f_new, g_new
+        w, g = w_new, g_new
         if callback is not None:
             callback(w, f)
-    if pg_norm is None:
-        pg_norm = float(np.linalg.norm(project_feasible(w_start - g_start, B) - w_start))
     return w, converged, iters, f, pg_norm
 
 
@@ -276,8 +365,8 @@ def mle_ordinal(batch: ObservationBatch, design: ComparisonDesign, link: LinkFun
         raise ValueError("MLE requires a connected comparison graph")
     if B <= 0:
         raise ValueError("B must be positive")
-    obj, grad = _ordinal_closures(batch, design, link)
-    w, conv, iters, f, pg = _projected_gradient(obj, grad, design.d, B, opts, callback)
+    closures = _ordinal_closures(batch, design, link)
+    w, conv, iters, f, pg = _projected_gradient(closures, design.d, B, opts, callback)
     return EstimateResult(QualityVector(w, B), conv, iters, f, pg)
 
 
@@ -293,8 +382,8 @@ def mle_mwise(batch: ObservationBatch, design: HyperDesign, link: MWiseLink,
         raise ValueError(f"design m={design.m} does not match link m={link.m}")
     if B <= 0:
         raise ValueError("B must be positive")
-    obj, grad = _mwise_closures(batch, design, link)
-    w, conv, iters, f, pg = _projected_gradient(obj, grad, design.d, B, opts, callback)
+    closures = _mwise_closures(batch, design, link)
+    w, conv, iters, f, pg = _projected_gradient(closures, design.d, B, opts, callback)
     return EstimateResult(QualityVector(w, B), conv, iters, f, pg)
 
 

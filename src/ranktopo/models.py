@@ -237,9 +237,13 @@ def compute_gamma(link: LinkFunction, B: float) -> float:
 
 
 def model_params(link: LinkFunction, B: float) -> ModelParams:
-    """Bundle gamma and zeta for a link over the interval set by B."""
-    return ModelParams(B=B, gamma=compute_gamma(link, B),
-                       zeta=compute_zeta(link, B), sigma=link.sigma)
+    """Bundle gamma and zeta for a link over the interval set by B.
+
+    zeta goes first: on an interval so wide that F(1-F) underflows, the
+    curvature underflows too, and zeta's error names that cause.
+    """
+    zeta = compute_zeta(link, B)
+    return ModelParams(B=B, gamma=compute_gamma(link, B), zeta=zeta, sigma=link.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +284,11 @@ class MWiseLink:
         """Choice probabilities for every position; rows for 2-d input."""
         return softmax(np.asarray(x, dtype=float))
 
-    def log_position_probs(self, x: np.ndarray) -> np.ndarray:
+    def log_position_probs(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Log choice probabilities, with the m positions along ``axis``."""
         x = np.asarray(x, dtype=float)
-        shifted = x - np.max(x, axis=-1, keepdims=True)
-        return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+        shifted = x - np.max(x, axis=axis, keepdims=True)
+        return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
     @staticmethod
     def neg_log_hessian(x: np.ndarray) -> np.ndarray:

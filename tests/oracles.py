@@ -213,52 +213,6 @@ def project_feasible_formula(x: np.ndarray, B: float) -> np.ndarray:
     return np.clip(x - tau, -B, B)
 
 
-def spg_two_projections(objective, gradient, d: int, B: float, opts):
-    """Monotone spectral projected gradient that projects twice per iteration.
-
-    Every iteration first computes the unit-step residual |P(w - g) - w|
-    and stops once it is at most ``opts.grad_tolerance``, then projects
-    again for the direction P(w - alpha g) - w.  Its first step is 1, and
-    its Armijo search halves the step until the decrease reaches 1e-4 of
-    the slope, as in the package's solver.  The package's solver projects
-    for the unit-step residual only near the tolerance and must return the
-    same (w, converged, iterations, objective, residual).
-    """
-    w = np.zeros(d)
-    f = objective(w)
-    g = gradient(w)
-    alpha = 1.0
-    converged = False
-    pg_norm = float("inf")
-    iters = 0
-    for iters in range(1, opts.max_iters + 1):
-        pg_norm = float(np.linalg.norm(project_feasible_formula(w - g, B) - w))
-        if pg_norm <= opts.grad_tolerance:
-            converged = True
-            iters -= 1
-            break
-        direction = project_feasible_formula(w - alpha * g, B) - w
-        slope = float(g @ direction)
-        slack = 1e-15 * max(1.0, abs(f))
-        lam = 1.0
-        w_new = w + direction
-        f_new = objective(w_new)
-        while f_new > f + 1e-4 * lam * slope + slack:
-            lam *= 0.5
-            if lam < 1e-16:
-                break
-            w_new = w + lam * direction
-            f_new = objective(w_new)
-        if f_new > f + slack:
-            break
-        g_new = gradient(w_new)
-        s, y = w_new - w, g_new - g
-        sy = float(s @ y)
-        alpha = min(max(float(s @ s) / sy, 1e-10), 1e10) if sy > 0 else 1e10
-        w, f, g = w_new, f_new, g_new
-    return w, converged, iters, f, pg_norm
-
-
 def lower_bound_statistic_loop(pinv_diag: np.ndarray) -> float:
     """max over d' in {2..d} of sum_{i=floor(0.99 d')}^{d'} q_i, one window
     sum per d' (1-based indices into the ascending pseudo-inverse diagonal)."""

@@ -562,6 +562,10 @@ class TestCvoDecision:
         assert cvo_decision(1.0, 20.0, 1.0).decision == "ordinal_better"
         assert cvo_decision(10.0, 0.1, 1.0).decision == "cardinal_better"
 
+    def test_underflowing_interval_named(self):
+        with pytest.raises(ValueError, match="too wide: F\\(1-F\\) underflows"):
+            cvo_decision(0.05, 1.0, 1.0)
+
     def test_equal_scales_pinned(self):
         report = cvo_decision(1.0, 1.0, 1.0)
         assert report.decision == "indeterminate"

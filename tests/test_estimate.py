@@ -40,8 +40,8 @@ from ranktopo.synth import (
 from oracles import (
     exact_projection,
     fd_gradient,
+    fd_hessian,
     project_feasible_formula,
-    spg_two_projections,
 )
 
 SINGLE_EDGE = ComparisonDesign(2, ((0, 1, 1.0),))
@@ -146,6 +146,35 @@ class TestGradients:
             analytic = mwise_nll_gradient(w, batch, hyper, link)
             numeric = fd_gradient(lambda v: mwise_nll(v, batch, hyper, link), w)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("family", ["btl", "thurstone"])
+    def test_ordinal_hessian(self, family):
+        """The Laplacian Hessian vs central differences of the objective."""
+        design = build_topology("cycle", 5)
+        link = make_link(family, 1.0)
+        rng = np.random.default_rng(11)
+        comps = sample_comparisons(design, 400, rng)
+        batch = sample_outcomes(link, gen_quality("uniform", 5, 1.0, rng), design,
+                                comps, rng)
+        point, _, _, hessian = _ordinal_closures(batch, design, link)
+        for w in self._feasible_points(5, 1.0, 5, 12):
+            numeric = fd_hessian(lambda v: ordinal_nll(v, batch, design, link), w)
+            np.testing.assert_allclose(hessian(point(w)), numeric, atol=1e-5)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_mwise_hessian(self, m):
+        """The clique-Laplacian Hessian vs central differences."""
+        d = 6
+        hyper = HyperDesign(d, m, tuple(itertools.combinations(range(d), m)))
+        link = plackett_luce(m)
+        rng = np.random.default_rng(13)
+        comps = sample_comparisons(hyper, 300, rng)
+        batch = sample_outcomes(link, gen_quality("uniform", d, 1.0, rng), hyper,
+                                comps, rng)
+        point, _, _, hessian = _mwise_closures(batch, hyper, link)
+        for w in self._feasible_points(d, 1.0, 5, 14):
+            numeric = fd_hessian(lambda v: mwise_nll(v, batch, hyper, link), w)
+            np.testing.assert_allclose(hessian(point(w)), numeric, atol=1e-5)
 
     def test_shift_invariance_of_likelihood(self):
         """The likelihood never reacts to constant shifts of w."""
@@ -273,7 +302,8 @@ def oracle_residual(args, result) -> float:
     """|P(w - grad) - w| with the KKT bisection projection."""
     batch, design, link, B, _ = args
     w = result.w_hat.values
-    grad = ordinal_nll_gradient(w, batch, design, link)
+    nll_gradient = mwise_nll_gradient if batch.kind == "mwise" else ordinal_nll_gradient
+    grad = nll_gradient(w, batch, design, link)
     return float(np.linalg.norm(exact_projection(w - grad, B) - w))
 
 
@@ -315,19 +345,21 @@ class TestIllConditionedDesigns:
         assert row["iterations"] <= 50
 
 
-def assert_matches_two_projection_loop(calls) -> None:
-    for (batch, design, link, B, opts), result in calls:
-        closures = _mwise_closures if batch.kind == "mwise" else _ordinal_closures
-        w, converged, iters, f, pg_norm = spg_two_projections(
-            *closures(batch, design, link), design.d, B, opts)
-        assert result.w_hat.values.tobytes() == w.tobytes()
-        assert (result.converged, result.iterations, result.objective, result.grad_norm) \
-            == (converged, iters, f, pg_norm)
+def count_projections(monkeypatch) -> list:
+    projections = []
+
+    def counting(x, B):
+        projections.append(1)
+        return project_feasible(x, B)
+
+    monkeypatch.setattr(estimate, "project_feasible", counting)
+    return projections
 
 
 class TestOneProjectionSolver:
-    """The solver projects for the unit-step residual only near the tolerance,
-    and returns what a loop that projects for it on every iteration returns."""
+    """Each iteration projects once, for z = P(w - g), which fixes the held
+    coordinates and the stopping test; Newton steps on the face reach the
+    KKT oracle's optimum in a few iterations whatever lambda_2 is."""
 
     @pytest.mark.parametrize("kind, d, n, family, m", [
         ("path", 64, 20000, "thurstone", 2),
@@ -340,10 +372,13 @@ class TestOneProjectionSolver:
         ("complete", 6, 3000, "plackett_luce", 4),
     ])
     def test_trial_matches_oracle(self, monkeypatch, kind, d, n, family, m):
+        """Spectral projected gradient took 466, 181, 88, 59, 111, 48, 11 and
+        13 iterations on these cells."""
         calls = capture_mle(monkeypatch)
         cli.run_trial(kind, d, n, family, 1.0, 1.0, m, "uniform", 1509)
-        assert len(calls) == 1 and calls[0][1].converged
-        assert_matches_two_projection_loop(calls)
+        (args, result), = calls
+        assert result.converged and result.iterations <= 10
+        assert oracle_residual(args, result) <= 1e-8
 
     def test_cvo_matches_oracle(self, monkeypatch, capsys):
         calls = capture_mle(monkeypatch)
@@ -351,35 +386,85 @@ class TestOneProjectionSolver:
                          "--empirical", "--d", "6", "--n", "600", "--trials", "10",
                          "--seed", "245314831"]) == 0
         assert len(calls) == 10
-        assert_matches_two_projection_loop(calls)
+        for args, result in calls:
+            assert result.converged and result.iterations <= 10
+            assert oracle_residual(args, result) <= 1e-8
 
     def test_iteration_cap_matches_oracle(self, monkeypatch):
         """On a max_iters exit grad_norm is the unit-step residual at the
         start of the final iteration, as the oracle measures it."""
         calls = capture_mle(monkeypatch)
         cli.run_trial("path", 64, 20000, "thurstone", 1.0, 1.0, 2, "uniform", 1509,
-                      opts=SolverOptions(max_iters=5))
-        (_, result), = calls
-        assert not result.converged and result.iterations == 5
-        assert_matches_two_projection_loop(calls)
+                      opts=SolverOptions(max_iters=3))
+        ((batch, design, link, B, opts), result), = calls
+        assert not result.converged and result.iterations == 3
+        iterates = []
+        replay = mle_ordinal(batch, design, link, B, opts,
+                             callback=lambda w, f: iterates.append(w.copy()))
+        assert replay.w_hat.values.tobytes() == result.w_hat.values.tobytes()
+        assert len(iterates) == 4 and iterates[-1].tobytes() == replay.w_hat.values.tobytes()
+        start = iterates[-2]
+        grad = ordinal_nll_gradient(start, batch, design, link)
+        expected = float(np.linalg.norm(exact_projection(start - grad, B) - start))
+        assert result.grad_norm == pytest.approx(expected, rel=1e-9)
 
     def test_one_projection_per_iteration(self, monkeypatch):
-        """Thurstone path at d=64 takes 466 iterations; a loop projecting
-        twice per iteration makes 933 projections.  The unit-step residual
-        is projected for only on the 38 iterations where the direction's
-        residual bounds it near the tolerance."""
+        """Without a fallback step a run projects once per iteration and
+        once more for the final stopping test."""
         calls = capture_mle(monkeypatch)
-        projections = []
-
-        def counting(x, B):
-            projections.append(1)
-            return project_feasible(x, B)
-
-        monkeypatch.setattr(estimate, "project_feasible", counting)
+        projections = count_projections(monkeypatch)
         cli.run_trial("path", 64, 20000, "thurstone", 1.0, 1.0, 2, "uniform", 1509)
         (_, result), = calls
         assert result.converged
-        assert len(projections) <= result.iterations + 40
+        assert len(projections) == result.iterations + 1
+
+    @pytest.mark.parametrize("family", ["btl", "thurstone"])
+    def test_unsampled_edges_singular_system(self, monkeypatch, family):
+        """Star edges 2 and 3 carry no samples, so items 3 and 4 leave the
+        Hessian and the Newton system is singular; its least-squares step
+        converges with no fallback step (the gradient method took 13 and 10
+        iterations)."""
+        design = build_topology("star", 5)
+        batch = ordinal_batch([0] * 6 + [1] * 5, [1, -1, 1, 1, -1, 1, -1, 1, 1, -1, 1], 5)
+        link = make_link(family, 1.0)
+        projections = count_projections(monkeypatch)
+        result = mle_ordinal(batch, design, link, 1.0)
+        assert result.converged and result.iterations <= 5
+        assert len(projections) == result.iterations + 1
+        assert oracle_residual((batch, design, link, 1.0, None), result) <= 1e-8
+
+    @pytest.mark.parametrize("kind, d, n, B, sigma", [
+        ("path", 32, 30, 3.0, 1.0),     # most edges unsampled
+        ("complete", 4, 5000, 3.0, 0.5),  # |t| up to 12
+    ])
+    def test_converges_where_gradient_method_stalled(self, kind, d, n, B, sigma):
+        """The gradient method stopped at max_iters on both, with residuals
+        4.3e-8 and 1.1e-7."""
+        design, link = build_topology(kind, d), make_link("thurstone", sigma)
+        rng = np.random.default_rng(2)
+        w_star = gen_quality("uniform", d, B, rng, design=design)
+        batch = sample_outcomes(link, w_star, design, sample_comparisons(design, n, rng), rng)
+        result = mle_ordinal(batch, design, link, B)
+        assert result.converged and result.iterations <= 50
+        assert oracle_residual((batch, design, link, B, None), result) <= 1e-8
+
+    def test_fallback_step_alone_converges(self, monkeypatch):
+        """With a Hessian that yields no finite Newton step, every iteration
+        takes the spectral projected-gradient step, with its own projection."""
+        def no_hessian(*args):
+            point, objective, gradient, hessian = _ordinal_closures(*args)
+            return point, objective, gradient, lambda t: np.full((6, 6), np.nan)
+
+        monkeypatch.setattr(estimate, "_ordinal_closures", no_hessian)
+        design, link = build_topology("cycle", 6), make_link("btl", 1.0)
+        rng = np.random.default_rng(15)
+        batch = sample_outcomes(link, gen_quality("uniform", 6, 1.0, rng), design,
+                                sample_comparisons(design, 600, rng), rng)
+        projections = count_projections(monkeypatch)
+        result = mle_ordinal(batch, design, link, 1.0)
+        assert result.converged and result.iterations > 0
+        assert len(projections) == 2 * result.iterations + 1
+        assert oracle_residual((batch, design, link, 1.0, None), result) <= 1e-8
 
 
 class TestMWiseMLE:

@@ -164,6 +164,12 @@ class TestGamma:
         assert abs(params.gamma - 0.104994) < 1e-6
         assert abs(params.zeta - 2.381098) < 1e-6
 
+    def test_model_params_names_underflow(self):
+        """At 2B/sigma = 40, F(1-F) underflows; the Gaussian CDF is still
+        log-concave, so the error names the interval, not the curvature."""
+        with pytest.raises(ValueError, match="too wide: F\\(1-F\\) underflows"):
+            model_params(make_link("thurstone", 0.05), 1.0)
+
     def test_model_params_validation(self):
         with pytest.raises(ValueError):
             ModelParams(B=1.0, gamma=0.0, zeta=1.0, sigma=1.0)
