@@ -18,8 +18,7 @@ import numpy as np
 
 from .estimate import error_metrics
 from .graph import ComparisonDesign, HyperDesign, lower_bound_statistic, spectrum
-from .models import (LinkFunction, ModelParams, MWiseLink, box_points, make_link,
-                     model_params, softmax)
+from .models import LinkFunction, ModelParams, MWiseLink, make_link, model_params
 from .synth import _values
 
 THEOREMS = ("T1_lap", "T2_l2", "T3_paired", "T4_mwise_lap", "T4_mwise_l2")
@@ -328,22 +327,65 @@ class MWisePrefactors:
         return self.sup_grad_hdag_sq / self.inf_choice_prob
 
 
+# The class search evaluates a _CLASS_GRID x _CLASS_GRID grid per class and
+# zooms it _CLASS_ROUNDS times onto +-2 spacings of its best point, a factor
+# 4 per round: the last spacing is B/8 * 4^-9, about 5e-7 B, and a smooth
+# maximum is then found to about 1e-14 relative.
+_CLASS_GRID = 17
+_CLASS_ROUNDS = 10
+
+
+def _class_sups(m: int, B: float) -> tuple[float, float]:
+    """sup over [-B, B]^m of |grad F|^2 = p_0^2 S and of |grad log F|^2 = S.
+
+    Here p = softmax(x), S = |e_0 - p|^2 and Q = sum_{i>=1} p_i^2.  Items
+    1..m-1 enter both symmetrically, and for i >= 1
+        d(p_0^2 S)/dx_i = 2 p_0^2 p_i (p_i - S - Q + p_0 (1 - p_0)),
+        dS/dx_i = 2 p_i (p_i - Q + p_0 (1 - p_0)),
+    each zero at one p_i, the same for every item inside the box.  So a
+    maximiser has k items at +B, l at -B, the other r = m-1-k-l at one
+    shared score v, and item 0 at some t: a search over (t, v) in
+    [-B, B]^2 for each class (k, l), vectorised over classes and both sups
+    (rows [0, half) for p_0^2 S, [half, 2 half) for S).  Scores are shifted
+    by -B, so every exponential is at most 1 and an item at -B weighs e^{-2B}.
+    """
+    k, top = np.triu_indices(m)  # every k <= top < m: l = m-1-top gives each k + l <= m-1
+    k, l = (np.tile(a, 2)[:, None, None].astype(float) for a in (k, m - 1 - top))
+    half, rows = top.size, 2 * top.size
+    r, low = m - 1 - k - l, math.exp(-2.0 * B)
+    fixed, fixed_sq = k + l * low, k + l * low**2  # weights p_i Z at +-B: sum, sum of squares
+    lo, hi = np.full((2, rows), -float(B)), np.full((2, rows), float(B))
+    u = np.linspace(0.0, 1.0, _CLASS_GRID)
+    for _ in range(_CLASS_ROUNDS):
+        t, v = lo[..., None] + (hi - lo)[..., None] * u
+        a0, av = np.exp(t - B)[:, :, None], np.exp(v - B)[:, None, :]
+        rest = fixed + r * av
+        z = a0 + rest
+        vals = (rest**2 + fixed_sq + r * av**2) / z**2
+        p0 = a0[:half] / z[:half]
+        vals[:half] *= p0 * p0
+        best = vals.reshape(rows, -1).argmax(axis=1)
+        step = (hi - lo) / (_CLASS_GRID - 1)
+        centre = lo + step * np.stack(np.divmod(best, _CLASS_GRID))
+        lo, hi = np.maximum(centre - 2 * step, -B), np.minimum(centre + 2 * step, B)
+    found = vals.reshape(rows, -1)[np.arange(rows), best]
+    return float(found[:half].max()), float(found[half:].max())
+
+
 def mwise_prefactors(link: MWiseLink) -> MWisePrefactors:
     """Box extrema of the m-wise link quantities over [-B, B]^m.
 
+    inf F = 1/(1 + (m-1) e^{2B}), at x_0 = -B and every other item at +B.
+    The two sups come from one search over classes (``_class_sups``).
     With H = beta (I - 11^T/m), both lambda_2(H) and lambda_m(H) are beta,
     and since grad F is orthogonal to 1, |grad F|^2_{H^dagger} is
     |grad F|^2 / beta.
     """
-    points = box_points(link.m, link.B)
-    p = softmax(points, axis=1)
-    grad_f = link.grad_choice_prob(points)
-    grad_log = -p.copy()
-    grad_log[:, 0] += 1.0
+    sup_grad, sup_grad_log = _class_sups(link.m, link.B)
     return MWisePrefactors(
-        inf_choice_prob=float(p[:, 0].min()),
-        sup_grad_hdag_sq=float(np.max(np.sum(grad_f**2, axis=1))) / link.beta,
-        sup_grad_log_sq=float(np.max(np.sum(grad_log**2, axis=1))),
+        inf_choice_prob=1.0 / (1.0 + (link.m - 1) * math.exp(2.0 * link.B)),
+        sup_grad_hdag_sq=sup_grad / link.beta,
+        sup_grad_log_sq=sup_grad_log,
         lambda2_h=link.beta,
         lambda_m_h=link.beta,
     )

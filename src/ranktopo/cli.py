@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 import time
@@ -20,7 +19,7 @@ import numpy as np
 from .bounds import BoundConstants, cvo_decision, fano_pipeline, minimax_bounds
 from .estimate import (SolverOptions, error_metrics, mean_cardinal, mle_mwise,
                        mle_ordinal)
-from .graph import (PAIRWISE_KINDS, HyperDesign, build_topology, optimality_report,
+from .graph import (PAIRWISE_KINDS, build_topology, complete_hyper, optimality_report,
                     parse_kind, spectrum)
 from .models import make_link, model_params, plackett_luce
 from .synth import CardinalModel, even_allocation, gen_quality, sample_comparisons, sample_outcomes
@@ -77,12 +76,6 @@ class ExperimentConfig:
         for kind in self.kinds:
             for d in self.d_list:
                 build_topology(kind, d)  # raises on incompatible dimensions
-
-
-def complete_hyper(d: int, m: int) -> HyperDesign:
-    """The complete m-wise hyper-design: every m-item subset once, in lexicographic order."""
-    subsets = np.fromiter(itertools.combinations(range(d), m), dtype=(np.intp, m))
-    return HyperDesign(d=d, m=m, subsets=subsets)
 
 
 def run_trial(kind: str, d: int, n: int, family: str, sigma: float, B: float,

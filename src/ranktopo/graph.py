@@ -10,6 +10,7 @@ from the SpectralSummary computed here.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -95,12 +96,12 @@ class ComparisonDesign:
     receives, so weights must be nonnegative and sum to one.
     ``from_arrays`` takes the same edges as three parallel arrays.  Either
     way they are stored once, as the read-only arrays ``edge_arrays``
-    (intp, intp, float64); ``edges`` is a tuple view of them.  Designs
-    compare equal by value.
+    (intp, intp, float64); ``edges`` is a tuple view of them.  A design
+    from ``build_topology`` builds and checks its edge arrays on first
+    read.  Designs compare equal by value.
     """
 
     d: int
-    edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray]
     kind: str
 
     def __init__(self, d: int, edges, kind: str = "custom") -> None:
@@ -157,6 +158,16 @@ class ComparisonDesign:
         for name, value in (("d", d), ("edge_arrays", tuple(map(_read_only, arrays))),
                             ("kind", kind)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only (intp, intp, float64) arrays j, k and w.
+
+        The constructors store them; a canonical kind reaches this body on
+        first read, and builds and checks them here.
+        """
+        self._store(self.d, *_unweighted(self.d, *self._pairs()), self.kind)
+        return vars(self)["edge_arrays"]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComparisonDesign):
@@ -340,8 +351,9 @@ def spectrum(design: ComparisonDesign | HyperDesign) -> SpectralSummary:
     """Eigenvalues of a design's (hyper)graph Laplacian.
 
     A design made by ``build_topology`` carries the closed-form spectrum of
-    its kind, except the expander: it is evaluated here, with no Laplacian
-    and no eigensolve.  Every other design goes through ``eigvalsh``, with
+    its kind, except the expander, and so does ``complete_hyper``: it is
+    evaluated here, with no edges, no Laplacian and no eigensolve.  Every
+    other design goes through ``eigvalsh``, with
     eigenvalues clamped to exact zero below DEFAULT_ZERO_TOL * lambda_max;
     eigensolver non-convergence surfaces as EigensolverError.  The summary
     computes the Laplacian and the eigenvectors only when they are read.
@@ -350,11 +362,8 @@ def spectrum(design: ComparisonDesign | HyperDesign) -> SpectralSummary:
     """
     cache = vars(design)
     if "_spectrum" not in cache:
-        unscaled = cache.get("_unscaled_spectrum")
-        if unscaled is None:
-            vals = _dense_eigenvalues(design.laplacian)
-        else:  # a canonical kind has no repeated pair, so L = L' / |E|
-            vals = np.sort(unscaled()) / design.edge_arrays[0].size
+        closed_form = cache.get("_closed_spectrum")
+        vals = _dense_eigenvalues(design.laplacian) if closed_form is None else closed_form()
         nonzero = vals[vals > 0]
         cache["_spectrum"] = SpectralSummary(
             eigenvalues=_read_only(vals),
@@ -363,6 +372,25 @@ def spectrum(design: ComparisonDesign | HyperDesign) -> SpectralSummary:
             lambda2=float(vals[1]) if len(vals) > 1 else 0.0,
         )
     return cache["_spectrum"]
+
+
+def _scaled_spectrum(unscaled, count: int) -> np.ndarray:
+    """Ascending eigenvalues of L = L' / count, from any-order eigenvalues of L'."""
+    return np.sort(unscaled()) / count
+
+
+def complete_hyper(d: int, m: int) -> HyperDesign:
+    """The complete m-wise hyper-design: every m-item subset once, in lexicographic order.
+
+    It carries its closed-form spectrum: every pair lies in C(d-2, m-2) of
+    the C(d, m) subsets, so L' = C(d-2, m-2) (dI - 11^T).
+    """
+    subsets = np.fromiter(itertools.combinations(range(d), m), dtype=(np.intp, m))
+    hyper = HyperDesign(d=d, m=m, subsets=subsets)
+    vars(hyper)["_closed_spectrum"] = partial(
+        _scaled_spectrum, partial(np.repeat, [0.0, d * math.comb(d - 2, m - 2)], [1, d - 1]),
+        len(subsets))
+    return hyper
 
 
 # ---------------------------------------------------------------------------
@@ -379,26 +407,63 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _unweighted(d: int, j: np.ndarray, k: np.ndarray, kind: str,
-                unscaled_spectrum=None) -> ComparisonDesign:
-    """Spread the budget evenly over an edge multiset: L = L' / |E|.
+def _unweighted(d: int, j: np.ndarray, k: np.ndarray):
+    """Spread the budget evenly over an edge multiset: arrays (j, k, w) with L = L' / |E|.
 
     Repeated pairs merge into one edge, sorted by (min, max) item.
-    ``unscaled_spectrum``, when given, is a zero-argument callable that
-    returns the eigenvalues of L' in any order; ``spectrum`` calls it on
-    first use in place of an eigensolve.
     """
     lo, hi = np.minimum(j, k), np.maximum(j, k)
     codes = lo * d + hi
     if np.all(codes[1:] > codes[:-1]):  # already sorted, no repeats
-        w = np.full(codes.size, 1.0 / codes.size)
-    else:
-        _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-        lo, hi, w = lo[first], hi[first], counts / counts.sum()
-    design = ComparisonDesign.from_arrays(d, lo, hi, w, kind)
-    if unscaled_spectrum is not None:
-        vars(design)["_unscaled_spectrum"] = unscaled_spectrum
+        return lo, hi, np.full(codes.size, 1.0 / codes.size)
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return lo[first], hi[first], counts / counts.sum()
+
+
+def _canonical(d: int, kind: str, count: int, pairs, unscaled) -> ComparisonDesign:
+    """A canonical kind: ``count`` distinct pairs, each with weight 1/count.
+
+    ``pairs`` and ``unscaled`` are zero-argument callables (partials of
+    module-level functions, so designs stay picklable).  ``pairs`` returns
+    the edge multiset (j, k), which ``edge_arrays`` merges and checks on
+    first read; ``unscaled`` returns the eigenvalues of L' in any order,
+    which ``spectrum`` reads in place of an eigensolve.  Neither runs here.
+    """
+    design = ComparisonDesign.__new__(ComparisonDesign)
+    vars(design).update(d=d, kind=kind, _pairs=pairs,
+                        _closed_spectrum=partial(_scaled_spectrum, unscaled, count))
     return design
+
+
+def _star_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.zeros(d - 1, np.intp), np.arange(1, d)
+
+
+def _ring_pairs(d: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    i = np.arange(count)  # the path's d-1 links, and the cycle's closing one at count = d
+    return i, (i + 1) % d
+
+
+def _barbell_pairs(half: int) -> tuple[np.ndarray, np.ndarray]:
+    a, b = np.triu_indices(half, 1)  # two cliques and a single bridge between them
+    return np.concatenate([a, a + half, [half - 1]]), np.concatenate([b, b + half, [half]])
+
+
+def _bipartite_pairs(m1: int, m2: int) -> tuple[np.ndarray, np.ndarray]:
+    a, b = np.divmod(np.arange(m1 * m2), m2)
+    return a, m1 + b
+
+
+def _lattice_pairs(m1: int, m2: int) -> tuple[np.ndarray, np.ndarray]:
+    grid = np.arange(m1 * m2).reshape(m1, m2)  # row-major: node r*m2 + c
+    return (np.concatenate([grid[:, :-1].ravel(), grid[:-1].ravel()]),
+            np.concatenate([grid[:, 1:].ravel(), grid[1:].ravel()]))
+
+
+def _hypercube_pairs(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    v = np.repeat(np.arange(1 << bits), bits)
+    u = v ^ np.tile(1 << np.arange(bits), 1 << bits)
+    return v[v < u], u[v < u]
 
 
 # Closed-form Laplacian spectra (Brouwer & Haemers, Spectra of Graphs, 2012).
@@ -473,8 +538,10 @@ def build_topology(kind: str, d: int,
     m1/m2 arguments or an inline form such as ``complete_bipartite(3,5)``;
     with neither, a balanced split is chosen.
 
-    Every kind but the expander carries its closed-form spectrum, which
-    ``spectrum`` evaluates on first use with no Laplacian and no eigensolve.
+    Every kind but the expander carries its edge count and its closed-form
+    spectrum, which ``spectrum`` evaluates on first use with no Laplacian
+    and no eigensolve; its edge arrays are built and checked only when
+    first read.  Dimension errors raise here.
 
     Dimension preconditions: barbell needs even d, hypercube a power of
     two, lattice2d d = m1*m2 (both >= 2), complete_bipartite d = m1+m2,
@@ -486,59 +553,51 @@ def build_topology(kind: str, d: int,
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     if name == "complete":
-        return _unweighted(d, *np.triu_indices(d, 1), name,
-                           partial(np.repeat, [0.0, d], [1, d - 1]))
+        return _canonical(d, name, d * (d - 1) // 2, partial(np.triu_indices, d, 1),
+                          partial(np.repeat, [0.0, d], [1, d - 1]))
     if name == "star":
-        return _unweighted(d, np.zeros(d - 1, np.intp), np.arange(1, d), name,
-                           partial(np.repeat, [0.0, 1.0, d], [1, d - 2, 1]))
+        return _canonical(d, name, d - 1, partial(_star_pairs, d),
+                          partial(np.repeat, [0.0, 1.0, d], [1, d - 2, 1]))
     if name == "path":
-        return _unweighted(d, np.arange(d - 1), np.arange(1, d), name,
-                           partial(_path_spectrum, d))
+        return _canonical(d, name, d - 1, partial(_ring_pairs, d, d - 1),
+                          partial(_path_spectrum, d))
     if name == "cycle":
         if d < 3:
             raise ValueError("cycle needs d >= 3")
-        return _unweighted(d, np.arange(d), (np.arange(d) + 1) % d, name,
-                           partial(_cycle_spectrum, d))
+        return _canonical(d, name, d, partial(_ring_pairs, d, d), partial(_cycle_spectrum, d))
     if name == "barbell":
         if d % 2 != 0 or d < 4:
             raise ValueError(f"barbell needs even d >= 4, got {d}")
         half = d // 2
-        a, b = np.triu_indices(half, 1)
-        # two cliques and a single bridge between them
-        return _unweighted(d, np.concatenate([a, a + half, [half - 1]]),
-                           np.concatenate([b, b + half, [half]]), name,
-                           _barbell_spectrum(half))
+        return _canonical(d, name, 2 * math.comb(half, 2) + 1, partial(_barbell_pairs, half),
+                          _barbell_spectrum(half))
     if name == "complete_bipartite":
         if m1 is None or m2 is None:
             m1, m2 = _default_split(name, d)
         if m1 + m2 != d or m1 < 1 or m2 < 1:
             raise ValueError(f"complete_bipartite needs d = m1+m2, got {d} != {m1}+{m2}")
-        a, b = np.divmod(np.arange(m1 * m2), m2)
-        return _unweighted(d, a, m1 + b, f"complete_bipartite({m1},{m2})",
-                           partial(np.repeat, [0.0, m2, m1, d], [1, m1 - 1, m2 - 1, 1]))
+        return _canonical(d, f"complete_bipartite({m1},{m2})", m1 * m2,
+                          partial(_bipartite_pairs, m1, m2),
+                          partial(np.repeat, [0.0, m2, m1, d], [1, m1 - 1, m2 - 1, 1]))
     if name == "lattice2d":
         if m1 is None or m2 is None:
             m1, m2 = _default_split(name, d)
         if m1 * m2 != d or m1 < 2 or m2 < 2:
             raise ValueError(f"lattice2d needs d = m1*m2 with m1, m2 >= 2, got d={d}")
-        grid = np.arange(d).reshape(m1, m2)  # row-major: node r*m2 + c
-        return _unweighted(d, np.concatenate([grid[:, :-1].ravel(), grid[:-1].ravel()]),
-                           np.concatenate([grid[:, 1:].ravel(), grid[1:].ravel()]),
-                           f"lattice2d({m1},{m2})", partial(_lattice_spectrum, m1, m2))
+        return _canonical(d, f"lattice2d({m1},{m2})", m1 * (m2 - 1) + m2 * (m1 - 1),
+                          partial(_lattice_pairs, m1, m2), partial(_lattice_spectrum, m1, m2))
     if name == "hypercube":
         bits = d.bit_length() - 1
         if d != 1 << bits or d < 4:
             raise ValueError(f"hypercube needs d a power of 2 (>= 4), got {d}")
-        v = np.repeat(np.arange(d), bits)
-        u = v ^ np.tile(1 << np.arange(bits), d)
-        return _unweighted(d, v[v < u], u[v < u], name,
-                           partial(np.repeat, 2.0 * np.arange(bits + 1),
-                                   [math.comb(bits, i) for i in range(bits + 1)]))
+        return _canonical(d, name, d // 2 * bits, partial(_hypercube_pairs, bits),
+                          partial(np.repeat, 2.0 * np.arange(bits + 1),
+                                  [math.comb(bits, i) for i in range(bits + 1)]))
     if name == "expander":
         q = math.isqrt(d)
         if q * q != d or not _is_prime(q):
             raise ValueError(f"expander needs d = q^2 for prime q, got {d}")
-        return _unweighted(d, *_expander_pairs(q), name)
+        return ComparisonDesign.from_arrays(d, *_unweighted(d, *_expander_pairs(q)), name)
     raise ValueError(f"unknown topology kind {kind!r}")
 
 

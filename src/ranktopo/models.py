@@ -314,23 +314,6 @@ def _box_corners(m: int, B: float) -> np.ndarray:
     return np.where(bits == 1, float(B), -float(B))
 
 
-def box_points(m: int, B: float) -> np.ndarray:
-    """Points of [-B, B]^m at which ``mwise_prefactors`` takes box extrema.
-
-    m <= 3 uses a full grid of 51 points per axis (resolution B/25); larger
-    m uses the box corners plus 4000 uniform samples from seed 0 (the
-    extrema of the m-wise link quantities empirically sit at corners).
-    """
-    if m <= 3:
-        axes = [np.linspace(-B, B, 51)] * m
-        mesh = np.meshgrid(*axes, indexing="ij")
-        # Column-major: reductions over each point's m coordinates then run
-        # down whole columns, about 3x faster than row-major, with the same sums.
-        return np.stack([g.ravel() for g in mesh]).T
-    rng = np.random.default_rng(0)
-    return np.vstack([_box_corners(m, B), rng.uniform(-B, B, size=(4000, m))])
-
-
 def plackett_luce(m: int, B: float = 1.0) -> MWiseLink:
     """The softmax choice model: P[item i] proportional to e^{w_i}.
 

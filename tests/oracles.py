@@ -5,9 +5,11 @@ package: closed-form spectral catalogs from spectral graph theory, exact
 KKT projections, and plain finite differences.
 """
 
+import itertools
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from ranktopo.bounds import fano_bound, gv_packing
 from ranktopo.graph import spectrum
@@ -315,3 +317,45 @@ def fano_dense_laplacian(design, params, n: float, alpha: float = 0.01,
         l2_dists = sq[:, None] + sq[None, :] - 2.0 * w_set @ w_set.T
         separation = float(np.min(l2_dists[off]))
     return fano_bound(max(separation, 0.0), beta, m_count)
+
+
+def box_points(m: int, B: float) -> np.ndarray:
+    """A sample of [-B, B]^m: a grid of 51 points per axis for m <= 3; for
+    larger m the 2^m corners plus 4000 uniform draws from seed 0.  One point
+    per row, stored column-major."""
+    if m <= 3:
+        mesh = np.meshgrid(*[np.linspace(-B, B, 51)] * m, indexing="ij")
+        return np.stack([g.ravel() for g in mesh]).T
+    corners = np.array(list(itertools.product((-float(B), float(B)), repeat=m)))
+    rng = np.random.default_rng(0)
+    return np.vstack([corners, rng.uniform(-B, B, size=(4000, m))])
+
+
+def choice_grad_sq(x: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """|grad F|^2 = p_0^2 S and |grad log F|^2 = S, S = |e_0 - p|^2, with their
+    gradients in x, for F the first item's softmax probability p_0."""
+    e = np.exp(x - np.max(x))
+    p = e / e.sum()
+    g = -p.copy()
+    g[0] += 1.0
+    s = float(g @ g)
+    ds = -2.0 * p * (g - (p[0] - p @ p))
+    dp0 = -p[0] * p
+    dp0[0] += p[0]
+    return p[0] ** 2 * s, s, 2.0 * p[0] * s * dp0 + p[0] ** 2 * ds, ds
+
+
+def mwise_sups_multistart(m: int, B: float, starts: int = 150, seed: int = 0):
+    """(sup |grad F|^2, sup |grad log F|^2) over [-B, B]^m, each the best of
+    ``starts`` bounded L-BFGS-B ascents from uniform starting points."""
+    rng = np.random.default_rng(seed)
+    found = []
+    for which in (0, 1):
+        def neg(x):
+            vals = choice_grad_sq(x)
+            return -vals[which], -vals[2 + which]
+
+        found.append(max(-minimize(neg, x0, jac=True, method="L-BFGS-B",
+                                   bounds=[(-B, B)] * m).fun
+                         for x0 in rng.uniform(-B, B, size=(starts, m))))
+    return tuple(found)

@@ -33,11 +33,12 @@ from ranktopo.graph import (
     design_from_json,
     spectrum,
 )
-from ranktopo.models import make_link, model_params, plackett_luce
+from ranktopo.models import make_link, model_params, plackett_luce, softmax
 from ranktopo.synth import CardinalModel, even_allocation, gen_quality, sample_outcomes
 
-from oracles import (exact_projection, fano_dense_laplacian, gv_distance_packing,
-                     gv_distinct_packing)
+from oracles import (box_points, choice_grad_sq, exact_projection, fano_dense_laplacian,
+                     fd_gradient, gv_distance_packing, gv_distinct_packing,
+                     mwise_sups_multistart)
 
 SINGLE_EDGE = ComparisonDesign(2, ((0, 1, 1.0),))
 
@@ -501,6 +502,17 @@ class TestMinimaxBounds:
         assert calls == [(8, 8)]
         assert not spectrum(hyper).eigenvalues.flags.writeable
 
+    def test_complete_hyper_bounds_run_no_eigensolve(self, monkeypatch, capsys):
+        from ranktopo.cli import main
+
+        calls = self.count_eigvalsh(monkeypatch)
+        for theorem in ("T4_mwise_lap", "T4_mwise_l2"):
+            assert main(["bounds", "--theorem", theorem, "--kind", "complete", "--d", "12",
+                         "--m", "4", "--n", "1e4"]) == 0
+            assert json.loads(capsys.readouterr().out)["upper"] > 0
+        # only plackett_luce's 4 x 4 corner Hessians; no 12 x 12 Laplacian
+        assert calls and all(shape[-2:] == (4, 4) for shape in calls)
+
     def test_theorem_design_mismatch(self):
         design = build_topology("complete", 4)
         params = model_params(make_link("btl", 1.0), 1.0)
@@ -555,6 +567,58 @@ class TestMWisePrefactors:
             g = pl.grad_choice_prob(x)
             best = max(best, float(g @ g) / pl.beta)
         assert pre.sup_grad_hdag_sq >= best - 1e-9
+
+
+    PREFACTOR_BS = (0.25, 0.5, 1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 8])
+    def test_sups_match_multistart_optimiser(self, m):
+        """Both sups are the box maxima a 150-start L-BFGS-B ascent finds, to
+        1e-10 below and 1e-7 above; a box sample falls short of them (at
+        m=4, B=1 the 4,016-point sample gives 0.099731, the sup is 0.099903)."""
+        for B in self.PREFACTOR_BS:
+            pre = mwise_prefactors(plackett_luce(m, B))
+            sups = (pre.sup_grad_hdag_sq * pre.lambda2_h, pre.sup_grad_log_sq)
+            for got, best in zip(sups, mwise_sups_multistart(m, B)):
+                assert best * (1 - 1e-10) <= got <= best * (1 + 1e-7)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 8])
+    def test_inf_is_closed_form(self, m):
+        for B in self.PREFACTOR_BS:
+            pre = mwise_prefactors(plackett_luce(m, B))
+            assert pre.inf_choice_prob == 1.0 / (1.0 + (m - 1) * math.exp(2.0 * B))
+            sample = softmax(box_points(m, B), axis=1)[:, 0]
+            assert pre.inf_choice_prob <= sample.min() * (1 + 1e-12)
+
+    def test_m3_sups_reach_the_box_grid(self):
+        """Where a maximiser is a grid point, as (-B, B, -B) is for S at B = 1,
+        the two routes round differently, so 'at least' allows 1e-15 relative."""
+        for B in self.PREFACTOR_BS:
+            pre = mwise_prefactors(plackett_luce(3, B))
+            p = softmax(box_points(3, B), axis=1)
+            s = (1.0 - p[:, 0]) ** 2 + np.sum(p[:, 1:] ** 2, axis=1)
+            grid_sups = (float(np.max(p[:, 0] ** 2 * s)), float(np.max(s)))
+            sups = (pre.sup_grad_hdag_sq * pre.lambda2_h, pre.sup_grad_log_sq)
+            for got, grid in zip(sups, grid_sups):
+                assert got >= grid * (1 - 1e-15)
+
+    def test_interior_stationarity_formulas(self):
+        """For i >= 1, d(p_0^2 S)/dx_i = 2 p_0^2 p_i (p_i - S - Q + p_0 (1 - p_0)) and
+        dS/dx_i = 2 p_i (p_i - Q + p_0 (1 - p_0)), S = |e_0 - p|^2, Q = sum_{i>=1} p_i^2:
+        each vanishes at one p_i, shared by every item inside the box."""
+        rng = np.random.default_rng(30)
+        for m in (3, 5, 8):
+            for x in rng.uniform(-2, 2, size=(20, m)):
+                p = softmax(x)
+                q = float(np.sum(p[1:] ** 2))
+                s = (1 - p[0]) ** 2 + q
+                grad_f_sq = fd_gradient(lambda y: choice_grad_sq(y)[0], x)
+                grad_s = fd_gradient(lambda y: choice_grad_sq(y)[1], x)
+                np.testing.assert_allclose(
+                    grad_f_sq[1:], 2 * p[0] ** 2 * p[1:] * (p[1:] - s - q + p[0] * (1 - p[0])),
+                    rtol=0, atol=1e-8)
+                np.testing.assert_allclose(grad_s[1:], 2 * p[1:] * (p[1:] - q + p[0] * (1 - p[0])),
+                                           rtol=0, atol=1e-8)
 
 
 class TestCvoDecision:

@@ -18,6 +18,7 @@ from ranktopo.graph import (
     ComparisonDesign,
     HyperDesign,
     build_topology,
+    complete_hyper,
     design_from_json,
     _laplacian,
     hypergraph_laplacian,
@@ -46,6 +47,9 @@ TOPOLOGY_CASES = [
     ("hypercube", 4, 16),
     ("expander", 4, 25),
 ]
+
+# Every d up to 129 and three powers of two: each kind meets every size it builds at.
+BUILD_SWEEP = [*range(2, 130), 256, 512, 1024]
 
 # The Margulis-Gabber-Galil expander has no closed-form spectrum, so its
 # algebraic connectivity is pinned after a cross-solver computation.
@@ -268,7 +272,7 @@ class TestClosedFormSpectra:
     @pytest.mark.parametrize("kind", [k for k in PAIRWISE_KINDS if k != "expander"])
     def test_agree_with_eigvalsh(self, kind):
         checked = 0
-        for d in [*range(2, 130), 256, 512, 1024]:
+        for d in BUILD_SWEEP:
             try:
                 design = build_topology(kind, d)
             except ValueError:
@@ -410,6 +414,19 @@ class TestHypergraph:
         assert not split.connected
         assert spectrum(split).lambda2 == 0.0
 
+    @pytest.mark.parametrize("d, m", [(12, 4), (8, 3), (6, 2)])
+    def test_complete_hyper_closed_form(self, d, m):
+        """lambda = d C(d-2, m-2) / C(d, m), d-1 times, with no eigensolve."""
+        hyper = complete_hyper(d, m)
+        closed = spectrum(hyper).eigenvalues
+        lam = d * math.comb(d - 2, m - 2) / math.comb(d, m)
+        np.testing.assert_allclose(closed, np.linalg.eigvalsh(hyper.laplacian),
+                                   rtol=0, atol=1e-12 * lam)
+        assert closed[0] == 0.0 and np.all(closed[1:] == lam)
+        assert hyper == HyperDesign(d, m, tuple(itertools.combinations(range(d), m)))
+        if (d, m) == (12, 4):
+            assert lam == pytest.approx(1.0909090909090908, rel=1e-15)
+
     def test_subset_validation(self):
         with pytest.raises(ValueError):
             HyperDesign(4, 3, ((0, 1, 1),))
@@ -505,19 +522,20 @@ class TestSharedBuilders:
         multisets = []
         unweighted = graph._unweighted
 
-        def spy(d, j, k, name, *closed_form):
+        def spy(d, j, k):
             multisets.append((j, k))
-            return unweighted(d, j, k, name, *closed_form)
+            return unweighted(d, j, k)
 
         monkeypatch.setattr(graph, "_unweighted", spy)
         built = 0
-        for d in [*range(2, 130), 256, 512, 1024]:
+        for d in BUILD_SWEEP:
             try:
                 design = build_topology(kind, d)
             except ValueError:
                 continue
+            edge_arrays = design.edge_arrays  # a canonical kind merges its multiset here
             want = unweighted_edge_arrays(d, *multisets.pop())
-            for got, ref in zip(design.edge_arrays, want):
+            for got, ref in zip(edge_arrays, want):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
             assert design.laplacian.tobytes() == laplacian_four_entry(d, *want).tobytes()
             built += 1
@@ -576,6 +594,82 @@ class TestSharedBuilders:
                 split = ComparisonDesign(d, np.column_stack(
                     [j[keep], k[keep], np.full(d - 2, 1.0 / (d - 2))]))
                 assert not split.connected
+
+
+class TestLazyEdges:
+    """A canonical kind builds its edge arrays on first read, and no reader
+    can tell: whichever reads first, every reader sees the eager design."""
+
+    READERS = {
+        "edge_arrays": lambda design: design.edge_arrays,
+        "laplacian": lambda design: design.laplacian,
+        "edges": lambda design: design.edges,
+        "connected": lambda design: design.connected,
+        "hash": hash,
+        "eq": lambda design: design == design,
+        "pickle": lambda design: pickle.loads(pickle.dumps(design)),
+    }
+
+    @pytest.mark.parametrize("kind", [k for k in PAIRWISE_KINDS if k != "expander"])
+    def test_every_reader_sees_the_eager_design(self, kind):
+        built = 0
+        for d in BUILD_SWEEP:
+            try:
+                probe = build_topology(kind, d)
+            except ValueError:
+                continue
+            assert "edge_arrays" not in vars(probe)
+            eager = ComparisonDesign.from_arrays(d, *probe.edge_arrays, kind=probe.kind)
+            for name, read in self.READERS.items():
+                design = build_topology(kind, d)
+                first = read(design)
+                if name == "pickle":  # pickled before any read, compared after
+                    design = first
+                for got, want in zip(design.edge_arrays, eager.edge_arrays):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                    assert not got.flags.writeable
+                assert design.laplacian.tobytes() == eager.laplacian.tobytes()
+                assert design.edges == eager.edges
+                assert design == eager and eager == design
+                assert hash(design) == hash(eager)
+                assert design.connected
+            # the closed-form edge count scales the closed-form spectrum: trace 2
+            assert spectrum(probe).eigenvalues.sum() == pytest.approx(2.0, rel=1e-12)
+            if d <= 64:
+                assert build_topology(kind, d).to_json() == eager.to_json()
+            built += 1
+        assert built
+
+    def test_analysis_path_builds_no_edges(self, monkeypatch, capsys):
+        """design, spectrum, T1-T3 and campaign validation run at d = 2^14 for
+        every canonical kind, and complete runs at d = 2^16 (2.1e9 edges),
+        with any edge or Laplacian build raising."""
+        from ranktopo.bounds import minimax_bounds
+        from ranktopo.cli import ExperimentConfig
+        from ranktopo.models import make_link, model_params
+
+        def no_edges(*args):
+            raise AssertionError("the analysis path must not build edges")
+
+        monkeypatch.setattr(graph, "_unweighted", no_edges)
+        monkeypatch.setattr(graph, "_laplacian", no_edges)
+        kinds = [k for k in PAIRWISE_KINDS if k != "expander"]
+        d = 1 << 14
+        assert main(["design", "--d", str(d), "--n", "1e5", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert sorted(r["kind"].partition("(")[0] for r in rows) == sorted(kinds)
+        params = model_params(make_link("btl", 1.0), 1.0)
+        for kind in kinds:
+            assert main(["spectrum", "--kind", kind, "--d", str(d)]) == 0
+            assert json.loads(capsys.readouterr().out)["lambda2"] > 0
+            design = build_topology(kind, d)
+            for theorem in ("T1_lap", "T2_l2", "T3_paired"):
+                assert minimax_bounds(theorem, design, params, 1e5).upper > 0
+        ExperimentConfig(kinds=kinds, d_list=[d], n_list=[1000]).validate()
+        assert main(["spectrum", "--kind", "complete", "--d", str(1 << 16)]) == 0
+        assert json.loads(capsys.readouterr().out)["lambda2"] == pytest.approx(2 / ((1 << 16) - 1))
+        with pytest.raises(AssertionError, match="must not build edges"):
+            build_topology("path", 8).edge_arrays
 
 
 class TestOptimality:

@@ -101,10 +101,19 @@ class TestPackingPropagation:
 
 
 class TestImportWeight:
-    def test_import_leaves_scipy_sparse_unloaded(self):
-        """scipy.sparse adds over 0.1 s to a fresh ``import ranktopo``."""
-        code = "import sys, ranktopo; print('scipy.sparse' in sys.modules)"
+    @staticmethod
+    def loaded_after_import(module: str) -> bool:
+        code = f"import sys, ranktopo; print({module!r} in sys.modules)"
         src = os.path.dirname(os.path.dirname(ranktopo.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip() == "True"
+
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        """scipy.sparse adds over 0.1 s to a fresh ``import ranktopo``."""
+        assert not self.loaded_after_import("scipy.sparse")
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        """scipy.optimize adds about 0.2 s to a fresh ``import ranktopo``; the
+        m-wise prefactor search is numpy only."""
+        assert not self.loaded_after_import("scipy.optimize")

@@ -9,7 +9,6 @@ from scipy.special import expit, ndtr
 
 from ranktopo.models import (
     ModelParams,
-    box_points,
     compute_gamma,
     compute_zeta,
     make_link,
@@ -18,7 +17,7 @@ from ranktopo.models import (
     softmax,
 )
 
-from oracles import fd_gradient, fd_hessian
+from oracles import box_points, fd_gradient, fd_hessian
 
 
 def smooth_custom_cdf(x):
