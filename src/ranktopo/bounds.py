@@ -163,7 +163,13 @@ _PAIR_WORDS = 1 << 20
 
 def _range_keys(rows: np.ndarray, edges: list[int]) -> np.ndarray:
     """The first (at most 64) bits of each bit range [edges[r], edges[r+1])
-    of every packed row, one uint64 key row per range."""
+    of every packed row, one uint64 key row per range.
+
+    One range over a one-word row holds every bit the word may have set,
+    so the word itself orders and ties as its key does and serves as it.
+    """
+    if len(edges) == 2 and rows.shape[1] == 1:
+        return rows.T
     keys = np.empty((len(edges) - 1, rows.shape[0]), dtype=np.uint64)
     for key, lo, hi in zip(keys, edges[:-1], edges[1:]):
         (word, shift), width = divmod(lo, 64), min(hi - lo, 64)
@@ -289,7 +295,10 @@ def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> Pa
         if end - take > spare:
             end = int(np.flatnonzero(~fresh)[spare]) + 1
             take = end - spare - 1
-        kept_words = np.concatenate([kept_words, words[kept_at[:take]]])
+        # Kept rows that open the batch are a prefix, taken without a gather.
+        prefix = take == 0 or kept_at[take - 1] == take - 1
+        kept_words = np.concatenate([kept_words, words[:take] if prefix
+                                     else words[kept_at[:take]]])
         kept, rejects = kept + take, rejects + end - take
     little = kept_words.astype("<u8", copy=False).view(np.uint8)
     vectors = np.unpackbits(little, axis=1, count=d, bitorder="little")
@@ -515,12 +524,18 @@ def cvo_decision(sigma_ord: float, sigma_card: float, B: float,
 # ---------------------------------------------------------------------------
 
 
-def _sq_dists(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of x, with an exactly
-    zero diagonal: s_i + s_i - 2 g_ii is 2 s_i - 2 s_i."""
-    gram = x @ x.T
-    sq = np.diag(gram)
-    return sq[:, None] + sq[None, :] - 2.0 * gram
+def _min_hamming(rows: np.ndarray) -> int:
+    """Smallest Hamming distance between two rows of a 0/1 matrix: popcounts
+    of the XOR of every pair of rows, packed 64 coordinates to a word and
+    summed one word column at a time."""
+    packed = np.packbits(rows, axis=1)
+    words = np.zeros((rows.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    dists = np.zeros((rows.shape[0],) * 2, dtype=np.intp)
+    for word in words.view(np.uint64).T:
+        dists += np.bitwise_count(word[:, None] ^ word)
+    np.fill_diagonal(dists, rows.shape[1] + 1)
+    return int(dists.min())
 
 
 def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
@@ -538,6 +553,17 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
     |w - w'|^2 = |x - x'|^2.  variant 'lap' lower-bounds the squared
     Laplacian seminorm risk, variant 'l2' the squared Euclidean risk.
 
+    Neither needs the M x M distances.  The proof set {+v, -v, 0} has
+    squared distances |v|^2, |v|^2 and 4|v|^2 in either norm: minimum
+    |v|^2, mean 2|v|^2 over ordered pairs.  A GV row x is c z with z a 0/1
+    row, scaled by Lambda^{dagger 1/2} for 'lap', so a squared distance is
+    c^2 sum_k a_k (z_k - z'_k)^2 with a_k = lambda_k lambda_k^dagger (1 on
+    the nonzero spectrum, 0 elsewhere) for the seminorm under 'lap', a_k = 1
+    for the Euclidean norm under 'l2' and a_k = lambda_k for the seminorm
+    under 'l2'.  Minima are c^2 times integer Hamming distances, and the
+    mean over ordered pairs is c^2 sum_k a_k 2 n_k (M - n_k) / (M (M-1)),
+    where n_k of the M rows have z_k = 1.
+
     Packings larger than packing_cap are truncated: any subset of a
     packing is still a packing, trading bound strength for tractable
     pairwise computations.
@@ -549,7 +575,7 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
     summary = spectrum(design)
     d = design.d
     sigma, zeta, B = params.sigma, params.zeta, params.B
-    sqrt_pinv = np.sqrt(summary.pinv_diag)
+    eigenvalues, pinv = summary.eigenvalues, summary.pinv_diag
 
     if d <= 9:
         # The origin and +-v along one eigenvector, |v|_L^2 = delta^2/d along
@@ -558,30 +584,41 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
         col, radius_sq = (d - 1, delta_sq / d) if variant == "lap" else (1, delta_sq)
         coords = np.zeros((3, d))
         coords[:2, col] = [1.0, -1.0]
-        coords *= math.sqrt(radius_sq) * sqrt_pinv
+        coords *= math.sqrt(radius_sq) * np.sqrt(pinv)
+        sq_step = radius_sq * pinv[col]
+        lap_step = sq_step * eigenvalues[col]
+        separation = lap_step if variant == "lap" else sq_step
+        mean_lap = 2.0 * lap_step
     else:
         packing = gv_packing(d, alpha, seed)
         if packing.shortfall:
             raise ValueError(
                 f"greedy packing shortfall: found {packing.M} of {packing.target} vectors"
             )
-        z = packing.vectors[:packing_cap].astype(float)
+        z = packing.vectors[:packing_cap]
+        m_rows = z.shape[0]
+        if m_rows < 2:
+            raise ValueError(f"Fano needs a packing of size >= 2, got M={m_rows}")
+        counts = z.sum(axis=0, dtype=np.int64)
+        pairs_apart = counts * (m_rows - counts)  # unordered pairs differing at k
         if variant == "lap":
             delta_sq = 0.01 * sigma**2 * d / (n * zeta)
-            coords = math.sqrt(delta_sq / d) * z * sqrt_pinv
+            coords = math.sqrt(delta_sq / d) * z * np.sqrt(pinv)
+            lap_weights = eigenvalues * pinv
+            separation = delta_sq / d * _min_hamming(z[:, eigenvalues > 0])
         else:
             delta_sq = 0.01 * sigma**2 * d * d / (4.0 * n * zeta)
             # Pair heavily-used packing coordinates with small eigenvalues:
             # permute eigencoordinates 2..d so pair activity descends while
             # the eigenvalues ascend, keeping the mean KL small.
-            counts = z.sum(axis=0)
-            activity = counts * (z.shape[0] - counts)
-            order = np.r_[0, np.argsort(-activity[1:], kind="stable") + 1]
+            order = np.r_[0, np.argsort(-pairs_apart[1:], kind="stable") + 1]
             coords = math.sqrt(delta_sq / d) * z[:, order]
+            lap_weights = np.empty(d)
+            lap_weights[order] = eigenvalues
+            separation = delta_sq / d * _min_hamming(z)
+        mean_lap = delta_sq / d * float(lap_weights @ (2 * pairs_apart)) / (
+            m_rows * (m_rows - 1))
 
-    m_count = coords.shape[0]
-    if m_count < 2:
-        raise ValueError(f"Fano needs a packing of size >= 2, got M={m_count}")
     w_set = coords @ summary.eigenvectors
     peak = float(np.max(np.abs(w_set)))
     if peak > B + 1e-12:
@@ -589,9 +626,5 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
             f"packing leaves the bound set (|w|_inf = {peak:.3g} > B = {B}); "
             "the sample-size condition is too tight for these constants"
         )
-    lap_dists = _sq_dists(coords * np.sqrt(summary.eigenvalues))
-    beta = float(n * zeta / sigma**2 * np.maximum(lap_dists, 0.0).sum()
-                 / (m_count * (m_count - 1)))
-    dists = lap_dists if variant == "lap" else _sq_dists(coords)
-    np.fill_diagonal(dists, np.inf)
-    return fano_bound(max(float(dists.min()), 0.0), beta, m_count)
+    beta = n * zeta / sigma**2 * mean_lap
+    return fano_bound(separation, beta, coords.shape[0])

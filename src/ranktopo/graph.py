@@ -208,26 +208,34 @@ def design_from_json(text: str) -> ComparisonDesign:
     return ComparisonDesign(int(obj["d"]), obj["edges"], obj.get("kind", "custom"))
 
 
+def _check_hyper_size(d: int, m: int) -> None:
+    if d < 2:
+        raise ValueError(f"need at least 2 items, got d={d}")
+    if not (2 <= m <= d):
+        raise ValueError(f"need 2 <= m <= d, got m={m}, d={d}")
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class HyperDesign:
     """m-wise comparison hypergraph: a multiset of m-item subsets.
 
     ``subsets`` is any (S, m) array-like of 0-based integer item indices.
-    It is checked as a whole and stored once, as a read-only intp array.
-    Samples are spread evenly over its rows.  Row order fixes the columns
-    of the selection matrices, i.e. the positions that m-wise winners
-    refer to.  Designs compare equal by value.
+    It is checked as a whole and stored once, as a read-only intp array;
+    ``complete_hyper`` builds and checks it on first read.  Samples are
+    spread evenly over its rows.  Row order fixes the columns of the
+    selection matrices, i.e. the positions that m-wise winners refer to.
+    Designs compare equal by value.
     """
 
     d: int
     m: int
-    subsets: np.ndarray
 
     def __init__(self, d: int, m: int, subsets) -> None:
-        if d < 2:
-            raise ValueError(f"need at least 2 items, got d={d}")
-        if not (2 <= m <= d):
-            raise ValueError(f"need 2 <= m <= d, got m={m}, d={d}")
+        _check_hyper_size(d, m)
+        self._store(d, m, subsets)
+
+    def _store(self, d: int, m: int, subsets) -> None:
+        """Check the subsets of a design whose d and m are valid; store them read-only."""
         try:
             sa = np.asarray(subsets)
         except ValueError:  # ragged: subsets of different lengths
@@ -248,6 +256,16 @@ class HyperDesign:
                 raise ValueError(f"subset {tuple(sa[rows.argmax()].tolist())} {what}")
         for name, value in (("d", d), ("m", m), ("subsets", _read_only(sa.astype(np.intp)))):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def subsets(self) -> np.ndarray:
+        """The read-only (S, m) intp array of subsets.
+
+        The constructor stores it; ``complete_hyper`` reaches this body on
+        first read, and builds and checks it here.
+        """
+        self._store(self.d, self.m, self._subsets())
+        return vars(self)["subsets"]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HyperDesign):
@@ -379,17 +397,25 @@ def _scaled_spectrum(unscaled, count: int) -> np.ndarray:
     return np.sort(unscaled()) / count
 
 
+def _lexicographic_subsets(d: int, m: int) -> np.ndarray:
+    return np.fromiter(itertools.combinations(range(d), m), dtype=(np.intp, m))
+
+
 def complete_hyper(d: int, m: int) -> HyperDesign:
     """The complete m-wise hyper-design: every m-item subset once, in lexicographic order.
 
     It carries its closed-form spectrum: every pair lies in C(d-2, m-2) of
-    the C(d, m) subsets, so L' = C(d-2, m-2) (dI - 11^T).
+    the C(d, m) subsets, so L' = C(d-2, m-2) (dI - 11^T).  The subsets are
+    built and checked on first read, so the spectrum and the bound formulas
+    run without them.
     """
-    subsets = np.fromiter(itertools.combinations(range(d), m), dtype=(np.intp, m))
-    hyper = HyperDesign(d=d, m=m, subsets=subsets)
-    vars(hyper)["_closed_spectrum"] = partial(
-        _scaled_spectrum, partial(np.repeat, [0.0, d * math.comb(d - 2, m - 2)], [1, d - 1]),
-        len(subsets))
+    _check_hyper_size(d, m)
+    hyper = HyperDesign.__new__(HyperDesign)
+    vars(hyper).update(d=d, m=m, _subsets=partial(_lexicographic_subsets, d, m),
+                       _closed_spectrum=partial(
+                           _scaled_spectrum,
+                           partial(np.repeat, [0.0, d * math.comb(d - 2, m - 2)], [1, d - 1]),
+                           math.comb(d, m)))
     return hyper
 
 

@@ -59,6 +59,20 @@ def _thurstone_neg_log_second(x: np.ndarray) -> np.ndarray:
     return h * (h + x)
 
 
+# Both named links have their density peak at 0 and (-log F)'' decreasing
+# on [0, inf), so over [-h, h] its minimum sits at +h (for the symmetric
+# BTL curvature, at -h too).  The BTL minimum is F(h) F(-h): at h = 20 the
+# form F(h)(1 - F(h)) keeps only about 8 of its 16 digits.
+
+
+def _thurstone_extremes(hi: float) -> tuple[float, float]:
+    return float(_normal_pdf(0.0)), float(_thurstone_neg_log_second(hi))
+
+
+def _btl_extremes(hi: float) -> tuple[float, float]:
+    return 0.25, float(expit(hi) * expit(-hi))
+
+
 @dataclass(frozen=True)
 class LinkFunction:
     """A symmetric CDF with derivatives and a noise scale.
@@ -69,6 +83,9 @@ class LinkFunction:
     working interval is the strong log-concavity constant.  ``log_cdf``
     and ``pdf_over_cdf`` (F'/F) are evaluated in log space where the
     family allows it, which keeps them finite far into the tails.
+    ``extremes``, where the family knows them in closed form, maps h >= 0
+    to the max of ``pdf`` over [0, h] and the min of ``neg_log_second``
+    over [-h, h]; without it, ``model_params`` finds both by a grid search.
     """
 
     name: str
@@ -78,6 +95,7 @@ class LinkFunction:
     neg_log_second: Callable[[np.ndarray], np.ndarray]
     log_cdf: Callable[[np.ndarray], np.ndarray]
     pdf_over_cdf: Callable[[np.ndarray], np.ndarray]
+    extremes: Callable[[float], tuple[float, float]] | None = None
 
     def win_probability(self, score_diff: np.ndarray) -> np.ndarray:
         """P[first item wins] for raw score differences."""
@@ -130,10 +148,12 @@ def make_link(family: str | Callable, sigma: float = 1.0) -> LinkFunction:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if family == "thurstone":
         return LinkFunction("thurstone", sigma, _normal_cdf, _normal_pdf,
-                            _thurstone_neg_log_second, log_ndtr, _mills_ratio)
+                            _thurstone_neg_log_second, log_ndtr, _mills_ratio,
+                            _thurstone_extremes)
     if family == "btl":
         return LinkFunction("btl", sigma, expit, _btl_neg_log_second,
-                            _btl_neg_log_second, log_expit, _btl_pdf_over_cdf)
+                            _btl_neg_log_second, log_expit, _btl_pdf_over_cdf,
+                            _btl_extremes)
     if callable(family):
         _screen_custom_cdf(family)
         pdf = _fd_pdf(family)
@@ -209,7 +229,10 @@ def compute_zeta(link: LinkFunction, B: float) -> float:
     if B < 0:
         raise ValueError("B must be nonnegative")
     hi = 2.0 * B / link.sigma
-    peak = _grid_extremum(link.pdf, 0.0, hi, 1e-4, minimize=False)
+    if link.extremes is None:
+        peak = _grid_extremum(link.pdf, 0.0, hi, 1e-4, minimize=False)
+    else:
+        peak = link.extremes(hi)[0]
     # 1 - F(hi) = F(-hi); the product evaluated in log space survives far
     # larger intervals than the naive form, whose upper factor rounds to 1.
     log_denom = float(link.log_cdf(np.asarray(hi)) + link.log_cdf(np.asarray(-hi)))
@@ -228,7 +251,10 @@ def compute_gamma(link: LinkFunction, B: float) -> float:
     if B < 0:
         raise ValueError("B must be nonnegative")
     hi = 2.0 * B / link.sigma
-    gamma = _grid_extremum(link.neg_log_second, -hi, hi, 1e-4, minimize=True)
+    if link.extremes is None:
+        gamma = _grid_extremum(link.neg_log_second, -hi, hi, 1e-4, minimize=True)
+    else:
+        gamma = link.extremes(hi)[1]
     if gamma <= 0:
         raise ValueError(
             f"link {link.name!r} is not strongly log-concave on [-{hi}, {hi}]"
@@ -295,14 +321,6 @@ class MWiseLink:
         """Exact Hessian of -log F, diag(p) - p p^T with p = softmax(x), over leading axes."""
         p = softmax(x)
         return p[..., None, :] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
-
-    @staticmethod
-    def grad_choice_prob(x: np.ndarray) -> np.ndarray:
-        """Gradient p_0 (e_0 - p) of the first-item choice probability, over leading axes."""
-        p = softmax(x)
-        g = -p[..., :1] * p
-        g[..., 0] += p[..., 0]
-        return g
 
     def to_json(self) -> str:
         return json.dumps({"family": self.name, "m": self.m, "B": self.B})

@@ -331,6 +331,15 @@ def box_points(m: int, B: float) -> np.ndarray:
     return np.vstack([corners, rng.uniform(-B, B, size=(4000, m))])
 
 
+def choice_prob_gradient(x: np.ndarray) -> np.ndarray:
+    """Gradient p_0 (e_0 - p) of F = p_0, the first item's softmax probability."""
+    e = np.exp(x - np.max(x))
+    p = e / e.sum()
+    g = -p[0] * p
+    g[0] += p[0]
+    return g
+
+
 def choice_grad_sq(x: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
     """|grad F|^2 = p_0^2 S and |grad log F|^2 = S, S = |e_0 - p|^2, with their
     gradients in x, for F the first item's softmax probability p_0."""

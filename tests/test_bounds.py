@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -36,8 +37,8 @@ from ranktopo.graph import (
 from ranktopo.models import make_link, model_params, plackett_luce, softmax
 from ranktopo.synth import CardinalModel, even_allocation, gen_quality, sample_outcomes
 
-from oracles import (box_points, choice_grad_sq, exact_projection, fano_dense_laplacian,
-                     fd_gradient, gv_distance_packing, gv_distinct_packing,
+from oracles import (box_points, choice_grad_sq, choice_prob_gradient, exact_projection,
+                     fano_dense_laplacian, fd_gradient, gv_distance_packing, gv_distinct_packing,
                      mwise_sups_multistart)
 
 SINGLE_EDGE = ComparisonDesign(2, ((0, 1, 1.0),))
@@ -343,6 +344,26 @@ class TestGVPacking:
             "e66638817e5bdacdb28b2a257c07d6bec5343a4d159ddfa7d3e6341b1e5b4dff")
         assert elapsed < 2.0
 
+    # SHA-256 of the vectors at (d, alpha, seed).  The draw stream and the
+    # scan fix every vector, whatever the key a screen sorts by or how kept
+    # rows leave a batch.  At (10, 0.01, 7) a draw is rejected before the
+    # last kept one, so the kept rows are gathered; elsewhere they open
+    # their batches.
+    GV_PINS = {
+        (46, 0.01, 0): "7802c381678d2acf98e65b5a79e6cf1ee13092181ee1a46385b2346e94381226",
+        (48, 0.05, 0): "ac4112de866140244272671d1f95680954b29d7685969985937fc120a8b3e261",
+        (20, 0.1, 0): "969abc034a8934e57b56fa50619a78ceee09fdcf07b1f3da74b5d0e9c6eae05a",
+        (130, 0.2, 0): "b7a90930aee98a3d7141b46fe08ae3a6e8d626155460c88f8664579c345a0866",
+        (10, 0.01, 7): "b099ab646defcaf7096204161bcd48014475e1b647701870448491b1653682e0",
+    }
+
+    @pytest.mark.parametrize("d, alpha, seed", list(GV_PINS))
+    def test_vectors_are_pinned(self, d, alpha, seed):
+        packing = gv_packing(d, alpha, seed)
+        assert packing.M == packing.target
+        assert hashlib.sha256(packing.vectors.tobytes()).hexdigest() == (
+            self.GV_PINS[d, alpha, seed])
+
 
 class TestFanoBound:
     def test_boundary_exactly_zero(self):
@@ -564,7 +585,7 @@ class TestMWisePrefactors:
         xs = rng.uniform(-0.5, 0.5, size=(500, 3))
         best = 0.0
         for x in xs:
-            g = pl.grad_choice_prob(x)
+            g = choice_prob_gradient(x)
             best = max(best, float(g @ g) / pl.beta)
         assert pre.sup_grad_hdag_sq >= best - 1e-9
 
@@ -682,6 +703,24 @@ class TestFanoPipeline:
         assert want > 0
         assert fano_pipeline(design, params, 1e6, alpha, variant, seed=1) == pytest.approx(
             want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("d", [5, 6, 7, 8, 9, 12, 20, 40, 46, 48])
+    @pytest.mark.parametrize("kind", ["complete", "star", "path", "cycle"])
+    def test_counts_match_dense_distances(self, kind, d):
+        """Minimum and mean from Hamming and column counts match the M x M
+        dense-Laplacian distances to 1e-12, and at n = 1, where some packings
+        leave the bound set, both routes raise the same error."""
+        design = build_topology(kind, d)
+        params = model_params(make_link("btl", 1.0), 1.0)
+        for variant, seed, n in itertools.product(("lap", "l2"), range(3), (1e6, 1.0)):
+            try:
+                want = fano_dense_laplacian(design, params, n, 0.05, variant, seed)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    fano_pipeline(design, params, n, 0.05, variant, seed)
+                continue
+            got = fano_pipeline(design, params, n, 0.05, variant, seed)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_positive_on_reference_instance(self):
         design = build_topology("complete", 10)

@@ -5,7 +5,10 @@ import dataclasses
 import io
 import json
 import math
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,3 +438,26 @@ class TestCvoCommand:
         emp = json.loads(capsys.readouterr().out)["empirical"]
         assert len(calls) == 5 and emp["ordinal_not_converged"] == 1
         assert emp["ordinal_risk"] == want["ordinal_risk"]
+
+
+class TestParserReuse:
+    COMMANDS = (["design", "--d", "8", "--n", "100", "--kind", "star", "--json"],
+                ["spectrum", "--kind", "path", "--d", "8"],
+                ["design", "--d", "8", "--n", "100", "--kind", "path", "--json"])
+
+    def test_one_process_prints_what_separate_processes_print(self, capsys):
+        """main parses with one shared parser; no call leaves state for the
+        next, such as an appended --kind."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        separate = [subprocess.run([sys.executable, "-c",
+                                    "import sys; sys.path.insert(0, sys.argv[1]); "
+                                    "from ranktopo.cli import main; sys.exit(main(sys.argv[2:]))",
+                                    src, *argv],
+                                   capture_output=True, text=True, check=True).stdout
+                    for argv in self.COMMANDS]
+        together = []
+        for argv in self.COMMANDS:
+            assert main(argv) == 0
+            together.append(capsys.readouterr().out)
+        assert together == separate
+        assert [row["kind"] for row in json.loads(together[2])] == ["path"]

@@ -427,6 +427,44 @@ class TestHypergraph:
         if (d, m) == (12, 4):
             assert lam == pytest.approx(1.0909090909090908, rel=1e-15)
 
+    HYPER_READERS = {
+        "subsets": lambda hyper: hyper.subsets,
+        "laplacian": lambda hyper: hyper.laplacian,
+        "connected": lambda hyper: hyper.connected,
+        "hash": hash,
+        "eq": lambda hyper: hyper == hyper,
+        "pickle": lambda hyper: pickle.loads(pickle.dumps(hyper)),
+    }
+
+    def test_complete_hyper_builds_subsets_on_first_read(self, monkeypatch, capsys):
+        """bounds --theorem T4_* at d=60, m=5 (5.5e6 subsets, 218 MB) runs with
+        any subset build raising; whichever reader comes first later, every
+        reader sees the eager design."""
+        def no_subsets(*args):
+            raise AssertionError("T4 bounds must not build subsets")
+
+        monkeypatch.setattr(graph, "_lexicographic_subsets", no_subsets)
+        for theorem in ("T4_mwise_lap", "T4_mwise_l2"):
+            assert main(["bounds", "--theorem", theorem, "--kind", "complete", "--d", "60",
+                         "--m", "5", "--n", "1e6"]) == 0
+            assert json.loads(capsys.readouterr().out)["upper"] > 0
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="need 2 <= m <= d"):
+            complete_hyper(3, 5)
+        for d, m in ((9, 4), (7, 2)):
+            eager = HyperDesign(d, m, tuple(itertools.combinations(range(d), m)))
+            for name, read in self.HYPER_READERS.items():
+                hyper = complete_hyper(d, m)
+                assert "subsets" not in vars(hyper)
+                first = read(hyper)
+                if name == "pickle":  # pickled before any read, compared after
+                    hyper = first
+                assert hyper.subsets.dtype == eager.subsets.dtype
+                assert hyper.subsets.tobytes() == eager.subsets.tobytes()
+                assert not hyper.subsets.flags.writeable
+                assert hyper == eager and hash(hyper) == hash(eager)
+                assert hyper.laplacian.tobytes() == eager.laplacian.tobytes()
+
     def test_subset_validation(self):
         with pytest.raises(ValueError):
             HyperDesign(4, 3, ((0, 1, 1),))

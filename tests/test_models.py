@@ -1,6 +1,9 @@
 """Tests for link functions and their curvature/KL parameters."""
 
+import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from ranktopo.models import (
     softmax,
 )
 
-from oracles import box_points, fd_gradient, fd_hessian
+from oracles import box_points, choice_prob_gradient, fd_gradient, fd_hessian
 
 
 def smooth_custom_cdf(x):
@@ -155,6 +158,34 @@ class TestGamma:
         with pytest.raises(ValueError):
             compute_gamma(link, 1.0)
 
+    @pytest.mark.parametrize("family", ["thurstone", "btl"])
+    def test_closed_forms_match_the_grid_search(self, family):
+        """Both named links carry their extremes in closed form; the grid
+        search a custom link gets finds the same zeta and gamma within 4e-15,
+        and raises alike where F(1-F) underflows.  The grid reads the BTL
+        curvature as F(t) F(-t), whose digits survive far out."""
+        for sigma, B in itertools.product(np.geomspace(0.3, 5.0, 5), np.geomspace(0.01, 10.0, 7)):
+            link = make_link(family, float(sigma))
+            grid = dataclasses.replace(link, extremes=None)
+            if family == "btl":
+                grid = dataclasses.replace(grid, neg_log_second=lambda t: expit(t) * expit(-t))
+            for constant in (compute_zeta, compute_gamma):
+                try:
+                    want = constant(grid, float(B))
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        constant(link, float(B))
+                    continue
+                assert constant(link, float(B)) == pytest.approx(want, rel=4e-15, abs=0)
+
+    @pytest.mark.parametrize("h", [6.0, 20.0, 33.0])
+    def test_btl_gamma_keeps_its_digits_far_out(self, h):
+        """gamma = F(h) F(-h) at h = 2B/sigma.  Written F(h)(1 - F(h)), it
+        keeps only the digits of 1 - F(h) that survive rounding F(h) near 1:
+        off by 4.8e-14 relative at h = 6, 3.6e-8 at 20 and 8.7e-4 at 33."""
+        assert compute_gamma(make_link("btl", 1.0), h / 2) == pytest.approx(
+            math.exp(-h) / (1.0 + math.exp(-h)) ** 2, rel=1e-15, abs=0)
+
     def test_model_params_bundle(self):
         link = make_link("btl", 1.0)
         params = model_params(link, 1.0)
@@ -244,25 +275,24 @@ class TestPlackettLuce:
             assert np.linalg.norm(hess @ np.ones(m)) <= 1e-10
 
     def test_gradient_orthogonal_to_ones(self):
-        """<grad F(x), 1> = 0, checked against finite differences."""
+        """<grad F(x), 1> = 0 and grad F = p_0 (e_0 - p), checked against finite differences."""
         pl = plackett_luce(4)
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = rng.uniform(-1, 1, size=4)
             grad = fd_gradient(pl.choice_prob, x)
             assert abs(grad @ np.ones(4)) < 1e-8
-            np.testing.assert_allclose(pl.grad_choice_prob(x), grad, atol=1e-8)
+            np.testing.assert_allclose(choice_prob_gradient(x), grad, atol=1e-8)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_batched_derivatives_equal_row_by_row(self, m):
-        """Leading axes batch the Hessian and gradient; each row is bit-equal to its own call."""
+        """Leading axes batch the Hessian; each row is bit-equal to its own call."""
         pl = plackett_luce(m)
         x = np.random.default_rng(m).uniform(-2, 2, size=(4, 6, m))
-        hess, grad = pl.neg_log_hessian(x), pl.grad_choice_prob(x)
-        assert hess.shape == (4, 6, m, m) and grad.shape == (4, 6, m)
+        hess = pl.neg_log_hessian(x)
+        assert hess.shape == (4, 6, m, m)
         for idx in np.ndindex(4, 6):
             assert pl.neg_log_hessian(x[idx]).tobytes() == hess[idx].tobytes()
-            assert pl.grad_choice_prob(x[idx]).tobytes() == grad[idx].tobytes()
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_curvature_lower_bounds_hessian(self, m):
