@@ -553,7 +553,8 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
     |w - w'|^2 = |x - x'|^2.  variant 'lap' lower-bounds the squared
     Laplacian seminorm risk, variant 'l2' the squared Euclidean risk.
 
-    Neither needs the M x M distances.  The proof set {+v, -v, 0} has
+    Fano reads only the smallest distance and the mean seminorm distance,
+    and neither needs the M x M distances.  The proof set {+v, -v, 0} has
     squared distances |v|^2, |v|^2 and 4|v|^2 in either norm: minimum
     |v|^2, mean 2|v|^2 over ordered pairs.  A GV row x is c z with z a 0/1
     row, scaled by Lambda^{dagger 1/2} for 'lap', so a squared distance is
