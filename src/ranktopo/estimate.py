@@ -101,11 +101,14 @@ def project_feasible(x: np.ndarray, B: float) -> np.ndarray:
 
 
 def _ordinal_counts(batch: ObservationBatch, num_edges: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = batch.entry_indices
-    y = np.asarray(batch.outcomes)
-    wins = np.bincount(idx[y == 1], minlength=num_edges).astype(float)
-    losses = np.bincount(idx[y == -1], minlength=num_edges).astype(float)
-    return wins, losses
+    """Wins and losses per edge, from one count over 2 * edge + (outcome == 1).
+
+    ``ObservationBatch`` holds ordinal outcomes to +-1, so every sample
+    lands in one of its edge's two slots.
+    """
+    slots = 2 * batch.entry_indices + (np.asarray(batch.outcomes) == 1)
+    counts = np.bincount(slots, minlength=2 * num_edges).astype(float)
+    return counts[1::2], counts[0::2]
 
 
 def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
@@ -123,6 +126,7 @@ def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
     j_idx, k_idx, _ = design.edge_arrays
     wins, losses = _ordinal_counts(batch, len(j_idx))
     sigma, n, d = link.sigma, batch.n, design.d
+    laplacian = _laplacian(d, j_idx, k_idx)
 
     def point(w: np.ndarray) -> np.ndarray:
         return (w[j_idx] - w[k_idx]) / sigma
@@ -140,7 +144,7 @@ def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
 
     def hessian(t: np.ndarray) -> np.ndarray:
         curvature = wins * link.neg_log_second(t) + losses * link.neg_log_second(-t)
-        return _laplacian(d, j_idx, k_idx, curvature / (n * sigma * sigma))
+        return laplacian(curvature / (n * sigma * sigma))
 
     return point, objective, gradient, hessian
 
@@ -181,7 +185,7 @@ def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLin
     n, d = batch.n, design.d
     flat_columns = columns.ravel()
     a, b = np.triu_indices(link.m, 1)
-    pair_j, pair_k = columns[a].ravel(), columns[b].ravel()
+    laplacian = _laplacian(d, columns[a].ravel(), columns[b].ravel())
 
     def point(w: np.ndarray) -> np.ndarray:
         return link.log_position_probs(w[columns], axis=0)
@@ -196,7 +200,7 @@ def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLin
     def hessian(logp: np.ndarray) -> np.ndarray:
         probs = np.exp(logp)
         weights = (totals / n) * probs[a] * probs[b]
-        return _laplacian(d, pair_j, pair_k, weights.ravel())
+        return laplacian(weights.ravel())
 
     return point, objective, gradient, hessian
 
@@ -408,7 +412,7 @@ def ls_paired_cardinal(batch: ObservationBatch, design: ComparisonDesign) -> Est
     sampled = counts > 0
     if not _connected(design.d, j_idx[sampled], k_idx[sampled]):
         raise ValueError("sampled comparison graph is disconnected; w is not identifiable")
-    lap = _laplacian(design.d, j_idx[sampled], k_idx[sampled], counts[sampled]) / batch.n
+    lap = _laplacian(design.d, j_idx[sampled], k_idx[sampled])(counts[sampled]) / batch.n
     # X^T y accumulated per edge: each sample adds y_i (e_j - e_k).
     sums = np.zeros(len(j_idx))
     np.add.at(sums, batch.entry_indices, np.asarray(batch.outcomes, dtype=float))

@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -55,16 +56,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _laplacian(d: int, j: np.ndarray, k: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_e w_e (e_j - e_k)(e_j - e_k)^T over parallel edge arrays.
+def _laplacian(d: int, j: np.ndarray, k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map w -> sum_e w_e (e_j - e_k)(e_j - e_k)^T over parallel edge arrays.
 
+    The scatter indices are built here, once, so a solver that needs a
+    Laplacian per iterate on fixed edges pays only for the weights.
     Repeated pairs accumulate; each entry sums its terms in edge order.
     """
-    lap = np.bincount(np.stack([j * d + k, k * d + j], axis=1).ravel(),
-                      weights=np.repeat(-w, 2), minlength=d * d).reshape(d, d)
-    lap.flat[::d + 1] = np.bincount(np.stack([j, k], axis=1).ravel(),
-                                    weights=np.repeat(w, 2), minlength=d)
-    return lap
+    off_diagonal = np.stack([j * d + k, k * d + j], axis=1).ravel()
+    diagonal = np.stack([j, k], axis=1).ravel()
+
+    def build(w: np.ndarray) -> np.ndarray:
+        lap = np.bincount(off_diagonal, weights=np.repeat(-w, 2),
+                          minlength=d * d).reshape(d, d)
+        lap.flat[::d + 1] = np.bincount(diagonal, weights=np.repeat(w, 2), minlength=d)
+        return lap
+
+    return build
 
 
 def _connected(d: int, j: np.ndarray, k: np.ndarray) -> bool:
@@ -191,7 +199,8 @@ class ComparisonDesign:
     @cached_property
     def laplacian(self) -> np.ndarray:
         """Scaled Laplacian, sum_e w_e (e_j - e_k)(e_j - e_k)^T; trace 2; read-only."""
-        return _read_only(_laplacian(self.d, *self.edge_arrays))
+        j, k, w = self.edge_arrays
+        return _read_only(_laplacian(self.d, j, k)(w))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -296,7 +305,7 @@ def hypergraph_laplacian(design: HyperDesign) -> np.ndarray:
     """
     a, b = np.triu_indices(design.m, 1)
     j, k = design.subsets[:, a].ravel(), design.subsets[:, b].ravel()
-    return _laplacian(design.d, j, k, np.ones(j.size)) / len(design.subsets)
+    return _laplacian(design.d, j, k)(np.ones(j.size)) / len(design.subsets)
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,8 @@ class ObservationBatch:
             raise ValueError(f"unknown batch kind {self.kind!r}")
         if len(self.entry_indices) != self.n or len(self.outcomes) != self.n:
             raise ValueError("record arrays must have length n")
+        if self.kind == "ordinal_pair" and not np.all(np.abs(self.outcomes) == 1):
+            raise ValueError("ordinal outcomes must be +1 or -1")
 
     def to_csv(self, model_json: str = "{}") -> str:
         header = json.dumps(
@@ -198,10 +200,34 @@ def gen_quality(kind: str, d: int, B: float, seed,
 # ---------------------------------------------------------------------------
 
 
+def _search_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u, side="right") for a cdf ending at 1 and u in [0, 1).
+
+    A guide table (Chen & Asau 1974) over k equal buckets of [0, 1) holds
+    guide[b] = #{i : cdf_i <= b/k}.  With k a power of two, u k and cdf_i k
+    are exact, so b = floor(u k) puts u in [b/k, (b+1)/k) and
+    cdf_i <= b/k exactly when ceil(cdf_i k) <= b.  The answer for u then
+    lies between guide[b] and guide[b + 1]; it is guide[b] when they agree,
+    and a binary search otherwise.  At most len(cdf) buckets disagree, so
+    with k >= len(u) + len(cdf) the table costs O(k) and at most a share
+    len(cdf) / k of the draws is searched.
+    """
+    k = 1 << (len(u) + len(cdf) - 1).bit_length()
+    guide = np.cumsum(np.bincount(np.ceil(cdf * k).astype(np.intp), minlength=k + 1))
+    bucket = (u * k).astype(np.intp)
+    found = guide[bucket]
+    unsettled = np.flatnonzero(found != guide[bucket + 1])
+    found[unsettled] = cdf.searchsorted(u[unsettled], side="right")
+    return found
+
+
 def sample_comparisons(design: ComparisonDesign | HyperDesign, n: int, seed) -> np.ndarray:
     """Draw n design-entry indices i.i.d. with the design's weights.
 
-    Hyper designs are sampled uniformly over their subset list.
+    The draws, and the generator's state after them, equal those of
+    ``rng.choice(len(weights), size=n, p=weights)``: the same normalised
+    cdf, the same n uniforms, the same search, answered through a guide
+    table.  Hyper designs are sampled uniformly over their subset list.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -209,7 +235,9 @@ def sample_comparisons(design: ComparisonDesign | HyperDesign, n: int, seed) -> 
     if isinstance(design, HyperDesign):
         return rng.integers(0, len(design.subsets), size=n).astype(np.intp)
     _, _, weights = design.edge_arrays
-    return rng.choice(len(weights), size=n, p=weights).astype(np.intp)
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return _search_cdf(cdf, rng.random(n))
 
 
 def even_allocation(num_entries: int, n: int) -> np.ndarray:
@@ -241,8 +269,8 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
         if not isinstance(design, ComparisonDesign):
             raise ValueError("ordinal sampling requires a ComparisonDesign")
         j_idx, k_idx, _ = design.edge_arrays
-        diffs = values[j_idx[comparisons]] - values[k_idx[comparisons]]
-        p_win = model.win_probability(diffs)
+        # The link acts elementwise: one value per edge, gathered per sample.
+        p_win = model.win_probability(values[j_idx] - values[k_idx])[comparisons]
         outcomes = np.where(rng.random(n) < p_win, 1, -1)
         return ObservationBatch("ordinal_pair", comparisons, outcomes, n, seed_out, d)
 

@@ -368,3 +368,16 @@ def mwise_sups_multistart(m: int, B: float, starts: int = 150, seed: int = 0):
                                    bounds=[(-B, B)] * m).fun
                          for x0 in rng.uniform(-B, B, size=(starts, m))))
     return tuple(found)
+
+
+def choice_draws(weights: np.ndarray, n: int, rng) -> np.ndarray:
+    """n design-entry draws made the way numpy's Generator.choice makes them."""
+    return rng.choice(len(weights), size=n, p=weights)
+
+
+def ordinal_outcomes_per_sample(link, values: np.ndarray, design, comparisons: np.ndarray,
+                                rng) -> np.ndarray:
+    """+-1 outcomes, each from its own sample's score difference."""
+    j, k, _ = design.edge_arrays
+    p_win = link.win_probability(values[j[comparisons]] - values[k[comparisons]])
+    return np.where(rng.random(len(comparisons)) < p_win, 1, -1)

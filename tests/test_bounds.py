@@ -496,6 +496,8 @@ class TestMinimaxBounds:
             raise AssertionError("a canonical kind must not build its Laplacian")
 
         monkeypatch.setattr(graph, "_laplacian", no_laplacian)
+        with pytest.raises(AssertionError, match="must not build"):
+            build_topology("cycle", 8).laplacian  # every Laplacian comes from the spied builder
         design = build_topology("cycle", 64)
         params = model_params(make_link("btl", 1.0), 1.0)
         calls = self.count_eigvalsh(monkeypatch)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from ranktopo.cli import (
     run_trial,
 )
 from ranktopo.estimate import SolverOptions
+from ranktopo.graph import PAIRWISE_KINDS
 
 CSV_COLUMNS = ["topology", "d", "n", "trial", "seed", "sq_l2", "sq_lap",
                "rescaled", "converged", "iterations", "grad_norm", "error", "runtime_ms"]
@@ -461,3 +463,31 @@ class TestParserReuse:
             together.append(capsys.readouterr().out)
         assert together == separate
         assert [row["kind"] for row in json.loads(together[2])] == ["path"]
+
+
+class TestGoldenOutputs:
+    """sha256 pins of two whole outputs, so that work on the sampling and
+    solver hot paths cannot change a result without a test noticing.  Each
+    pin is the output of the code before that work: every draw, outcome,
+    MLE iterate and iteration count feeds the bytes hashed here."""
+
+    def test_simulate_rows(self, capsys):
+        """Thurstone and BTL over the eight kinds that build at d=16, n=4000,
+        two trials each, with the wall-clock column dropped."""
+        kinds = [arg for kind in PAIRWISE_KINDS if kind != "expander"
+                 for arg in ("--kind", kind)]
+        parts = []
+        for family in ("thurstone", "btl"):
+            assert main(["simulate", "--d", "16", "--n", "4000", "--family", family,
+                         "--trials", "2", "--seed", "0", "--out", "-", *kinds]) == 0
+            parts.append(strip_runtime(capsys.readouterr().out))
+        text = "\n".join(parts)
+        assert len(text.splitlines()) == 2 * (1 + 8 * 2)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "c6749ad44d3eabe15f34bee3ad9decf1556cc23d9ec9a3ff3036d20a2475cd1d"
+
+    def test_cvo_empirical(self, capsys):
+        assert main(["cvo", "--sigma-ord", "1", "--sigma-card", "2", "--empirical",
+                     "--d", "6", "--n", "600", "--trials", "10", "--seed", "0"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+            "b96cd1351857d5bc892c34aced12657b6c73c8d44036df17dd99f1241fc7eadd"

@@ -535,7 +535,7 @@ class TestSharedBuilders:
         x[np.arange(n), pairs[:, 0]] = 1.0
         x[np.arange(n), pairs[:, 1]] = -1.0
         oracle = x.T @ x / n
-        direct = _laplacian(25, pairs[:, 0], pairs[:, 1], np.full(n, 1.0 / n))
+        direct = _laplacian(25, pairs[:, 0], pairs[:, 1])(np.full(n, 1.0 / n))
         np.testing.assert_allclose(direct, oracle, rtol=0, atol=1e-15)
         np.testing.assert_allclose(build_topology("expander", 25).laplacian, oracle,
                                    rtol=0, atol=1e-15)
@@ -587,7 +587,7 @@ class TestSharedBuilders:
             j = rng.integers(0, d, size=num)
             k = (j + rng.integers(1, d, size=num)) % d
             w = rng.random(num) * (rng.random(num) < 0.9)
-            assert _laplacian(d, j, k, w).tobytes() == laplacian_four_entry(d, j, k, w).tobytes()
+            assert _laplacian(d, j, k)(w).tobytes() == laplacian_four_entry(d, j, k, w).tobytes()
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_hyper_laplacian_bit_equal(self, m):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from ranktopo.graph import ComparisonDesign, HyperDesign, build_topology, spectrum
+from oracles import choice_draws, ordinal_outcomes_per_sample
+from ranktopo.graph import PAIRWISE_KINDS, ComparisonDesign, HyperDesign, build_topology, spectrum
 from ranktopo.models import make_link, plackett_luce
 from ranktopo.synth import (
     CardinalModel,
     ObservationBatch,
     QualityVector,
+    _search_cdf,
     batch_from_csv,
     even_allocation,
     gen_quality,
@@ -19,6 +21,28 @@ from ranktopo.synth import (
     sample_comparisons,
     sample_outcomes,
 )
+
+
+def _draw_designs():
+    """Every canonical kind at d = 16, 64 and 256 where it builds (the
+    expander at d = 25, 49 and 289), then hand-made designs with zero
+    weights first, in the middle and last, and Pareto-weighted paths of 2
+    to 3,000 edges."""
+    for kind in PAIRWISE_KINDS:
+        for d in (25, 49, 289) if kind == "expander" else (16, 64, 256):
+            yield pytest.param(build_topology(kind, d), id=f"{kind}-{d}")
+    ends = np.arange(5)
+    for name, w in (("zero-first", [0.0, 0.0, 0.25, 0.25, 0.5]),
+                    ("zero-middle", [0.25, 0.0, 0.0, 0.25, 0.5]),
+                    ("zero-last", [0.25, 0.25, 0.5, 0.0, 0.0]),
+                    ("zero-everywhere", [0.0, 0.5, 0.0, 0.5, 0.0])):
+        yield pytest.param(ComparisonDesign.from_arrays(6, ends, ends + 1, w), id=name)
+    rng = np.random.default_rng(23)
+    for edges in (2, 3, 10, 100, 1000, 3000):
+        w = rng.pareto(1.0, edges)
+        ends = np.arange(edges)
+        yield pytest.param(ComparisonDesign.from_arrays(edges + 1, ends, ends + 1, w / w.sum()),
+                           id=f"pareto-{edges}")
 
 
 class TestQualityVector:
@@ -128,6 +152,37 @@ class TestSampleComparisons:
         with pytest.raises(ValueError):
             sample_comparisons(design, 0, 0)
 
+    @pytest.mark.parametrize("design", list(_draw_designs()))
+    def test_draws_equal_generator_choice(self, design):
+        """Draw for draw, and in the generator state they leave, the draws
+        are those of Generator.choice with the design's weights."""
+        weights = design.edge_arrays[2]
+        for seed in range(20):
+            n = 1 + seed * 157
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_comparisons(design, n, ours)
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, choice_draws(weights, n, theirs))
+            assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("weights", [
+        [1.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0, 0.3, 0.0, 0.7, 0.0, 0.0],
+        np.full(7, 1 / 7), np.random.default_rng(4).pareto(1.0, 3000)])
+    def test_guide_search_at_bucket_and_cdf_edges(self, weights):
+        """u at every bucket edge b/k of the table the search builds, at
+        every cdf value and at both its float neighbours."""
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        k = 1 << (2 * len(cdf)).bit_length()
+        n = k - len(cdf)  # the search sizes its table to n + len(cdf): k
+        u = np.concatenate([np.arange(k) / k, cdf, np.nextafter(cdf, 0.0),
+                            np.nextafter(cdf, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        pad = np.random.default_rng(0).random(-len(u) % n)
+        for chunk in np.concatenate([u, pad]).reshape(-1, n):
+            np.testing.assert_array_equal(_search_cdf(cdf, chunk),
+                                          np.searchsorted(cdf, chunk, side="right"))
+
     def test_even_allocation(self):
         alloc = even_allocation(3, 7)
         np.testing.assert_array_equal(alloc, [0, 1, 2, 0, 1, 2, 0])
@@ -162,6 +217,24 @@ class TestSampleOutcomes:
         batch = sample_outcomes(link, np.zeros(5), design, comps, 1)
         assert batch.kind == "ordinal_pair"
         assert set(np.unique(batch.outcomes)) <= {-1, 1}
+
+    @pytest.mark.parametrize("family", ["thurstone", "btl", "custom"])
+    def test_ordinal_outcomes_equal_per_sample_formula(self, family):
+        """Win probabilities taken per edge give the outcomes, and leave the
+        generator, exactly as the per-sample formula does."""
+        link = make_link(family if family != "custom"
+                         else lambda x: 0.5 + np.arctan(x) / np.pi, 0.7)
+        for kind, d in (("complete", 16), ("star", 64), ("barbell", 16), ("path", 9)):
+            design = build_topology(kind, d)
+            for seed in range(5):
+                w = gen_quality("gaussian", d, 1.3, seed)
+                comps = sample_comparisons(design, 2000, seed)
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                batch = sample_outcomes(link, w, design, comps, ours)
+                np.testing.assert_array_equal(
+                    batch.outcomes,
+                    ordinal_outcomes_per_sample(link, w.values, design, comps, theirs))
+                assert ours.random() == theirs.random()
 
     def test_mwise_winner_distribution(self):
         hyper = HyperDesign(3, 3, ((0, 1, 2),))
@@ -261,3 +334,7 @@ class TestBatchSerialization:
         with pytest.raises(ValueError):
             ObservationBatch("ordinal_pair", np.zeros(3, dtype=np.intp),
                              np.array([1, -1]), 2, 0, 3)
+        for bad in (0, 2, -2):  # only +-1 enter the ordinal likelihood
+            with pytest.raises(ValueError, match="ordinal outcomes"):
+                ObservationBatch("ordinal_pair", np.zeros(2, dtype=np.intp),
+                                 np.array([1, bad]), 2, 0, 3)
