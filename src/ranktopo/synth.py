@@ -209,8 +209,9 @@ def _search_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf_i <= b/k exactly when ceil(cdf_i k) <= b.  The answer for u then
     lies between guide[b] and guide[b + 1]; it is guide[b] when they agree,
     and a binary search otherwise.  At most len(cdf) buckets disagree, so
-    with k >= len(u) + len(cdf) the table costs O(k) and at most a share
-    len(cdf) / k of the draws is searched.
+    with k >= len(u) + len(cdf) the table costs O(len(u) + len(cdf)) and
+    the expected share of draws that need the search is at most
+    len(cdf) / k.
     """
     k = 1 << (len(u) + len(cdf) - 1).bit_length()
     guide = np.cumsum(np.bincount(np.ceil(cdf * k).astype(np.intp), minlength=k + 1))
