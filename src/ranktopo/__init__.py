@@ -7,7 +7,6 @@ estimators (estimate), executable minimax bounds (bounds), and a CLI (cli).
 """
 
 from .bounds import (
-    BoundConstants,
     BoundReport,
     CvoReport,
     PackingSet,
@@ -62,7 +61,6 @@ from .synth import (
     CardinalModel,
     ObservationBatch,
     QualityVector,
-    batch_from_csv,
     even_allocation,
     gen_quality,
     sample_comparisons,
@@ -72,7 +70,7 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundConstants", "BoundReport", "CvoReport", "PackingSet",
+    "BoundReport", "CvoReport", "PackingSet",
     "cvo_decision", "fano_bound", "fano_pipeline", "gv_packing", "gv_target",
     "kl_exact", "kl_upper", "minimax_bounds", "mwise_prefactors",
     "ErrorMetrics", "EstimateResult", "SolverOptions", "error_metrics",
@@ -84,7 +82,7 @@ __all__ = [
     "lower_bound_statistic", "optimality_report", "spectrum",
     "LinkFunction", "ModelParams", "MWiseLink", "compute_gamma", "compute_zeta",
     "make_link", "model_params", "plackett_luce",
-    "CardinalModel", "ObservationBatch", "QualityVector", "batch_from_csv",
+    "CardinalModel", "ObservationBatch", "QualityVector",
     "even_allocation", "gen_quality", "sample_comparisons", "sample_outcomes",
     "__version__",
 ]

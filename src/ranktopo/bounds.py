@@ -1,17 +1,18 @@
 """Executable minimax bounds: KL divergences, packings, Fano, theorem reports.
 
-Unnamed constants in the theorems default to 1.0 and are threaded through
-every report, so the numbers produced here are honest "up to constants"
-quantities; tests assert scalings, never the constants themselves.  The
-Fano pipeline goes further and executes the lower-bound proof recipe
-end to end, producing a fully constructive numeric bound.
+The theorems hold up to unnamed universal constants; the reports evaluate
+each formula with every such constant set to 1, so the numbers produced
+here are honest "up to constants" quantities and tests assert scalings,
+never the constants themselves.  The Fano pipeline goes further and
+executes the lower-bound proof recipe end to end, producing a fully
+constructive numeric bound.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,34 +26,10 @@ THEOREMS = ("T1_lap", "T2_l2", "T3_paired", "T4_mwise_lap", "T4_mwise_l2")
 
 
 @dataclass(frozen=True)
-class BoundConstants:
-    """The numerical constants c_* of the theorems, all defaulting to 1."""
-
-    c1l: float = 1.0
-    c1u: float = 1.0
-    c2l: float = 1.0
-    c2u: float = 1.0
-    c3l: float = 1.0
-    c3u: float = 1.0
-    c4l: float = 1.0
-    c4u: float = 1.0
-    c_sample: float = 1.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be positive")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
 class BoundReport:
     lower: float
     upper: float
     applicable: bool
-    constants: BoundConstants
     formula: str
     context: dict = field(default_factory=dict)
 
@@ -67,7 +44,6 @@ class BoundReport:
                 "lower": self.lower,
                 "upper": self.upper,
                 "applicable": self.applicable,
-                "constants": self.constants.as_dict(),
                 **self.context,
             }
         )
@@ -406,8 +382,7 @@ def mwise_prefactors(link: MWiseLink) -> MWisePrefactors:
 
 
 def minimax_bounds(theorem: str, design: ComparisonDesign | HyperDesign,
-                   params: ModelParams | MWiseLink, n: float,
-                   constants: BoundConstants = BoundConstants()) -> BoundReport:
+                   params: ModelParams | MWiseLink, n: float) -> BoundReport:
     """Evaluate one of the minimax lower/upper bound formula pairs.
 
     T1_lap / T2_l2 / T3_paired take a ComparisonDesign with ModelParams;
@@ -418,8 +393,10 @@ def minimax_bounds(theorem: str, design: ComparisonDesign | HyperDesign,
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
-    if n <= 0:
-        raise ValueError("n must be positive")
+    if not n > 0:
+        raise ValueError(f"n must be positive, got {n}")
+    if not params.B > 0:
+        raise ValueError(f"B must be positive, got {params.B}")
     summary = spectrum(design)
     d = design.d
     if summary.lambda2 <= 0:
@@ -433,46 +410,44 @@ def minimax_bounds(theorem: str, design: ComparisonDesign | HyperDesign,
         m = link.m
         lower_pref = pre.inf_choice_prob / (m**2 * pre.lambda_m_h * pre.sup_grad_hdag_sq)
         upper_pref = m**2 * pre.sup_grad_log_sq / pre.lambda2_h**2
-        applicable = n >= constants.c_sample * summary.trace_pinv / (
-            pre.zeta * link.B**2 * pre.lambda_m_h)
+        applicable = n >= summary.trace_pinv / (pre.zeta * link.B**2 * pre.lambda_m_h)
         if theorem == "T4_mwise_lap":
-            lower = constants.c4l * lower_pref * d / n
-            upper = constants.c4u * upper_pref * d / n
+            lower = lower_pref * d / n
+            upper = upper_pref * d / n
         else:
-            lower = constants.c4l * lower_pref * d * d / n
+            lower = lower_pref * d * d / n
             # Euclidean upper bound: the seminorm bound divided by the
             # algebraic connectivity.
-            upper = constants.c4u * upper_pref * d / (summary.lambda2 * n)
+            upper = upper_pref * d / (summary.lambda2 * n)
         context = {"theorem": theorem, "d": d, "m": m, "n": n, "B": link.B,
                    "prefactors": {"inf_F": pre.inf_choice_prob,
                                   "sup_grad_hdag_sq": pre.sup_grad_hdag_sq,
                                   "sup_grad_log_sq": pre.sup_grad_log_sq,
                                   "lambda2_H": pre.lambda2_h,
                                   "lambda_m_H": pre.lambda_m_h}}
-        return BoundReport(lower, upper, applicable, constants, theorem, context)
+        return BoundReport(lower, upper, applicable, theorem, context)
 
     if not isinstance(design, ComparisonDesign) or not isinstance(params, ModelParams):
         raise ValueError(f"{theorem} needs a ComparisonDesign and ModelParams")
     sigma, zeta, gamma, B = params.sigma, params.zeta, params.gamma, params.B
-    sample_floor = constants.c_sample * sigma**2 * summary.trace_pinv / (zeta * B**2)
+    sample_floor = sigma**2 * summary.trace_pinv / (zeta * B**2)
     applicable = n >= sample_floor
     context = {"theorem": theorem, "d": d, "n": n, "sigma": sigma, "B": B,
                "gamma": gamma, "zeta": zeta, "lambda2": summary.lambda2,
                "trace_pinv": summary.trace_pinv, "sample_floor": sample_floor}
 
     if theorem == "T1_lap":
-        lower = constants.c1l * sigma**2 / (zeta * n)
-        upper = constants.c1u * (zeta / gamma) * sigma**2 * d / n
+        lower = sigma**2 / (zeta * n)
+        upper = (zeta / gamma) * sigma**2 * d / n
     elif theorem == "T2_l2":
         stat = max(float(d * d), lower_bound_statistic(summary))
-        lower = constants.c2l * sigma**2 / n * stat
-        upper = constants.c2u * (zeta / gamma) * sigma**2 * d / (summary.lambda2 * n)
+        lower = sigma**2 / n * stat
+        upper = (zeta / gamma) * sigma**2 * d / (summary.lambda2 * n)
         context["lb_statistic"] = stat
     else:  # T3_paired
-        lower = constants.c3l * sigma**2 * summary.trace_pinv / n
-        upper = constants.c3u * sigma**2 * summary.trace_pinv / n
+        lower = upper = sigma**2 * summary.trace_pinv / n
         applicable = True
-    return BoundReport(lower, upper, applicable, constants, theorem, context)
+    return BoundReport(lower, upper, applicable, theorem, context)
 
 
 # ---------------------------------------------------------------------------
@@ -494,22 +469,21 @@ class CvoReport:
         return json.dumps(asdict(self))
 
 
-def cvo_decision(sigma_ord: float, sigma_card: float, B: float,
-                 constants: BoundConstants = BoundConstants()) -> CvoReport:
+def cvo_decision(sigma_ord: float, sigma_card: float, B: float) -> CvoReport:
     """Choose between comparison and numeric-score elicitation.
 
     The b-factors specialise the Euclidean theorem to the Gaussian link;
     ordinal elicitation wins when b_u sigma^2 < sigma_c^2, cardinal when
-    b_l sigma^2 > sigma_c^2, and with loose default constants a genuine
+    b_l sigma^2 > sigma_c^2, and with every constant set to 1 a genuine
     indeterminate band remains in between.
     """
     if sigma_ord <= 0 or sigma_card <= 0 or B <= 0:
         raise ValueError("all scales must be positive")
     params = model_params(make_link("thurstone", sigma_ord), B)
     zeta_g, gamma_g = params.zeta, params.gamma
-    b_l = constants.c2l / zeta_g
-    b_u = constants.c2u * zeta_g / gamma_g
-    b = int(math.ceil(constants.c_sample * sigma_ord**2 / (zeta_g * B**2)))
+    b_l = 1.0 / zeta_g
+    b_u = zeta_g / gamma_g
+    b = int(math.ceil(sigma_ord**2 / (zeta_g * B**2)))
     if b_u * sigma_ord**2 < sigma_card**2:
         decision = "ordinal_better"
     elif b_l * sigma_ord**2 > sigma_card**2:
@@ -571,6 +545,10 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
     """
     if variant not in ("lap", "l2"):
         raise ValueError(f"unknown variant {variant!r}")
+    if not n > 0:
+        raise ValueError(f"n must be positive, got {n}")
+    if not params.B > 0:
+        raise ValueError(f"B must be positive, got {params.B}")
     if not design.connected:
         raise ValueError("the pipeline requires a connected design")
     summary = spectrum(design)

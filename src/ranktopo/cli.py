@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundConstants, cvo_decision, fano_pipeline, minimax_bounds
-from .estimate import (SolverOptions, error_metrics, mean_cardinal, mle_mwise,
-                       mle_ordinal)
+from .bounds import cvo_decision, fano_pipeline, minimax_bounds
+from .estimate import error_metrics, mean_cardinal, mle_mwise, mle_ordinal
 from .graph import (PAIRWISE_KINDS, build_topology, complete_hyper, optimality_report,
                     parse_kind, spectrum)
 from .models import make_link, model_params, plackett_luce
@@ -80,8 +79,7 @@ class ExperimentConfig:
 
 
 def run_trial(kind: str, d: int, n: int, family: str, sigma: float, B: float,
-              m: int, w_gen: str, seed: int, w_variant: str = "pinv",
-              opts: SolverOptions = SolverOptions()) -> dict:
+              m: int, w_gen: str, seed: int, w_variant: str = "pinv") -> dict:
     """One campaign cell trial, reproducible from its integer seed.
 
     ``runtime_ms`` covers sampling and estimation only: the design, the
@@ -98,7 +96,7 @@ def run_trial(kind: str, d: int, n: int, family: str, sigma: float, B: float,
     start = time.perf_counter()
     comps = sample_comparisons(target, n, rng)
     batch = sample_outcomes(link, w_star, target, comps, rng)
-    result = estimate(batch, target, link, B, opts)
+    result = estimate(batch, target, link, B)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     metrics = error_metrics(result.w_hat, w_star, design)
     return {
@@ -261,6 +259,8 @@ def cmd_design(args) -> int:
             "lb_statistic": report.lb_statistic,
             "classification": report.classification,
         })
+    if not rows:
+        raise ValueError(f"no comparison topology builds at d={args.d}")
     rows.sort(key=lambda r: (r["proxy"], r["kind"]))
     if args.json:
         print(json.dumps(rows))

@@ -288,9 +288,10 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 class MWiseLink:
     """Choice model over m-item subsets with shift-invariant probabilities.
 
-    ``choice_prob(x)`` is the probability of choosing the first listed item
-    from subset scores x.  ``beta`` is the curvature coefficient: the
-    Hessian of -log F dominates beta (I - 11^T/m) over [-B, B]^m.
+    F(x) = ``position_probs(x)[0]`` is the probability of choosing the
+    first listed item from subset scores x.  ``beta`` is the curvature
+    coefficient: the Hessian of -log F dominates beta (I - 11^T/m) over
+    [-B, B]^m.
     """
 
     name: str
@@ -301,10 +302,6 @@ class MWiseLink:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError(f"need m >= 2, got {self.m}")
-
-    def choice_prob(self, x: np.ndarray) -> float:
-        """Probability that the first of the m listed items is chosen."""
-        return float(softmax(np.asarray(x, dtype=float))[0])
 
     def position_probs(self, x: np.ndarray) -> np.ndarray:
         """Choice probabilities for every position; rows for 2-d input."""

@@ -7,7 +7,6 @@ which is what makes parallel experiment campaigns replayable row by row.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -77,57 +76,24 @@ class ObservationBatch:
     ``entry_indices[i]`` points at the design edge/subset/item measured by
     sample i.  Outcomes are +/-1 for ordinal pairs, a 0-based winner
     position for m-wise samples, and a real number for cardinal kinds.
+    The sample count ``n`` is the length of both arrays.
     """
 
     kind: str
     entry_indices: np.ndarray
     outcomes: np.ndarray
-    n: int
-    seed: int | None
-    d: int
 
     def __post_init__(self) -> None:
         if self.kind not in BATCH_KINDS:
             raise ValueError(f"unknown batch kind {self.kind!r}")
-        if len(self.entry_indices) != self.n or len(self.outcomes) != self.n:
-            raise ValueError("record arrays must have length n")
+        if len(self.entry_indices) != len(self.outcomes):
+            raise ValueError("entry and outcome arrays must have equal length")
         if self.kind == "ordinal_pair" and not np.all(np.abs(self.outcomes) == 1):
             raise ValueError("ordinal outcomes must be +1 or -1")
 
-    def to_csv(self, model_json: str = "{}") -> str:
-        header = json.dumps(
-            {"kind": self.kind, "d": self.d, "n": self.n, "seed": self.seed,
-             "model": json.loads(model_json)}
-        )
-        buf = io.StringIO()
-        buf.write(f"# {header}\n")
-        buf.write("sample_index,entry_index,outcome\n")
-        for i in range(self.n):
-            outcome = self.outcomes[i]
-            text = str(int(outcome)) if np.issubdtype(self.outcomes.dtype, np.integer) \
-                else repr(float(outcome))
-            buf.write(f"{i},{int(self.entry_indices[i])},{text}\n")
-        return buf.getvalue()
-
-
-def batch_from_csv(text: str) -> tuple[ObservationBatch, dict]:
-    """Inverse of ObservationBatch.to_csv; returns (batch, model dict)."""
-    lines = text.strip().split("\n")
-    meta = json.loads(lines[0].lstrip("# "))
-    entries, outcomes = [], []
-    for line in lines[2:]:
-        _, entry, outcome = line.split(",")
-        entries.append(int(entry))
-        outcomes.append(float(outcome))
-    kind = meta["kind"]
-    out = np.array(outcomes)
-    if kind in ("ordinal_pair", "mwise"):
-        out = out.astype(int)
-    batch = ObservationBatch(
-        kind=kind, entry_indices=np.array(entries, dtype=np.intp),
-        outcomes=out, n=meta["n"], seed=meta["seed"], d=meta["d"],
-    )
-    return batch, meta["model"]
+    @property
+    def n(self) -> int:
+        return len(self.entry_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +226,9 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
     design=None.
     """
     values = _values(w)
-    d = values.shape[0]
     comparisons = np.asarray(comparisons, dtype=np.intp)
     n = len(comparisons)
     rng = _rng(seed)
-    seed_out = seed if isinstance(seed, (int, np.integer)) else None
 
     if isinstance(model, LinkFunction):
         if not isinstance(design, ComparisonDesign):
@@ -273,7 +237,7 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
         # The link acts elementwise: one value per edge, gathered per sample.
         p_win = model.win_probability(values[j_idx] - values[k_idx])[comparisons]
         outcomes = np.where(rng.random(n) < p_win, 1, -1)
-        return ObservationBatch("ordinal_pair", comparisons, outcomes, n, seed_out, d)
+        return ObservationBatch("ordinal_pair", comparisons, outcomes)
 
     if isinstance(model, MWiseLink):
         if not isinstance(design, HyperDesign) or design.m != model.m:
@@ -284,19 +248,19 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
         u = rng.random(n)
         winners = np.sum(u[:, None] >= cum, axis=1).astype(int)
         winners = np.clip(winners, 0, model.m - 1)
-        return ObservationBatch("mwise", comparisons, winners, n, seed_out, d)
+        return ObservationBatch("mwise", comparisons, winners)
 
     if isinstance(model, CardinalModel):
         noise = model.sigma_c * rng.standard_normal(n) if model.sigma_c > 0 else np.zeros(n)
         if model.kind == "item":
-            if np.any(comparisons >= d):
+            if np.any(comparisons >= len(values)):
                 raise ValueError("cardinal item indices out of range")
             y = values[comparisons] + noise
-            return ObservationBatch("cardinal_item", comparisons, y, n, seed_out, d)
+            return ObservationBatch("cardinal_item", comparisons, y)
         if not isinstance(design, ComparisonDesign):
             raise ValueError("paired cardinal sampling requires a ComparisonDesign")
         j_idx, k_idx, _ = design.edge_arrays
         y = values[j_idx[comparisons]] - values[k_idx[comparisons]] + noise
-        return ObservationBatch("cardinal_pair", comparisons, y, n, seed_out, d)
+        return ObservationBatch("cardinal_pair", comparisons, y)
 
     raise ValueError(f"unsupported model type {type(model).__name__}")

@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from ranktopo.bounds import fano_pipeline, gv_packing, gv_target
 from ranktopo.cli import ExperimentConfig, row_seed, rows_to_csv, run_campaign
@@ -207,7 +206,7 @@ def test_criterion_06_mle_correctness():
     with _Criterion(6, "MLE correctness", 10.0):
         single = ComparisonDesign(2, ((0, 1, 1.0),))
         batch = ObservationBatch("ordinal_pair", np.zeros(4, dtype=np.intp),
-                                 np.array([1, 1, 1, -1]), 4, 0, 2)
+                                 np.array([1, 1, 1, -1]))
         btl = make_link("btl", 1.0)
         thurstone = make_link("thurstone", 1.0)
         res = mle_ordinal(batch, single, btl, 1.0)
@@ -323,7 +322,7 @@ def test_criterion_09_mwise_reductions():
         design = ComparisonDesign(d, tuple((j, k, 1 / len(pairs)) for j, k in pairs))
         obatch = ObservationBatch(
             "ordinal_pair", mbatch.entry_indices,
-            np.where(np.asarray(mbatch.outcomes) == 0, 1, -1), mbatch.n, None, d)
+            np.where(np.asarray(mbatch.outcomes) == 0, 1, -1))
         o_est = mle_ordinal(obatch, design, make_link("btl", 1.0), 1.0)
         np.testing.assert_allclose(m_est.w_hat.values, o_est.w_hat.values, atol=1e-6)
 
@@ -331,7 +330,7 @@ def test_criterion_09_mwise_reductions():
         triple = HyperDesign(3, 3, ((0, 1, 2),))
         counts = (7, 4, 2)
         batch = ObservationBatch("mwise", np.zeros(13, dtype=np.intp),
-                                 np.repeat(np.arange(3), counts), 13, 0, 3)
+                                 np.repeat(np.arange(3), counts))
         est = mle_mwise(batch, triple, plackett_luce(3, B=10.0), 10.0)
         expected = np.log(np.asarray(counts, dtype=float))
         expected -= expected.mean()

@@ -13,9 +13,7 @@ from scipy.special import expit
 
 from ranktopo import graph
 from ranktopo.bounds import (
-    BoundConstants,
     BoundReport,
-    PackingSet,
     cvo_decision,
     fano_bound,
     fano_pipeline,
@@ -440,15 +438,6 @@ class TestMinimaxBounds:
         assert not low.applicable
         assert high.applicable
 
-    def test_constants_scale_reports(self):
-        design = build_topology("complete", 6)
-        params = model_params(make_link("btl", 1.0), 1.0)
-        doubled = BoundConstants(c3l=2.0, c3u=3.0)
-        report = minimax_bounds("T3_paired", design, params, 100, doubled)
-        base = minimax_bounds("T3_paired", design, params, 100)
-        assert abs(report.lower - 2 * base.lower) < 1e-12
-        assert abs(report.upper - 3 * base.upper) < 1e-12
-
     def test_t4_shapes_and_scalings(self):
         d = 6
         hyper = HyperDesign(d, 3, tuple(itertools.combinations(range(d), 3)))
@@ -559,9 +548,9 @@ class TestMinimaxBounds:
         payload = json.loads(minimax_bounds("T3_paired", design, params, 100).to_json())
         assert payload["formula"] == "T3_paired"
         assert payload["applicable"] is True
-        assert payload["constants"]["c_sample"] == 1.0
+        assert "constants" not in payload
         with pytest.raises(ValueError):
-            BoundReport(-1.0, 1.0, True, BoundConstants(), "T1_lap")
+            BoundReport(-1.0, 1.0, True, "T1_lap")
 
 
 class TestMWisePrefactors:
@@ -805,15 +794,3 @@ class TestCardinalRiskIdentity:
             total += error_metrics(est.w_hat, w, design).sq_l2
         target = sigma_c**2 * d / n
         assert abs(total / trials - target) / target < 0.03
-
-
-class TestBoundConstants:
-    def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            BoundConstants(c1l=0.0)
-        with pytest.raises(ValueError):
-            BoundConstants(c_sample=-1.0)
-
-    def test_as_dict(self):
-        d = BoundConstants().as_dict()
-        assert len(d) == 9 and all(v == 1.0 for v in d.values())

@@ -185,7 +185,7 @@ class TestSimulateCommand:
                 raise RuntimeError("boom, at n=200")
             return original_trial(kind, d, n, *args, **kwargs)
 
-        def one_step(batch, design, link, B, opts):
+        def one_step(batch, design, link, B):
             return original_mle(batch, design, link, B, SolverOptions(max_iters=1))
 
         monkeypatch.setattr(cli_mod, "run_trial", explode)
@@ -353,6 +353,27 @@ class TestBoundsCommand:
         assert capsys.readouterr().err == "error: Fano needs a packing of size >= 2, got M=1\n"
 
 
+    @pytest.mark.parametrize("theorem, d, n, B, extra", [
+        ("T1_lap", "6", "100", "0", []),
+        ("T4_mwise_lap", "6", "100", "0", []),
+        ("T1_lap", "12", "100", "0", ["--constructive"]),
+        ("T1_lap", "6", "0", "1", ["--constructive"]),
+        ("T2_l2", "12", "0", "1", ["--constructive"]),
+        ("T1_lap", "12", "-5", "1", ["--constructive"]),
+        ("T1_lap", "6", "nan", "1", []),
+        ("T4_mwise_l2", "6", "nan", "1", []),
+        ("T1_lap", "6", "nan", "1", ["--constructive"]),
+    ])
+    def test_nonpositive_inputs_are_errors(self, theorem, d, n, B, extra, capsys):
+        """B <= 0 used to divide by zero, n <= 0 or NaN to crash the
+        constructive pipeline or print NaN bounds."""
+        code = main(["bounds", "--theorem", theorem, "--kind", "complete", "--d", d,
+                     "--n", n, "--B", B, *extra])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+
 class TestDesignCommand:
     def test_d16_ranking(self, capsys):
         code = main(["design", "--d", "16", "--n", "4000", "--json"])
@@ -395,6 +416,13 @@ class TestDesignCommand:
         assert main(["design", "--d", "8", "--n", n]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: n must be positive")
+
+
+    def test_no_buildable_kind_is_an_error(self, capsys):
+        assert main(["design", "--d", "1", "--n", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: no comparison topology builds at d=1"
 
 
 class TestCvoCommand:

@@ -47,10 +47,9 @@ from oracles import (
 SINGLE_EDGE = ComparisonDesign(2, ((0, 1, 1.0),))
 
 
-def ordinal_batch(entries, outcomes, d):
-    entries = np.asarray(entries, dtype=np.intp)
-    return ObservationBatch("ordinal_pair", entries, np.asarray(outcomes),
-                            len(entries), 0, d)
+def ordinal_batch(entries, outcomes):
+    return ObservationBatch("ordinal_pair", np.asarray(entries, dtype=np.intp),
+                            np.asarray(outcomes))
 
 
 class TestProjection:
@@ -194,7 +193,7 @@ class TestGradients:
 
 class TestOrdinalMLE:
     def test_btl_d2_logit_closed_form(self):
-        batch = ordinal_batch([0, 0, 0, 0], [1, 1, 1, -1], 2)
+        batch = ordinal_batch([0, 0, 0, 0], [1, 1, 1, -1])
         result = mle_ordinal(batch, SINGLE_EDGE, make_link("btl", 1.0), 1.0)
         expected = 0.5 * math.log(3.0)
         np.testing.assert_allclose(result.w_hat.values, [expected, -expected],
@@ -202,20 +201,20 @@ class TestOrdinalMLE:
         assert result.converged
 
     def test_thurstone_d2_probit_closed_form(self):
-        batch = ordinal_batch([0, 0, 0, 0], [1, 1, 1, -1], 2)
+        batch = ordinal_batch([0, 0, 0, 0], [1, 1, 1, -1])
         result = mle_ordinal(batch, SINGLE_EDGE, make_link("thurstone", 1.0), 1.0)
         expected = 0.5 * float(ndtri(0.75))
         np.testing.assert_allclose(result.w_hat.values, [expected, -expected],
                                    atol=1e-6)
 
     def test_balanced_data_gives_zero(self):
-        batch = ordinal_batch([0, 0, 0, 0], [1, 1, -1, -1], 2)
+        batch = ordinal_batch([0, 0, 0, 0], [1, 1, -1, -1])
         result = mle_ordinal(batch, SINGLE_EDGE, make_link("btl", 1.0), 1.0)
         np.testing.assert_allclose(result.w_hat.values, 0.0, atol=1e-9)
 
     def test_one_sided_data_hits_box(self):
         """All-wins data is clipped by the box constraint, not an error."""
-        batch = ordinal_batch([0] * 4, [1] * 4, 2)
+        batch = ordinal_batch([0] * 4, [1] * 4)
         result = mle_ordinal(batch, SINGLE_EDGE, make_link("btl", 1.0), 0.3)
         np.testing.assert_allclose(result.w_hat.values, [0.3, -0.3], atol=1e-9)
         assert result.converged
@@ -258,13 +257,13 @@ class TestOrdinalMLE:
 
     def test_disconnected_design_rejected(self):
         design = ComparisonDesign(4, ((0, 1, 0.5), (2, 3, 0.5)))
-        batch = ordinal_batch([0, 1], [1, -1], 4)
+        batch = ordinal_batch([0, 1], [1, -1])
         with pytest.raises(ValueError):
             mle_ordinal(batch, design, make_link("btl", 1.0), 1.0)
 
     def test_wrong_batch_kind_rejected(self):
         batch = ObservationBatch("cardinal_pair", np.zeros(2, dtype=np.intp),
-                                 np.array([0.1, 0.2]), 2, 0, 2)
+                                 np.array([0.1, 0.2]))
         with pytest.raises(ValueError):
             mle_ordinal(batch, SINGLE_EDGE, make_link("btl", 1.0), 1.0)
 
@@ -394,8 +393,10 @@ class TestOneProjectionSolver:
         """On a max_iters exit grad_norm is the unit-step residual at the
         start of the final iteration, as the oracle measures it."""
         calls = capture_mle(monkeypatch)
-        cli.run_trial("path", 64, 20000, "thurstone", 1.0, 1.0, 2, "uniform", 1509,
-                      opts=SolverOptions(max_iters=3))
+        record = cli.mle_ordinal
+        monkeypatch.setattr(cli, "mle_ordinal", lambda batch, design, link, B: record(
+            batch, design, link, B, SolverOptions(max_iters=3)))
+        cli.run_trial("path", 64, 20000, "thurstone", 1.0, 1.0, 2, "uniform", 1509)
         ((batch, design, link, B, opts), result), = calls
         assert not result.converged and result.iterations == 3
         iterates = []
@@ -425,7 +426,7 @@ class TestOneProjectionSolver:
         converges with no fallback step (the gradient method took 13 and 10
         iterations)."""
         design = build_topology("star", 5)
-        batch = ordinal_batch([0] * 6 + [1] * 5, [1, -1, 1, 1, -1, 1, -1, 1, 1, -1, 1], 5)
+        batch = ordinal_batch([0] * 6 + [1] * 5, [1, -1, 1, 1, -1, 1, -1, 1, 1, -1, 1])
         link = make_link(family, 1.0)
         projections = count_projections(monkeypatch)
         result = mle_ordinal(batch, design, link, 1.0)
@@ -447,6 +448,19 @@ class TestOneProjectionSolver:
         result = mle_ordinal(batch, design, link, B)
         assert result.converged and result.iterations <= 50
         assert oracle_residual((batch, design, link, B, None), result) <= 1e-8
+
+    def test_fallback_step_on_unforced_data(self, monkeypatch):
+        """On this sharp, wide-box barbell trial some Newton steps are not
+        accepted, so spectral projected-gradient steps run, each with one
+        more projection, and the solver still reaches the KKT optimum."""
+        calls = capture_mle(monkeypatch)
+        projections = count_projections(monkeypatch)
+        cli.run_trial("barbell", 8, 200, "thurstone", 0.05, 3.0, 2, "uniform",
+                      2343566436574844362)
+        (args, result), = calls
+        assert result.converged
+        assert len(projections) > result.iterations + 1
+        assert oracle_residual(args, result) <= 1e-8
 
     def test_fallback_step_alone_converges(self, monkeypatch):
         """With a Hessian that yields no finite Newton step, every iteration
@@ -482,7 +496,7 @@ class TestMWiseMLE:
 
         design = ComparisonDesign(d, tuple((j, k, 1 / len(pairs)) for j, k in pairs))
         outcomes = np.where(np.asarray(mbatch.outcomes) == 0, 1, -1)
-        obatch = ordinal_batch(mbatch.entry_indices, outcomes, d)
+        obatch = ordinal_batch(mbatch.entry_indices, outcomes)
         o_result = mle_ordinal(obatch, design, make_link("btl", 1.0), 1.0)
         np.testing.assert_allclose(m_result.w_hat.values, o_result.w_hat.values,
                                    atol=1e-6)
@@ -491,7 +505,7 @@ class TestMWiseMLE:
         hyper = HyperDesign(3, 3, ((0, 1, 2),))
         entries = np.zeros(9, dtype=np.intp)
         outcomes = np.array([0, 1, 2] * 3)
-        batch = ObservationBatch("mwise", entries, outcomes, 9, 0, 3)
+        batch = ObservationBatch("mwise", entries, outcomes)
         result = mle_mwise(batch, hyper, plackett_luce(3), 1.0)
         np.testing.assert_allclose(result.w_hat.values, 0.0, atol=1e-8)
 
@@ -501,7 +515,7 @@ class TestMWiseMLE:
         counts = (5, 3, 2)
         outcomes = np.repeat(np.arange(3), counts)
         entries = np.zeros(10, dtype=np.intp)
-        batch = ObservationBatch("mwise", entries, outcomes, 10, 0, 3)
+        batch = ObservationBatch("mwise", entries, outcomes)
         result = mle_mwise(batch, hyper, plackett_luce(3, B=10.0), 10.0)
         expected = np.log(np.array(counts, dtype=float))
         expected -= expected.mean()
@@ -510,14 +524,14 @@ class TestMWiseMLE:
     def test_disconnected_hypergraph_rejected(self):
         hyper = HyperDesign(6, 3, ((0, 1, 2), (3, 4, 5)))
         batch = ObservationBatch("mwise", np.zeros(2, dtype=np.intp),
-                                 np.array([0, 1]), 2, 0, 6)
+                                 np.array([0, 1]))
         with pytest.raises(ValueError):
             mle_mwise(batch, hyper, plackett_luce(3), 1.0)
 
     def test_m_mismatch_rejected(self):
         hyper = HyperDesign(4, 3, ((0, 1, 2), (1, 2, 3)))
         batch = ObservationBatch("mwise", np.zeros(2, dtype=np.intp),
-                                 np.array([0, 1]), 2, 0, 4)
+                                 np.array([0, 1]))
         with pytest.raises(ValueError):
             mle_mwise(batch, hyper, plackett_luce(2), 1.0)
 
@@ -525,13 +539,13 @@ class TestMWiseMLE:
 class TestPairedCardinal:
     def test_d2_hand_computed(self):
         batch = ObservationBatch("cardinal_pair", np.zeros(2, dtype=np.intp),
-                                 np.array([1.0, 3.0]), 2, 0, 2)
+                                 np.array([1.0, 3.0]))
         result = ls_paired_cardinal(batch, SINGLE_EDGE)
         np.testing.assert_allclose(result.w_hat.values, [1.0, -1.0], atol=1e-12)
 
     def test_zero_observations(self):
         batch = ObservationBatch("cardinal_pair", np.zeros(3, dtype=np.intp),
-                                 np.zeros(3), 3, 0, 2)
+                                 np.zeros(3))
         result = ls_paired_cardinal(batch, SINGLE_EDGE)
         np.testing.assert_allclose(result.w_hat.values, 0.0, atol=1e-14)
 
@@ -559,7 +573,7 @@ class TestPairedCardinal:
         design = build_topology("path", 4)
         # only the first edge ever sampled: items 2, 3 unidentifiable
         batch = ObservationBatch("cardinal_pair", np.zeros(5, dtype=np.intp),
-                                 np.ones(5), 5, 0, 4)
+                                 np.ones(5))
         with pytest.raises(ValueError):
             ls_paired_cardinal(batch, design)
 
@@ -574,20 +588,20 @@ class TestMeanCardinal:
 
     def test_d2_example(self):
         batch = ObservationBatch("cardinal_item", np.array([0, 1], dtype=np.intp),
-                                 np.array([2.0, 0.0]), 2, 0, 2)
+                                 np.array([2.0, 0.0]))
         result = mean_cardinal(batch, 2)
         np.testing.assert_allclose(result.w_hat.values, [1.0, -1.0], atol=1e-12)
 
     def test_repeated_observations_average(self):
         batch = ObservationBatch("cardinal_item",
                                  np.array([0, 0, 1, 1], dtype=np.intp),
-                                 np.array([1.0, 3.0, -1.0, 1.0]), 4, 0, 2)
+                                 np.array([1.0, 3.0, -1.0, 1.0]))
         result = mean_cardinal(batch, 2)
         np.testing.assert_allclose(result.w_hat.values, [1.0, -1.0], atol=1e-12)
 
     def test_unobserved_item_rejected(self):
         batch = ObservationBatch("cardinal_item", np.zeros(2, dtype=np.intp),
-                                 np.array([1.0, 2.0]), 2, 0, 3)
+                                 np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             mean_cardinal(batch, 3)
 
@@ -651,7 +665,7 @@ class TestSolverOptions:
             SolverOptions(**{name: 1.0})
 
     def test_iteration_cap_reported(self):
-        batch = ordinal_batch([0] * 40, [1] * 30 + [-1] * 10, 2)
+        batch = ordinal_batch([0] * 40, [1] * 30 + [-1] * 10)
         opts = SolverOptions(max_iters=2, grad_tolerance=1e-14)
         result = mle_ordinal(batch, SINGLE_EDGE, make_link("btl", 1.0), 1.0, opts)
         assert not result.converged

@@ -1,5 +1,6 @@
 """Serialization surfaces and cross-module invariants."""
 
+import ast
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from ranktopo.bounds import gv_packing
 from ranktopo.estimate import design_digest, mle_ordinal
 from ranktopo.graph import EigensolverError, build_topology, spectrum
 from ranktopo.models import make_link, model_params, plackett_luce
-from ranktopo.synth import ObservationBatch, sample_comparisons, sample_outcomes, gen_quality
+from ranktopo.synth import sample_comparisons, sample_outcomes, gen_quality
 
 
 class TestEstimateSerialization:
@@ -117,3 +118,32 @@ class TestImportWeight:
         """scipy.optimize adds about 0.2 s to a fresh ``import ranktopo``; the
         m-wise prefactor search is numpy only."""
         assert not self.loaded_after_import("scipy.optimize")
+
+
+def unused_imports(path: str) -> list[str]:
+    """Names bound by a module-level import of the file at path and never
+    read anywhere in it."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path}:{line}: {name}" for name, line in bound.items() if name not in used]
+
+
+class TestImportHygiene:
+    def test_no_unused_module_imports(self):
+        """Every module-level import in the package and its tests is read;
+        ``__init__.py`` is skipped, since its imports are re-exports."""
+        roots = (os.path.dirname(ranktopo.__file__), os.path.dirname(__file__))
+        paths = sorted(os.path.join(root, name) for root in roots
+                       for name in os.listdir(root)
+                       if name.endswith(".py") and name != "__init__.py")
+        assert len(paths) > 10
+        assert [bad for path in paths for bad in unused_imports(path)] == []

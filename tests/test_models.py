@@ -210,9 +210,9 @@ class TestGamma:
 class TestPlackettLuce:
     def test_choice_prob_examples(self):
         pl2 = plackett_luce(2)
-        assert abs(pl2.choice_prob(np.zeros(2)) - 0.5) < 1e-12
+        assert abs(pl2.position_probs(np.zeros(2))[0] - 0.5) < 1e-12
         pl3 = plackett_luce(3)
-        assert abs(pl3.choice_prob(np.array([1.0, 0, 0])) - math.e / (math.e + 2)) < 1e-9
+        assert abs(pl3.position_probs(np.array([1.0, 0, 0]))[0] - math.e / (math.e + 2)) < 1e-9
 
     def test_m2_equals_btl(self):
         """Two-item softmax choice equals the logistic link at sigma = 1."""
@@ -221,7 +221,7 @@ class TestPlackettLuce:
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = rng.uniform(-3, 3, size=2)
-            assert abs(pl2.choice_prob(x) - float(btl.cdf(np.float64(x[0] - x[1])))) < 1e-12
+            assert abs(pl2.position_probs(x)[0] - float(btl.cdf(np.float64(x[0] - x[1])))) < 1e-12
 
     def test_m_validation(self):
         with pytest.raises(ValueError):
@@ -233,7 +233,7 @@ class TestPlackettLuce:
         for _ in range(100):
             x = rng.uniform(-2, 2, size=4)
             t = rng.uniform(-5, 5)
-            assert abs(pl.choice_prob(x) - pl.choice_prob(x + t)) < 1e-10
+            assert abs(pl.position_probs(x)[0] - pl.position_probs(x + t)[0]) < 1e-10
 
     def test_shift_probabilities_sum_to_one(self):
         """The position probabilities enumerate the choices: they sum to one."""
@@ -249,7 +249,7 @@ class TestPlackettLuce:
         rng = np.random.default_rng(2)
         for _ in range(100):
             x = rng.uniform(-2, 2, size=4)
-            rotated = [pl.choice_prob(np.roll(x, -j)) for j in range(4)]
+            rotated = [pl.position_probs(np.roll(x, -j))[0] for j in range(4)]
             np.testing.assert_allclose(pl.position_probs(x), rotated, rtol=0, atol=1e-15)
 
     def test_hessian_matches_finite_differences(self):
@@ -257,7 +257,7 @@ class TestPlackettLuce:
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.uniform(-1, 1, size=3)
-            neg_log = lambda z: -math.log(pl.choice_prob(z))
+            neg_log = lambda z: -math.log(pl.position_probs(z)[0])
             np.testing.assert_allclose(pl.neg_log_hessian(x), fd_hessian(neg_log, x),
                                        atol=1e-5)
 
@@ -280,7 +280,7 @@ class TestPlackettLuce:
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = rng.uniform(-1, 1, size=4)
-            grad = fd_gradient(pl.choice_prob, x)
+            grad = fd_gradient(lambda z: pl.position_probs(z)[0], x)
             assert abs(grad @ np.ones(4)) < 1e-8
             np.testing.assert_allclose(choice_prob_gradient(x), grad, atol=1e-8)
 

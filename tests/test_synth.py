@@ -14,7 +14,6 @@ from ranktopo.synth import (
     ObservationBatch,
     QualityVector,
     _search_cdf,
-    batch_from_csv,
     even_allocation,
     gen_quality,
     packing_sign_vector,
@@ -299,42 +298,13 @@ class TestSampleOutcomes:
 
 
 class TestBatchSerialization:
-    def test_csv_roundtrip_ordinal(self):
-        design = build_topology("complete", 4)
-        link = make_link("btl", 1.0)
-        comps = sample_comparisons(design, 50, 0)
-        batch = sample_outcomes(link, np.zeros(4), design, comps, 7)
-        text = batch.to_csv(model_json=link.to_json(B=1.0))
-        restored, model = batch_from_csv(text)
-        assert restored.kind == "ordinal_pair"
-        assert restored.n == 50 and restored.d == 4 and restored.seed == 7
-        np.testing.assert_array_equal(restored.entry_indices, batch.entry_indices)
-        np.testing.assert_array_equal(restored.outcomes, batch.outcomes)
-        assert model == {"family": "btl", "sigma": 1.0, "B": 1.0}
-
-    def test_csv_roundtrip_cardinal(self):
-        w = QualityVector(np.array([0.25, -0.25]), 0.25)
-        batch = sample_outcomes(CardinalModel("item", 0.5), w, None,
-                                even_allocation(2, 10), 3)
-        restored, model = batch_from_csv(batch.to_csv(CardinalModel("item", 0.5).to_json()))
-        np.testing.assert_allclose(restored.outcomes, batch.outcomes, rtol=0, atol=0)
-        assert model["family"] == "cardinal_item"
-
-    def test_header_line_format(self):
-        batch = ObservationBatch("ordinal_pair", np.zeros(2, dtype=np.intp),
-                                 np.array([1, -1]), 2, 11, 3)
-        lines = batch.to_csv().split("\n")
-        assert lines[0].startswith("# {")
-        assert lines[1] == "sample_index,entry_index,outcome"
-
     def test_batch_validation(self):
         with pytest.raises(ValueError):
-            ObservationBatch("bogus", np.zeros(2, dtype=np.intp),
-                             np.array([1, -1]), 2, 0, 3)
-        with pytest.raises(ValueError):
-            ObservationBatch("ordinal_pair", np.zeros(3, dtype=np.intp),
-                             np.array([1, -1]), 2, 0, 3)
+            ObservationBatch("bogus", np.zeros(2, dtype=np.intp), np.array([1, -1]))
+        with pytest.raises(ValueError, match="equal length"):
+            ObservationBatch("ordinal_pair", np.zeros(3, dtype=np.intp), np.array([1, -1]))
+        assert ObservationBatch("mwise", np.zeros(3, dtype=np.intp), np.zeros(3)).n == 3
         for bad in (0, 2, -2):  # only +-1 enter the ordinal likelihood
             with pytest.raises(ValueError, match="ordinal outcomes"):
                 ObservationBatch("ordinal_pair", np.zeros(2, dtype=np.intp),
-                                 np.array([1, bad]), 2, 0, 3)
+                                 np.array([1, bad]))
