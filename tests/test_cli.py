@@ -494,7 +494,7 @@ class TestParserReuse:
 
 
 class TestGoldenOutputs:
-    """sha256 pins of two whole outputs, so that work on the sampling and
+    """sha256 pins of whole outputs, so that work on the sampling and
     solver hot paths cannot change a result without a test noticing.  Each
     pin is the output of the code before that work: every draw, outcome,
     MLE iterate and iteration count feeds the bytes hashed here."""
@@ -513,6 +513,21 @@ class TestGoldenOutputs:
         assert len(text.splitlines()) == 2 * (1 + 8 * 2)
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "c6749ad44d3eabe15f34bee3ad9decf1556cc23d9ec9a3ff3036d20a2475cd1d"
+
+    def test_simulate_mwise_rows(self, capsys):
+        """Plackett-Luce on complete hyper-designs at m=3 (d = 5, 6, 8) and
+        m=4 (d = 6, 8), n=3000, three trials each, wall-clock column dropped."""
+        parts = []
+        for m, d_list in ((3, (5, 6, 8)), (4, (6, 8))):
+            ds = [arg for d in d_list for arg in ("--d", str(d))]
+            assert main(["simulate", "--family", "plackett_luce", "--kind", "complete",
+                         "--m", str(m), *ds, "--n", "3000", "--trials", "3",
+                         "--seed", "0", "--out", "-"]) == 0
+            parts.append(strip_runtime(capsys.readouterr().out))
+        text = "\n".join(parts)
+        assert len(text.splitlines()) == 2 + 3 * 5
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "de377f460aede2fa73e2b66c5fc879469a7464fc8f7703721b83b78dec34487f"
 
     def test_cvo_empirical(self, capsys):
         assert main(["cvo", "--sigma-ord", "1", "--sigma-card", "2", "--empirical",
