@@ -477,8 +477,9 @@ def cvo_decision(sigma_ord: float, sigma_card: float, B: float) -> CvoReport:
     b_l sigma^2 > sigma_c^2, and with every constant set to 1 a genuine
     indeterminate band remains in between.
     """
-    if sigma_ord <= 0 or sigma_card <= 0 or B <= 0:
-        raise ValueError("all scales must be positive")
+    if not (sigma_ord > 0 and sigma_card > 0 and B > 0):
+        raise ValueError(f"all scales must be positive, got sigma_ord={sigma_ord}, "
+                         f"sigma_card={sigma_card}, B={B}")
     params = model_params(make_link("thurstone", sigma_ord), B)
     zeta_g, gamma_g = params.zeta, params.gamma
     b_l = 1.0 / zeta_g

@@ -56,7 +56,7 @@ class ExperimentConfig:
             raise ValueError("kinds, d and n lists must be non-empty")
         if min(self.n_list) < 1:
             raise ValueError(f"every n must be >= 1, got {min(self.n_list)}")
-        if self.sigma <= 0 or self.B <= 0:
+        if not (self.sigma > 0 and self.B > 0):
             raise ValueError(f"sigma and B must be positive, got {self.sigma} and {self.B}")
         if self.family not in ("thurstone", "btl", "plackett_luce"):
             raise ValueError(f"unknown model family {self.family!r}")
@@ -78,19 +78,31 @@ class ExperimentConfig:
                 build_topology(kind, d)  # raises on incompatible dimensions
 
 
+@functools.lru_cache(maxsize=1)
+def _cell(kind: str, d: int, family: str, sigma: float, B: float,
+          m: int) -> tuple:
+    """The design, the design sampled from and the link of a campaign cell.
+
+    A campaign runs its cells one after another, so one entry serves every
+    trial of a cell after the first and holds only the cell in progress.
+    Only data is kept: the estimator is looked up on every trial.
+    """
+    design = build_topology(kind, d)
+    if family == "plackett_luce":
+        return design, complete_hyper(d, m), plackett_luce(m, B)
+    return design, design, make_link(family, sigma)
+
+
 def run_trial(kind: str, d: int, n: int, family: str, sigma: float, B: float,
               m: int, w_gen: str, seed: int, w_variant: str = "pinv") -> dict:
     """One campaign cell trial, reproducible from its integer seed.
 
     ``runtime_ms`` covers sampling and estimation only: the design, the
-    hyper-design and the link are built, and w* drawn, before it starts.
+    hyper-design and the link are built (once per cell, by ``_cell``), and
+    w* drawn, before it starts.
     """
-    design = build_topology(kind, d)
-    if family == "plackett_luce":
-        target = complete_hyper(d, m)
-        link, estimate = plackett_luce(m, B), mle_mwise
-    else:
-        target, link, estimate = design, make_link(family, sigma), mle_ordinal
+    design, target, link = _cell(kind, d, family, sigma, B, m)
+    estimate = mle_mwise if family == "plackett_luce" else mle_ordinal
     rng = np.random.default_rng(seed)
     w_star = gen_quality(w_gen, d, B, rng, design=design, variant=w_variant)
     start = time.perf_counter()

@@ -14,8 +14,10 @@ closed form.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -116,10 +118,13 @@ def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
     """Closures over per-edge win/loss counts: point, objective, gradient, Hessian.
 
     ``point(w)`` gathers the scaled edge differences t = (w_j - w_k)/sigma
-    once; the other three take that point, so an iterate shares one gather
-    among its objective, gradient and Hessian.  Aggregating the samples
-    once keeps the per-iteration cost at O(edges) regardless of the sample
-    count.  The Hessian is the comparison-graph Laplacian with edge weights
+    and evaluates log F at t and -t once; the other three take that point,
+    so an iterate shares one gather and one special-function pass per sign
+    among its objective, gradient and Hessian.  The point also carries
+    F'/F at t and -t, computed on first use by the gradient and reused by
+    the Hessian.  Aggregating the samples once keeps the per-iteration
+    cost at O(edges) regardless of the sample count.  The Hessian is the
+    comparison-graph Laplacian with edge weights
     (W_e h(t_e) + L_e h(-t_e)) / (n sigma^2), h the second derivative of
     -log F and W_e, L_e the wins and losses on edge e.
     """
@@ -128,22 +133,29 @@ def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
     sigma, n, d = link.sigma, batch.n, design.d
     laplacian = _laplacian(d, j_idx, k_idx)
 
-    def point(w: np.ndarray) -> np.ndarray:
-        return (w[j_idx] - w[k_idx]) / sigma
-
-    def objective(t: np.ndarray) -> float:
+    def point(w: np.ndarray):
+        t = (w[j_idx] - w[k_idx]) / sigma
         # 1 - F(t) = F(-t) by link symmetry; evaluating the reflected CDF
         # keeps the log well away from cancellation.
-        return float(-(wins @ link.log_cdf(t) + losses @ link.log_cdf(-t)) / n)
+        log_f, log_f_reflected = link.log_cdf(t), link.log_cdf(-t)
+        ratios = functools.cache(lambda: (link.pdf_over_cdf(t, log_f),
+                                          link.pdf_over_cdf(-t, log_f_reflected)))
+        return t, log_f, log_f_reflected, ratios
 
-    def gradient(t: np.ndarray) -> np.ndarray:
-        slope = -(wins * link.pdf_over_cdf(t) - losses * link.pdf_over_cdf(-t))
+    def objective(pt) -> float:
+        _, log_f, log_f_reflected, _ = pt
+        return float(-(wins @ log_f + losses @ log_f_reflected) / n)
+
+    def gradient(pt) -> np.ndarray:
+        r, r_reflected = pt[3]()
+        slope = -(wins * r - losses * r_reflected)
         slope /= n * sigma
         return (np.bincount(j_idx, weights=slope, minlength=d)
                 - np.bincount(k_idx, weights=slope, minlength=d))
 
-    def hessian(t: np.ndarray) -> np.ndarray:
-        curvature = wins * link.neg_log_second(t) + losses * link.neg_log_second(-t)
+    def hessian(pt) -> np.ndarray:
+        second, second_reflected = link.neg_log_second_pair(pt[0], *pt[3]())
+        curvature = wins * second + losses * second_reflected
         return laplacian(curvature / (n * sigma * sigma))
 
     return point, objective, gradient, hessian
@@ -230,7 +242,7 @@ _SUFFICIENT_DECREASE = 1e-4
 
 
 def _newton_direction(hess: np.ndarray, g: np.ndarray, w: np.ndarray, z: np.ndarray,
-                      B: float) -> np.ndarray | None:
+                      B: float, kkt: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Newton direction on the face that z = P(w - g) picks out, or None.
 
     Coordinates that z puts at a bound are held there: they move to z.  The
@@ -242,30 +254,39 @@ def _newton_direction(hess: np.ndarray, g: np.ndarray, w: np.ndarray, z: np.ndar
     disconnect the sampled graph and leave the objective flat along the
     shift of a component; the system is then singular, and its
     least-squares solution is the Newton step on the rest.  None when the
-    step is not finite.
+    step is not finite.  ``kkt`` and ``rhs``, of sizes (d+1, d+1) and
+    d+1, are overwritten with the system.
     """
     d = w.size
-    held = np.append(np.abs(z) == B, False)  # the border row is never held
+    held = np.zeros(d + 1, dtype=bool)  # the border row is never held
+    held[:d] = np.abs(z) == B
     direction = np.where(held[:d], z - w, 0.0)
-    kkt = np.ones((d + 1, d + 1))
     kkt[:d, :d] = hess
+    kkt[d, :d] = kkt[:d, d] = 1.0
     kkt[d, d] = 0.0
-    rhs = np.append(-g - hess @ direction, -np.sum(direction))
+    rhs[:d] = -g - hess @ direction
+    rhs[d] = -np.sum(direction)
+    any_held = bool(held.any())
+    at_bound = bool(np.abs(w).max() >= B)
     while True:
-        kkt[held] = 0.0
-        kkt[:, held] = 0.0
-        kkt[held, held] = 1.0
-        rhs[held] = 0.0
+        if any_held:
+            kkt[held] = 0.0
+            kkt[:, held] = 0.0
+            kkt[held, held] = 1.0
+            rhs[held] = 0.0
         try:
             step = np.linalg.solve(kkt, rhs)[:d]
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(kkt, rhs)[0][:d]
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             return None
-        through = ~held[:d] & (((w >= B) & (step > 0)) | ((w <= -B) & (step < 0)))
-        if not through.any():
-            return np.where(held[:d], direction, step)
-        held[:d] |= through
+        if at_bound:
+            through = ~held[:d] & (((w >= B) & (step > 0)) | ((w <= -B) & (step < 0)))
+            if through.any():
+                held[:d] |= through
+                any_held = True
+                continue
+        return np.where(held[:d], direction, step) if any_held else step
 
 
 def _line_search(point, objective, w: np.ndarray, f: float, slope: float,
@@ -299,9 +320,16 @@ def _line_search(point, objective, w: np.ndarray, f: float, slope: float,
     return None
 
 
-def _projected_gradient(closures, d: int, B: float, opts: SolverOptions,
-                        callback: Callable[[np.ndarray, float], None] | None = None,
-                        ) -> tuple[np.ndarray, bool, int, float, float]:
+def _barzilai_borwein(s: np.ndarray, y: np.ndarray) -> float:
+    """The step s's / s'y of a move s with gradient change y, kept in
+    [1e-10, 1e10]; 1e10 when s'y is not positive."""
+    sy = float(s @ y)
+    return min(max(float(s @ s) / sy, 1e-10), 1e10) if sy > 0 else 1e10
+
+
+def _active_set_newton(closures, d: int, B: float, opts: SolverOptions,
+                       callback: Callable[[np.ndarray, float], None] | None = None,
+                       ) -> tuple[np.ndarray, bool, int, float, float]:
     """Projected Newton on the active face (Bertsekas 1982), SPG as fallback.
 
     Each iteration computes z = P(w - g) and stops once the unit-step
@@ -313,15 +341,18 @@ def _projected_gradient(closures, d: int, B: float, opts: SolverOptions,
     descent direction, or its line search fails, the iteration takes a
     spectral projected-gradient step instead (Birgin, Martinez & Raydan
     2000): P(w - alpha g) - w with the Barzilai-Borwein step
-    alpha = s's / s'y of the last move.  ``grad_norm`` is the residual at
-    the start of the final iteration.
+    alpha = s's / s'y of the last move, or ``_INITIAL_STEP`` before the
+    first.  ``grad_norm`` is the residual at the start of the final
+    iteration.  One bordered system and right-hand side are allocated per
+    call and rewritten by every Newton step.
     """
     point, objective, gradient, hessian = closures
     w = np.zeros(d)
     pt = point(w)
     f = objective(pt)
     g = gradient(pt)
-    alpha = _INITIAL_STEP
+    w_prev = g_prev = None
+    kkt, rhs = np.empty((d + 1, d + 1)), np.empty(d + 1)
     converged = False
     iters = 0
     pg_norm = float("inf")
@@ -329,27 +360,27 @@ def _projected_gradient(closures, d: int, B: float, opts: SolverOptions,
         callback(w, f)
     for iters in range(1, opts.max_iters + 1):
         z = project_feasible(w - g, B)
-        pg_norm = float(np.linalg.norm(z - w))
+        r = z - w
+        pg_norm = math.sqrt(r @ r)
         if pg_norm <= opts.grad_tolerance:
             converged = True
             iters -= 1
             break
         accepted = None
-        direction = _newton_direction(hessian(pt), g, w, z, B)
+        direction = _newton_direction(hessian(pt), g, w, z, B, kkt, rhs)
         if direction is not None and (slope := float(g @ direction)) < 0:
             accepted = _line_search(point, objective, w, f, slope, direction, B)
         if accepted is None:
+            alpha = (_INITIAL_STEP if w_prev is None
+                     else _barzilai_borwein(w - w_prev, g - g_prev))
             direction = project_feasible(w - alpha * g, B) - w
             accepted = _line_search(point, objective, w, f, float(g @ direction),
                                     direction, B)
         if accepted is None:
             break  # backtracking stalled at machine precision
-        w_new, pt, f = accepted
-        g_new = gradient(pt)
-        s, y = w_new - w, g_new - g
-        sy = float(s @ y)
-        alpha = min(max(float(s @ s) / sy, 1e-10), 1e10) if sy > 0 else 1e10
-        w, g = w_new, g_new
+        w_prev, g_prev = w, g
+        w, pt, f = accepted
+        g = gradient(pt)
         if callback is not None:
             callback(w, f)
     return w, converged, iters, f, pg_norm
@@ -370,7 +401,7 @@ def mle_ordinal(batch: ObservationBatch, design: ComparisonDesign, link: LinkFun
     if B <= 0:
         raise ValueError("B must be positive")
     closures = _ordinal_closures(batch, design, link)
-    w, conv, iters, f, pg = _projected_gradient(closures, design.d, B, opts, callback)
+    w, conv, iters, f, pg = _active_set_newton(closures, design.d, B, opts, callback)
     return EstimateResult(QualityVector(w, B), conv, iters, f, pg)
 
 
@@ -387,7 +418,7 @@ def mle_mwise(batch: ObservationBatch, design: HyperDesign, link: MWiseLink,
     if B <= 0:
         raise ValueError("B must be positive")
     closures = _mwise_closures(batch, design, link)
-    w, conv, iters, f, pg = _projected_gradient(closures, design.d, B, opts, callback)
+    w, conv, iters, f, pg = _active_set_newton(closures, design.d, B, opts, callback)
     return EstimateResult(QualityVector(w, B), conv, iters, f, pg)
 
 

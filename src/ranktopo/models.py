@@ -42,20 +42,31 @@ def _btl_neg_log_second(x: np.ndarray) -> np.ndarray:
     return f * (1.0 - f)
 
 
-def _btl_pdf_over_cdf(t: np.ndarray) -> np.ndarray:
-    return expit(-np.asarray(t, dtype=float))  # F'/F = 1 - F for the logistic link
+def _btl_pdf_over_cdf(t: np.ndarray, log_f: np.ndarray) -> np.ndarray:
+    return expit(-t)  # F'/F = 1 - F for the logistic link
 
 
-def _mills_ratio(t: np.ndarray) -> np.ndarray:
-    """Inverse Mills ratio phi(t)/Phi(t), evaluated in log space."""
-    t = np.asarray(t, dtype=float)
-    return np.exp(-0.5 * t * t - math.log(_SQRT_2PI) - log_ndtr(t))
+def _btl_second_pair(t: np.ndarray, r: np.ndarray,
+                     r_reflected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # F(t) = F'/F(-t) and F(-t) = F'/F(t), so (-log F)''(t) = F(t)(1 - F(t))
+    # is r_reflected (1 - r_reflected), and its reflection r (1 - r).
+    return r_reflected * (1.0 - r_reflected), r * (1.0 - r)
+
+
+def _thurstone_pdf_over_cdf(t: np.ndarray, log_f: np.ndarray) -> np.ndarray:
+    """Inverse Mills ratio phi(t)/Phi(t), in log space from log_f = log Phi(t)."""
+    return np.exp(-0.5 * t * t - math.log(_SQRT_2PI) - log_f)
+
+
+def _thurstone_second_pair(t: np.ndarray, h: np.ndarray,
+                           h_reflected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # With h = phi/Phi (inverse Mills ratio), d^2/dt^2 (-log Phi) = h(h + t).
+    return h * (h + t), h_reflected * (h_reflected - t)
 
 
 def _thurstone_neg_log_second(x: np.ndarray) -> np.ndarray:
-    # With h = phi/Phi (inverse Mills ratio), d^2/dt^2 (-log Phi) = h(h + t).
     x = np.asarray(x, dtype=float)
-    h = _mills_ratio(x)
+    h = _thurstone_pdf_over_cdf(x, log_ndtr(x))
     return h * (h + x)
 
 
@@ -82,7 +93,11 @@ class LinkFunction:
     the second derivative of -log F, the quantity whose infimum over the
     working interval is the strong log-concavity constant.  ``log_cdf``
     and ``pdf_over_cdf`` (F'/F) are evaluated in log space where the
-    family allows it, which keeps them finite far into the tails.
+    family allows it, which keeps them finite far into the tails;
+    ``pdf_over_cdf(t, log_f)`` is handed log_f = ``log_cdf(t)``, so that a
+    caller holding log F pays for no second special-function pass.
+    ``neg_log_second_pair(t, r, r_reflected)`` gives ``neg_log_second`` at
+    t and -t from r and r_reflected, F'/F at t and -t.
     ``extremes``, where the family knows them in closed form, maps h >= 0
     to the max of ``pdf`` over [0, h] and the min of ``neg_log_second``
     over [-h, h]; without it, ``model_params`` finds both by a grid search.
@@ -94,7 +109,9 @@ class LinkFunction:
     pdf: Callable[[np.ndarray], np.ndarray]
     neg_log_second: Callable[[np.ndarray], np.ndarray]
     log_cdf: Callable[[np.ndarray], np.ndarray]
-    pdf_over_cdf: Callable[[np.ndarray], np.ndarray]
+    pdf_over_cdf: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    neg_log_second_pair: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                  tuple[np.ndarray, np.ndarray]]
     extremes: Callable[[float], tuple[float, float]] | None = None
 
     def win_probability(self, score_diff: np.ndarray) -> np.ndarray:
@@ -144,21 +161,22 @@ def make_link(family: str | Callable, sigma: float = 1.0) -> LinkFunction:
     Custom CDFs are screened for symmetry, monotonicity and interior range
     on a test grid, and get finite-difference derivatives.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if family == "thurstone":
         return LinkFunction("thurstone", sigma, _normal_cdf, _normal_pdf,
-                            _thurstone_neg_log_second, log_ndtr, _mills_ratio,
-                            _thurstone_extremes)
+                            _thurstone_neg_log_second, log_ndtr, _thurstone_pdf_over_cdf,
+                            _thurstone_second_pair, _thurstone_extremes)
     if family == "btl":
         return LinkFunction("btl", sigma, expit, _btl_neg_log_second,
                             _btl_neg_log_second, log_expit, _btl_pdf_over_cdf,
-                            _btl_extremes)
+                            _btl_second_pair, _btl_extremes)
     if callable(family):
         _screen_custom_cdf(family)
-        pdf = _fd_pdf(family)
-        return LinkFunction("custom", sigma, family, pdf, _fd_neg_log_second(family),
-                            lambda t: np.log(family(t)), lambda t: pdf(t) / family(t))
+        pdf, second = _fd_pdf(family), _fd_neg_log_second(family)
+        return LinkFunction("custom", sigma, family, pdf, second,
+                            lambda t: np.log(family(t)), lambda t, log_f: pdf(t) / family(t),
+                            lambda t, r, r_reflected: (second(t), second(-t)))
     raise ValueError(f"unknown link family {family!r}")
 
 
@@ -176,11 +194,11 @@ class ModelParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.B < 0:
-            raise ValueError("B must be nonnegative")
-        if self.gamma <= 0:
+        if not self.B > 0:
+            raise ValueError(f"B must be positive, got {self.B}")
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive (strong log-concavity)")
-        if self.zeta <= 0:
+        if not self.zeta > 0:
             raise ValueError("zeta must be positive")
 
 
@@ -226,8 +244,8 @@ def _grid_extremum(fun: Callable, lo: float, hi: float, resolution: float,
 
 def compute_zeta(link: LinkFunction, B: float) -> float:
     """max F' over [0, 2B/sigma], divided by F(2B/sigma)(1 - F(2B/sigma))."""
-    if B < 0:
-        raise ValueError("B must be nonnegative")
+    if not B >= 0:
+        raise ValueError(f"B must be nonnegative, got {B}")
     hi = 2.0 * B / link.sigma
     if link.extremes is None:
         peak = _grid_extremum(link.pdf, 0.0, hi, 1e-4, minimize=False)
@@ -248,8 +266,8 @@ def compute_gamma(link: LinkFunction, B: float) -> float:
     Rejects links whose computed minimum is not strictly positive: such a
     link is not strongly log-concave on the working interval.
     """
-    if B < 0:
-        raise ValueError("B must be nonnegative")
+    if not B >= 0:
+        raise ValueError(f"B must be nonnegative, got {B}")
     hi = 2.0 * B / link.sigma
     if link.extremes is None:
         gamma = _grid_extremum(link.neg_log_second, -hi, hi, 1e-4, minimize=True)
@@ -268,6 +286,8 @@ def model_params(link: LinkFunction, B: float) -> ModelParams:
     zeta goes first: on an interval so wide that F(1-F) underflows, the
     curvature underflows too, and zeta's error names that cause.
     """
+    if not B > 0:
+        raise ValueError(f"B must be positive, got {B}")
     zeta = compute_zeta(link, B)
     return ModelParams(B=B, gamma=compute_gamma(link, B), zeta=zeta, sigma=link.sigma)
 
@@ -303,9 +323,9 @@ class MWiseLink:
         if self.m < 2:
             raise ValueError(f"need m >= 2, got {self.m}")
 
-    def position_probs(self, x: np.ndarray) -> np.ndarray:
-        """Choice probabilities for every position; rows for 2-d input."""
-        return softmax(np.asarray(x, dtype=float))
+    def position_probs(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Choice probabilities, with the m positions along ``axis``."""
+        return softmax(x, axis=axis)
 
     def log_position_probs(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """Log choice probabilities, with the m positions along ``axis``."""
@@ -339,6 +359,8 @@ def plackett_luce(m: int, B: float = 1.0) -> MWiseLink:
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
+    if not B > 0:
+        raise ValueError(f"B must be positive, got {B}")
     hess = MWiseLink.neg_log_hessian(_box_corners(m, B))
     beta = float(np.min(np.linalg.eigvalsh(hess)[:, 1]))
     return MWiseLink(name="plackett_luce", m=m, B=B, beta=beta)

@@ -242,12 +242,12 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
     if isinstance(model, MWiseLink):
         if not isinstance(design, HyperDesign) or design.m != model.m:
             raise ValueError("m-wise sampling requires a HyperDesign with matching m")
-        subset_scores = values[design.subsets[comparisons]]
-        probs = model.position_probs(subset_scores)
-        cum = np.cumsum(probs, axis=1)
+        # Column-major, (m, n): each reduction over a subset's m positions
+        # runs down whole rows of n, not along n short rows of m.
+        scores = values[np.ascontiguousarray(design.subsets[comparisons].T)]
+        cum = np.cumsum(model.position_probs(scores, axis=0), axis=0)
         u = rng.random(n)
-        winners = np.sum(u[:, None] >= cum, axis=1).astype(int)
-        winners = np.clip(winners, 0, model.m - 1)
+        winners = np.minimum(np.count_nonzero(u >= cum, axis=0), model.m - 1)
         return ObservationBatch("mwise", comparisons, winners)
 
     if isinstance(model, CardinalModel):

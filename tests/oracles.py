@@ -381,3 +381,13 @@ def ordinal_outcomes_per_sample(link, values: np.ndarray, design, comparisons: n
     j, k, _ = design.edge_arrays
     p_win = link.win_probability(values[j[comparisons]] - values[k[comparisons]])
     return np.where(rng.random(len(comparisons)) < p_win, 1, -1)
+
+
+def mwise_winners_row_major(link, values: np.ndarray, design, comparisons: np.ndarray,
+                            rng) -> np.ndarray:
+    """0-based winning positions, each sample's probabilities taken along its
+    own row of an (n, m) score array."""
+    probs = link.position_probs(values[design.subsets[comparisons]])
+    cum = np.cumsum(probs, axis=1)
+    winners = np.sum(rng.random(len(comparisons))[:, None] >= cum, axis=1).astype(int)
+    return np.clip(winners, 0, link.m - 1)

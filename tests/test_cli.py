@@ -217,6 +217,33 @@ class TestSimulateCommand:
         for line, row in zip(plain.splitlines()[1:], csv.DictReader(io.StringIO(plain))):
             assert line == ",".join(row[c] for c in CSV_COLUMNS)
 
+    @pytest.mark.parametrize("family, m", [("thurstone", 2), ("plackett_luce", 3)])
+    def test_cell_is_built_once(self, monkeypatch, family, m):
+        """The design, the hyper-design and the link are built once per cell,
+        whatever the trial count (cells that differ only in n share one
+        build), and a lone trial reproduces each row."""
+        calls = {"build_topology": 0, "complete_hyper": 0, "plackett_luce": 0,
+                 "make_link": 0}
+        for name in calls:
+            def counted(*args, _build=getattr(cli, name), _name=name):
+                calls[_name] += 1
+                return _build(*args)
+            monkeypatch.setattr(cli, name, counted)
+        cli._cell.cache_clear()
+        config = ExperimentConfig(kinds=["complete"], d_list=[5, 6], n_list=[300, 600],
+                                  family=family, m=m, trials=3, base_seed=11)
+        rows = run_campaign(config, log=io.StringIO())
+        builds, mwise = 2, family == "plackett_luce"
+        # validate() builds each design once more, before any trial.
+        assert calls == {"build_topology": 2 * builds, "complete_hyper": builds * mwise,
+                         "plackett_luce": builds * mwise, "make_link": builds * (not mwise)}
+        assert len(rows) == 2 * 2 * 3
+        for row in rows:
+            alone = run_trial(row["topology"], row["d"], row["n"], family, 1.0, 1.0, m,
+                              "uniform", row["seed"])
+            assert {**alone, "trial": row["trial"], "runtime_ms": 0} == \
+                {**row, "runtime_ms": 0}
+
     def test_campaigns_need_no_spectrum(self, monkeypatch, capsys):
         import ranktopo.cli as cli_mod
 
@@ -468,6 +495,29 @@ class TestCvoCommand:
         emp = json.loads(capsys.readouterr().out)["empirical"]
         assert len(calls) == 5 and emp["ordinal_not_converged"] == 1
         assert emp["ordinal_risk"] == want["ordinal_risk"]
+
+
+class TestNanScales:
+    """NaN passes a `<= 0` check; every scale is tested with `not x > 0`."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cvo", "--sigma-ord", "1", "--sigma-card", "nan"],
+        ["cvo", "--sigma-ord", "nan", "--sigma-card", "1"],
+        ["cvo", "--sigma-ord", "1", "--sigma-card", "1", "--B", "nan"],
+        ["bounds", "--theorem", "T1_lap", "--kind", "complete", "--d", "6", "--n", "100",
+         "--B", "nan"],
+        ["bounds", "--theorem", "T1_lap", "--kind", "complete", "--d", "6", "--n", "100",
+         "--sigma", "nan"],
+        ["bounds", "--theorem", "T4_mwise_lap", "--kind", "complete", "--d", "6",
+         "--n", "100", "--B", "nan"],
+        ["simulate", "--sigma", "nan", "--trials", "1", "--out", "-"],
+    ], ids=["cvo-sigma-card", "cvo-sigma-ord", "cvo-B", "T1-B", "T1-sigma", "T4-B",
+            "simulate-sigma"])
+    def test_nan_is_an_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "must be positive" in captured.err
 
 
 class TestParserReuse:

@@ -334,6 +334,17 @@ class TestPlackettLuce:
         assert abs(pl.beta - 2 * p * (1 - p)) < 1e-6
 
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 7])
+    def test_position_axis_is_a_layout_choice(self, m):
+        """Positions down the columns give the row-wise probabilities, bit
+        for bit, up to m = 7; from m = 8 numpy sums a contiguous row
+        pairwise, and the last bit can differ."""
+        pl = plackett_luce(m)
+        x = np.random.default_rng(m).uniform(-4, 4, size=(m, 500))
+        np.testing.assert_array_equal(pl.position_probs(x, axis=0),
+                                      pl.position_probs(x.T).T)
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from oracles import choice_draws, ordinal_outcomes_per_sample
-from ranktopo.graph import PAIRWISE_KINDS, ComparisonDesign, HyperDesign, build_topology, spectrum
+from oracles import choice_draws, mwise_winners_row_major, ordinal_outcomes_per_sample
+from ranktopo.graph import (PAIRWISE_KINDS, ComparisonDesign, HyperDesign, build_topology,
+                            complete_hyper, spectrum)
 from ranktopo.models import make_link, plackett_luce
 from ranktopo.synth import (
     CardinalModel,
@@ -247,6 +248,23 @@ class TestSampleOutcomes:
         for pos in range(3):
             rate = float(np.mean(batch.outcomes == pos))
             assert abs(rate - expected[pos]) < 3 * math.sqrt(expected[pos] / n)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_mwise_winners_equal_row_major_reference(self, m):
+        """Column-major sampling gives each sample the winner, and leaves the
+        generator, exactly as probabilities taken row by row do."""
+        hyper, link = complete_hyper(8, m), plackett_luce(m, 1.3)
+        for n in (1, 7, 3000):
+            for seed in range(3):
+                w = gen_quality("gaussian", 8, 1.3, seed)
+                comps = sample_comparisons(hyper, n, seed)
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                batch = sample_outcomes(link, w, hyper, comps, ours)
+                assert batch.outcomes.shape == (n,)
+                np.testing.assert_array_equal(
+                    batch.outcomes,
+                    mwise_winners_row_major(link, w.values, hyper, comps, theirs))
+                assert ours.random() == theirs.random()
 
     def test_cardinal_item_noiseless(self):
         w = QualityVector(np.array([0.4, -0.1, -0.3]), 0.4)
