@@ -320,13 +320,6 @@ def _line_search(point, objective, w: np.ndarray, f: float, slope: float,
     return None
 
 
-def _barzilai_borwein(s: np.ndarray, y: np.ndarray) -> float:
-    """The step s's / s'y of a move s with gradient change y, kept in
-    [1e-10, 1e10]; 1e10 when s'y is not positive."""
-    sy = float(s @ y)
-    return min(max(float(s @ s) / sy, 1e-10), 1e10) if sy > 0 else 1e10
-
-
 def _active_set_newton(closures, d: int, B: float, opts: SolverOptions,
                        callback: Callable[[np.ndarray, float], None] | None = None,
                        ) -> tuple[np.ndarray, bool, int, float, float]:
@@ -371,8 +364,11 @@ def _active_set_newton(closures, d: int, B: float, opts: SolverOptions,
         if direction is not None and (slope := float(g @ direction)) < 0:
             accepted = _line_search(point, objective, w, f, slope, direction, B)
         if accepted is None:
-            alpha = (_INITIAL_STEP if w_prev is None
-                     else _barzilai_borwein(w - w_prev, g - g_prev))
+            alpha = _INITIAL_STEP
+            if w_prev is not None:
+                s, y = w - w_prev, g - g_prev
+                sy = float(s @ y)
+                alpha = min(max(float(s @ s) / sy, 1e-10), 1e10) if sy > 0 else 1e10
             direction = project_feasible(w - alpha * g, B) - w
             accepted = _line_search(point, objective, w, f, float(g @ direction),
                                     direction, B)
@@ -398,7 +394,7 @@ def mle_ordinal(batch: ObservationBatch, design: ComparisonDesign, link: LinkFun
         raise ValueError(f"expected an ordinal_pair batch, got {batch.kind!r}")
     if not design.connected:
         raise ValueError("MLE requires a connected comparison graph")
-    if B <= 0:
+    if not B > 0:
         raise ValueError("B must be positive")
     closures = _ordinal_closures(batch, design, link)
     w, conv, iters, f, pg = _active_set_newton(closures, design.d, B, opts, callback)
@@ -415,7 +411,7 @@ def mle_mwise(batch: ObservationBatch, design: HyperDesign, link: MWiseLink,
         raise ValueError("MLE requires a connected comparison hypergraph")
     if design.m != link.m:
         raise ValueError(f"design m={design.m} does not match link m={link.m}")
-    if B <= 0:
+    if not B > 0:
         raise ValueError("B must be positive")
     closures = _mwise_closures(batch, design, link)
     w, conv, iters, f, pg = _active_set_newton(closures, design.d, B, opts, callback)

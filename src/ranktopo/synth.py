@@ -135,7 +135,7 @@ def gen_quality(kind: str, d: int, B: float, seed,
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    if B <= 0:
+    if not B > 0:
         raise ValueError("B must be positive")
     rng = _rng(seed)
     if kind == "gaussian":
