@@ -243,9 +243,13 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
         if not isinstance(design, HyperDesign) or design.m != model.m:
             raise ValueError("m-wise sampling requires a HyperDesign with matching m")
         # Column-major, (m, n): each reduction over a subset's m positions
-        # runs down whole rows of n, not along n short rows of m.
-        scores = values[np.ascontiguousarray(design.subsets[comparisons].T)]
-        cum = np.cumsum(model.position_probs(scores, axis=0), axis=0)
+        # runs down whole rows of n, not along n short rows of m.  The
+        # cumulative sum adds row to row for the same reason: np.cumsum
+        # along axis 0 steps through n columns of m, at about 8x the cost.
+        scores = values[design.subsets.T.take(comparisons, axis=1)]
+        cum = model.position_probs(scores, axis=0)
+        for row in range(1, model.m):
+            cum[row] += cum[row - 1]
         u = rng.random(n)
         winners = np.minimum(np.count_nonzero(u >= cum, axis=0), model.m - 1)
         return ObservationBatch("mwise", comparisons, winners)
