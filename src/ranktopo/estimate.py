@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -85,14 +86,14 @@ def project_feasible(x: np.ndarray, B: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     d = x.size
     bps = np.concatenate([x - B, x + B])
-    order = np.argsort(bps, kind="stable")
+    order = bps.argsort(kind="stable")
     bps = bps[order]
-    free = np.cumsum(np.where(order < d, 1, -1))  # free entries past each breakpoint
+    free = np.where(order < d, 1, -1).cumsum()  # free entries past each breakpoint
     sums = np.empty(2 * d)
     sums[0] = 0.0
-    np.cumsum(free[:-1] * (bps[1:] - bps[:-1]), out=sums[1:])
+    (free[:-1] * (bps[1:] - bps[:-1])).cumsum(out=sums[1:])
     sums = d * B - sums
-    k = int(np.searchsorted(-sums, 0.0, side="right")) - 1  # last sum >= 0
+    k = int((-sums).searchsorted(0.0, side="right")) - 1  # last sum >= 0
     tau = bps[k] + sums[k] / free[k] if sums[k] > 0 else bps[k]
     return np.minimum(np.maximum(x - tau, -B), B)
 
@@ -196,14 +197,14 @@ def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLin
     totals = counts.sum(axis=0)
     n, d = batch.n, design.d
     flat_columns = columns.ravel()
-    a, b = np.triu_indices(link.m, 1)
+    a, b = map(list, zip(*itertools.combinations(range(link.m), 2)))  # np.triu_indices order
     laplacian = _laplacian(d, columns[a].ravel(), columns[b].ravel())
 
     def point(w: np.ndarray) -> np.ndarray:
         return link.log_position_probs(w[columns], axis=0)
 
     def objective(logp: np.ndarray) -> float:
-        return float(-np.sum(counts * logp) / n)
+        return float(-(counts * logp).sum() / n)
 
     def gradient(logp: np.ndarray) -> np.ndarray:
         contrib = (totals * np.exp(logp) - counts) / n
@@ -265,7 +266,7 @@ def _newton_direction(hess: np.ndarray, g: np.ndarray, w: np.ndarray, z: np.ndar
     kkt[d, :d] = kkt[:d, d] = 1.0
     kkt[d, d] = 0.0
     rhs[:d] = -g - hess @ direction
-    rhs[d] = -np.sum(direction)
+    rhs[d] = -direction.sum()
     any_held = bool(held.any())
     at_bound = bool(np.abs(w).max() >= B)
     while True:
@@ -298,17 +299,17 @@ def _line_search(point, objective, w: np.ndarray, f: float, slope: float,
     Returns the accepted (w, point, f), or None once the step underflows.
     """
     lam, block = 1.0, None
-    moving = np.flatnonzero(direction)
+    moving = direction.nonzero()[0]
     if moving.size:
         ratios = (np.copysign(B, direction[moving]) - w[moving]) / direction[moving]
-        first = int(np.argmin(ratios))
+        first = int(ratios.argmin())
         if ratios[first] < 1.0:
             lam, block = float(ratios[first]), moving[first]
     # The float slack keeps the line search from thrashing once the
     # per-step objective decrease falls below the resolution of f.
     slack = 1e-15 * max(1.0, abs(f))
     while lam >= 1e-16:
-        w_new = np.clip(w + lam * direction, -B, B)
+        w_new = np.minimum(np.maximum(w + lam * direction, -B), B)
         if block is not None:
             w_new[block] = np.copysign(B, direction[block])
         pt = point(w_new)
@@ -337,7 +338,10 @@ def _active_set_newton(closures, d: int, B: float, opts: SolverOptions,
     alpha = s's / s'y of the last move, or ``_INITIAL_STEP`` before the
     first.  ``grad_norm`` is the residual at the start of the final
     iteration.  One bordered system and right-hand side are allocated per
-    call and rewritten by every Newton step.
+    call and rewritten by every Newton step.  On the small systems of a
+    campaign (d <= 64) numpy's per-call overhead outweighs the arithmetic,
+    so the iterate calls array methods (``x.max()``, ``x.cumsum()``) rather
+    than the module functions that dispatch to them.
     """
     point, objective, gradient, hessian = closures
     w = np.zeros(d)

@@ -299,9 +299,9 @@ def model_params(link: LinkFunction, B: float) -> ModelParams:
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -330,8 +330,8 @@ class MWiseLink:
     def log_position_probs(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """Log choice probabilities, with the m positions along ``axis``."""
         x = np.asarray(x, dtype=float)
-        shifted = x - np.max(x, axis=axis, keepdims=True)
-        return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+        shifted = x - x.max(axis=axis, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
     @staticmethod
     def neg_log_hessian(x: np.ndarray) -> np.ndarray:
