@@ -20,7 +20,7 @@ import numpy as np
 from .estimate import error_metrics
 from .graph import ComparisonDesign, HyperDesign, lower_bound_statistic, spectrum
 from .models import LinkFunction, ModelParams, MWiseLink, make_link, model_params
-from .synth import _values
+from .synth import BOX_TOL, _values
 
 THEOREMS = ("T1_lap", "T2_l2", "T3_paired", "T4_mwise_lap", "T4_mwise_l2")
 
@@ -95,7 +95,7 @@ def kl_upper(w1, w2, design: ComparisonDesign, params: ModelParams, n: float) ->
     enforced here.
     """
     for v in (_values(w1), _values(w2)):
-        if float(np.max(np.abs(v))) > params.B + 1e-12:
+        if float(np.max(np.abs(v))) > params.B + BOX_TOL:
             raise ValueError("KL upper bound requires |w|_inf <= B")
     return n * params.zeta / params.sigma**2 * error_metrics(w1, w2, design).sq_lap
 
@@ -110,14 +110,15 @@ class PackingSet:
     """Binary packing vectors with first coordinate pinned to zero."""
 
     vectors: np.ndarray  # M x d, entries in {0, 1}
-    alpha: float
-    M: int
     target: int
-    shortfall: bool
 
-    def __post_init__(self) -> None:
-        if self.vectors.ndim != 2 or self.vectors.shape[0] != self.M:
-            raise ValueError("vector matrix must be M x d")
+    @property
+    def M(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def shortfall(self) -> bool:
+        return self.M < self.target
 
 
 def gv_target(d: int, alpha: float) -> int:
@@ -278,8 +279,7 @@ def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> Pa
         kept, rejects = kept + take, rejects + end - take
     little = kept_words.astype("<u8", copy=False).view(np.uint8)
     vectors = np.unpackbits(little, axis=1, count=d, bitorder="little")
-    return PackingSet(vectors=vectors, alpha=alpha, M=kept, target=target,
-                      shortfall=kept < target)
+    return PackingSet(vectors, target)
 
 
 def fano_bound(delta_sq: float, beta: float, M: int) -> float:
@@ -601,7 +601,7 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
 
     w_set = coords @ summary.eigenvectors
     peak = float(np.max(np.abs(w_set)))
-    if peak > B + 1e-12:
+    if peak > B + BOX_TOL:
         raise ValueError(
             f"packing leaves the bound set (|w|_inf = {peak:.3g} > B = {B}); "
             "the sample-size condition is too tight for these constants"

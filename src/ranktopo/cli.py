@@ -13,11 +13,11 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import cvo_decision, fano_pipeline, minimax_bounds
+from .bounds import THEOREMS, cvo_decision, fano_pipeline, minimax_bounds
 from .estimate import error_metrics, mean_cardinal, mle_mwise, mle_ordinal
 from .graph import (PAIRWISE_KINDS, build_topology, complete_hyper, optimality_report,
                     parse_kind, spectrum)
@@ -26,6 +26,9 @@ from .synth import CardinalModel, even_allocation, gen_quality, sample_compariso
 
 CSV_COLUMNS = ("topology", "d", "n", "trial", "seed", "sq_l2", "sq_lap", "rescaled",
                "converged", "iterations", "grad_norm", "error", "runtime_ms")
+FAMILIES = ("thurstone", "btl", "plackett_luce")
+QUALITY_GENERATORS = ("gaussian", "uniform", "packing")
+PACKING_VARIANTS = ("pinv", "sqrt_pinv")
 
 
 def row_seed(base_seed: int, cell_index: int, trial: int) -> int:
@@ -36,9 +39,9 @@ def row_seed(base_seed: int, cell_index: int, trial: int) -> int:
 
 @dataclass
 class ExperimentConfig:
-    kinds: list[str]
-    d_list: list[int]
-    n_list: list[int]
+    kinds: list[str] = field(default_factory=lambda: ["complete"])
+    d_list: list[int] = field(default_factory=lambda: [10])
+    n_list: list[int] = field(default_factory=lambda: [1000])
     family: str = "thurstone"
     sigma: float = 1.0
     B: float = 1.0
@@ -52,17 +55,19 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.out:
+            raise ValueError("out must be a file path, or - for stdout")
         if not self.kinds or not self.d_list or not self.n_list:
             raise ValueError("kinds, d and n lists must be non-empty")
         if min(self.n_list) < 1:
             raise ValueError(f"every n must be >= 1, got {min(self.n_list)}")
         if not (self.sigma > 0 and self.B > 0):
             raise ValueError(f"sigma and B must be positive, got {self.sigma} and {self.B}")
-        if self.family not in ("thurstone", "btl", "plackett_luce"):
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
-        if self.w_gen not in ("gaussian", "uniform", "packing"):
+        if self.w_gen not in QUALITY_GENERATORS:
             raise ValueError(f"unknown quality generator {self.w_gen!r}")
-        if self.w_variant not in ("pinv", "sqrt_pinv"):
+        if self.w_variant not in PACKING_VARIANTS:
             raise ValueError(f"unknown packing variant {self.w_variant!r}")
         if self.family == "plackett_luce":
             if not 2 <= self.m <= min(self.d_list):
@@ -169,7 +174,7 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    design = build_topology(args.kind, args.d, args.m1, args.m2)
+    design = build_topology(args.kind, args.d)
     summary = spectrum(design)
     report = optimality_report(summary)
     out = {
@@ -185,25 +190,24 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+# The (flag, config-file key) of each ExperimentConfig field not named by both.
+_RENAMED = {"kinds": ("kind", "kinds"), "d_list": ("d", "d"), "n_list": ("n", "n"),
+            "base_seed": ("seed", "seed")}
+
+
 def _config_from_args(args) -> ExperimentConfig:
+    """Each field from its flag, else from the config file, else its default."""
     base: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
-    merged = {
-        "kinds": args.kind or base.get("kinds", ["complete"]),
-        "d_list": args.d or base.get("d", [10]),
-        "n_list": args.n or base.get("n", [1000]),
-        "family": args.family or base.get("family", "thurstone"),
-        "sigma": args.sigma if args.sigma is not None else base.get("sigma", 1.0),
-        "B": args.B if args.B is not None else base.get("B", 1.0),
-        "m": args.m if args.m is not None else base.get("m", 2),
-        "w_gen": args.w_gen or base.get("w_gen", "uniform"),
-        "w_variant": args.w_variant or base.get("w_variant", "pinv"),
-        "trials": args.trials if args.trials is not None else base.get("trials", 40),
-        "base_seed": args.seed if args.seed is not None else base.get("seed", 0),
-        "out": args.out or base.get("out", "results.csv"),
-    }
+    merged = {}
+    for f in fields(ExperimentConfig):
+        flag, key = _RENAMED.get(f.name, (f.name, f.name))
+        if (value := getattr(args, flag)) is not None:
+            merged[f.name] = value
+        elif key in base:
+            merged[f.name] = base[key]
     return ExperimentConfig(**merged)
 
 
@@ -223,7 +227,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# The theorems whose lower bound the Fano pipeline constructs, with its variant.
+_CONSTRUCTIVE = {"T1_lap": "lap", "T2_l2": "l2"}
+
+
 def cmd_bounds(args) -> int:
+    if args.constructive and args.theorem not in _CONSTRUCTIVE:
+        raise ValueError(f"--constructive runs the Fano pipeline of "
+                         f"{' and '.join(_CONSTRUCTIVE)} only, not {args.theorem}")
     if args.theorem.startswith("T4"):
         if parse_kind(args.kind)[0] != "complete":
             raise ValueError("m-wise bounds support only the complete hyper-design")
@@ -232,13 +243,12 @@ def cmd_bounds(args) -> int:
                                 args.n)
         print(report.to_json())
         return 0
-    design = build_topology(args.kind, args.d, args.m1, args.m2)
+    design = build_topology(args.kind, args.d)
     link = make_link(args.family, args.sigma)
     params = model_params(link, args.B)
     if args.constructive:
-        variant = "l2" if args.theorem == "T2_l2" else "lap"
         value = fano_pipeline(design, params, args.n, alpha=args.alpha,
-                              variant=variant, seed=args.seed)
+                              variant=_CONSTRUCTIVE[args.theorem], seed=args.seed)
         print(json.dumps({"constructive_lower": value, "theorem": args.theorem,
                           "kind": design.kind, "d": args.d, "n": args.n,
                           "sigma": args.sigma, "B": args.B}))
@@ -255,7 +265,7 @@ def cmd_design(args) -> int:
     rows = []
     for kind in kinds:
         try:
-            design = build_topology(kind, args.d, args.m1, args.m2)
+            design = build_topology(kind, args.d)
         except ValueError as exc:
             if args.kind:  # explicitly requested kinds must be feasible
                 raise
@@ -344,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="eigenvalues and optimality of a topology")
     p_spec.add_argument("--kind", required=True)
     p_spec.add_argument("--d", type=int, required=True)
-    p_spec.add_argument("--m1", type=int)
-    p_spec.add_argument("--m2", type=int)
     p_spec.add_argument("--csv", help="write index,eigenvalue CSV to this path")
     p_spec.set_defaults(func=cmd_spectrum)
 
@@ -354,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--kind", action="append")
     p_sim.add_argument("--d", action="append", type=int)
     p_sim.add_argument("--n", action="append", type=int)
-    p_sim.add_argument("--family", choices=["thurstone", "btl", "plackett_luce"])
+    p_sim.add_argument("--family", choices=FAMILIES)
     p_sim.add_argument("--sigma", type=float)
     p_sim.add_argument("--B", type=float)
     p_sim.add_argument("--m", type=int)
-    p_sim.add_argument("--w-gen", dest="w_gen", choices=["gaussian", "uniform", "packing"])
-    p_sim.add_argument("--w-variant", dest="w_variant", choices=["pinv", "sqrt_pinv"])
+    p_sim.add_argument("--w-gen", dest="w_gen", choices=QUALITY_GENERATORS)
+    p_sim.add_argument("--w-variant", dest="w_variant", choices=PACKING_VARIANTS)
     p_sim.add_argument("--trials", type=int)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out", help="output CSV path, or - for stdout")
@@ -367,13 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bounds = sub.add_parser("bounds", help="evaluate minimax bound formulas")
-    p_bounds.add_argument("--theorem", required=True,
-                          choices=["T1_lap", "T2_l2", "T3_paired",
-                                   "T4_mwise_lap", "T4_mwise_l2"])
+    p_bounds.add_argument("--theorem", required=True, choices=THEOREMS)
     p_bounds.add_argument("--kind", required=True)
     p_bounds.add_argument("--d", type=int, required=True)
-    p_bounds.add_argument("--m1", type=int)
-    p_bounds.add_argument("--m2", type=int)
     p_bounds.add_argument("--m", type=int, default=3,
                           help="subset size for the m-wise bound pair")
     p_bounds.add_argument("--n", type=float, required=True)
@@ -381,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--sigma", type=float, default=1.0)
     p_bounds.add_argument("--B", type=float, default=1.0)
     p_bounds.add_argument("--constructive", action="store_true",
-                          help="run the Fano proof pipeline instead of the formulas")
+                          help="run the Fano proof pipeline of T1_lap or T2_l2")
     p_bounds.add_argument("--alpha", type=float, default=0.01)
     p_bounds.add_argument("--seed", type=int, default=0)
     p_bounds.set_defaults(func=cmd_bounds)
@@ -391,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_design.add_argument("--n", type=float, required=True)
     p_design.add_argument("--kind", action="append",
                           help="repeatable; defaults to every feasible kind")
-    p_design.add_argument("--m1", type=int)
-    p_design.add_argument("--m2", type=int)
     p_design.add_argument("--json", action="store_true")
     p_design.set_defaults(func=cmd_design)
 

@@ -564,14 +564,13 @@ def _default_split(kind: str, d: int) -> tuple[int, int]:
     raise ValueError(f"d={d} has no m1*m2 factorisation with m1, m2 >= 2")
 
 
-def build_topology(kind: str, d: int,
-                   m1: int | None = None, m2: int | None = None) -> ComparisonDesign:
+def build_topology(kind: str, d: int) -> ComparisonDesign:
     """Build one of the canonical unweighted comparison topologies.
 
     The budget is spread evenly over the graph's edge multiset, so the
-    scaled Laplacian is L'/|E|.  Parametrised kinds accept either explicit
-    m1/m2 arguments or an inline form such as ``complete_bipartite(3,5)``;
-    with neither, a balanced split is chosen.
+    scaled Laplacian is L'/|E|.  A parametrised kind names its split
+    inline, as in ``complete_bipartite(3,5)``; without one, a balanced
+    split is chosen.  The design's kind always carries the split.
 
     Every kind but the expander carries its edge count and its closed-form
     spectrum, which ``spectrum`` evaluates on first use with no Laplacian
@@ -582,11 +581,11 @@ def build_topology(kind: str, d: int,
     two, lattice2d d = m1*m2 (both >= 2), complete_bipartite d = m1+m2,
     expander d = q^2 for prime q.
     """
-    name, km1, km2 = parse_kind(kind)
-    m1 = m1 if m1 is not None else km1
-    m2 = m2 if m2 is not None else km2
+    name, m1, m2 = parse_kind(kind)
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
+    if m1 is None and name in ("complete_bipartite", "lattice2d"):
+        m1, m2 = _default_split(name, d)
     if name == "complete":
         return _canonical(d, name, d * (d - 1) // 2, partial(np.triu_indices, d, 1),
                           partial(np.repeat, [0.0, d], [1, d - 1]))
@@ -607,16 +606,12 @@ def build_topology(kind: str, d: int,
         return _canonical(d, name, 2 * math.comb(half, 2) + 1, partial(_barbell_pairs, half),
                           _barbell_spectrum(half))
     if name == "complete_bipartite":
-        if m1 is None or m2 is None:
-            m1, m2 = _default_split(name, d)
         if m1 + m2 != d or m1 < 1 or m2 < 1:
             raise ValueError(f"complete_bipartite needs d = m1+m2, got {d} != {m1}+{m2}")
         return _canonical(d, f"complete_bipartite({m1},{m2})", m1 * m2,
                           partial(_bipartite_pairs, m1, m2),
                           partial(np.repeat, [0.0, m2, m1, d], [1, m1 - 1, m2 - 1, 1]))
     if name == "lattice2d":
-        if m1 is None or m2 is None:
-            m1, m2 = _default_split(name, d)
         if m1 * m2 != d or m1 < 2 or m2 < 2:
             raise ValueError(f"lattice2d needs d = m1*m2 with m1, m2 >= 2, got d={d}")
         return _canonical(d, f"lattice2d({m1},{m2})", m1 * (m2 - 1) + m2 * (m1 - 1),

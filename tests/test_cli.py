@@ -38,6 +38,24 @@ def strip_runtime(csv_text: str) -> str:
     return "\n".join(lines)
 
 
+# Per ExperimentConfig field: its flag and value, the value parsed, and a
+# config-file key and value; the file value differs from the field's default.
+MERGE_CASES = {
+    "kinds": (["--kind", "star"], ["star"], "kinds", ["path"]),
+    "d_list": (["--d", "6"], [6], "d", [5]),
+    "n_list": (["--n", "7"], [7], "n", [8]),
+    "family": (["--family", "btl"], "btl", "family", "plackett_luce"),
+    "sigma": (["--sigma", "0.5"], 0.5, "sigma", 2.0),
+    "B": (["--B", "0.7"], 0.7, "B", 0.9),
+    "m": (["--m", "3"], 3, "m", 4),
+    "w_gen": (["--w-gen", "gaussian"], "gaussian", "w_gen", "packing"),
+    "w_variant": (["--w-variant", "pinv"], "pinv", "w_variant", "sqrt_pinv"),
+    "trials": (["--trials", "3"], 3, "trials", 5),
+    "base_seed": (["--seed", "9"], 9, "seed", 11),
+    "out": (["--out", "flag.csv"], "flag.csv", "out", "file.csv"),
+}
+
+
 class TestSpectrumCommand:
     def test_complete_d4(self, capsys, tmp_path):
         csv_path = tmp_path / "spec.csv"
@@ -113,6 +131,39 @@ class TestSimulateCommand:
         assert code == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2  # the flag overrode trials from the file
+
+    @pytest.fixture
+    def merged(self, monkeypatch, tmp_path):
+        """Run ``simulate`` with argv and a config file holding a dict, and
+        return the config the campaign was given."""
+        monkeypatch.chdir(tmp_path)
+        seen = []
+        monkeypatch.setattr(cli, "run_campaign", lambda config: seen.append(config) or [])
+
+        def run(argv, file):
+            (tmp_path / "config.json").write_text(json.dumps(file))
+            assert main(["simulate", "--config", "config.json", *argv]) == 0
+            return seen.pop()
+        return run
+
+    def test_merge_cases_cover_every_field(self):
+        assert set(MERGE_CASES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("name", list(MERGE_CASES))
+    def test_flag_beats_file_beats_default(self, name, merged, capsys):
+        argv, flag_value, key, file_value = MERGE_CASES[name]
+        default = getattr(ExperimentConfig(), name)
+        assert file_value != default and flag_value != file_value
+        assert getattr(merged([], {}), name) == default
+        assert getattr(merged([], {key: file_value}), name) == file_value
+        assert getattr(merged(argv, {key: file_value}), name) == flag_value
+
+    def test_empty_out_is_an_error(self, capsys):
+        code = main(["simulate", "--d", "4", "--n", "10", "--trials", "1", "--out", ""])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out must be a file path, or - for stdout\n"
 
     def test_mwise_campaign(self):
         config = ExperimentConfig(kinds=["complete"], d_list=[4], n_list=[300],
@@ -380,6 +431,18 @@ class TestBoundsCommand:
         assert capsys.readouterr().err == "error: Fano needs a packing of size >= 2, got M=1\n"
 
 
+    @pytest.mark.parametrize("theorem", ["T3_paired", "T4_mwise_lap", "T4_mwise_l2"])
+    def test_constructive_needs_a_fano_pipeline(self, theorem, capsys):
+        """Only T1_lap and T2_l2 have a constructive pipeline; another
+        theorem's --constructive is refused, not answered with T1_lap's."""
+        code = main(["bounds", "--theorem", theorem, "--kind", "complete", "--d", "10",
+                     "--n", "10000", "--constructive"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --constructive runs the Fano pipeline of "
+                                f"T1_lap and T2_l2 only, not {theorem}\n")
+
     @pytest.mark.parametrize("theorem, d, n, B, extra", [
         ("T1_lap", "6", "100", "0", []),
         ("T4_mwise_lap", "6", "100", "0", []),
@@ -450,6 +513,24 @@ class TestDesignCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == "error: no comparison topology builds at d=1"
+
+
+class TestInlineSplits:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--kind", "lattice2d(3,4)", "--d", "13"],
+        ["spectrum", "--kind", "complete_bipartite(3,4)", "--d", "8"],
+        ["bounds", "--theorem", "T1_lap", "--kind", "lattice2d(2,3)", "--d", "8",
+         "--n", "100"],
+        ["bounds", "--theorem", "T2_l2", "--kind", "complete_bipartite(3,4)", "--d", "8",
+         "--n", "100", "--constructive"],
+        ["design", "--d", "8", "--n", "100", "--kind", "lattice2d(3,3)"],
+        ["design", "--d", "8", "--n", "100", "--kind", "complete_bipartite(4,5)"],
+    ])
+    def test_split_that_does_not_fit_d_is_an_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and " needs d = m1" in captured.err
 
 
 class TestCvoCommand:

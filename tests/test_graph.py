@@ -67,6 +67,13 @@ def _split(kind, d):
     return None, None
 
 
+# Every inline split with d <= 36: m1 + m2 = d for the bipartite graph, m1 * m2 = d
+# with both sides >= 2 for the lattice.
+INLINE_SPLITS = {d: [("complete_bipartite", m1, d - m1) for m1 in range(1, d)]
+                 + [("lattice2d", m1, d // m1) for m1 in range(2, d // 2 + 1) if d % m1 == 0]
+                 for d in range(2, 37)}
+
+
 class TestTopologySpectra:
     @pytest.mark.parametrize("kind,d_small,d_large", TOPOLOGY_CASES)
     def test_closed_form_match(self, kind, d_small, d_large):
@@ -103,7 +110,7 @@ class TestTopologySpectra:
         assert abs(spectrum(build_topology("hypercube", 8)).lambda2 - 1 / 6) < 1e-12
 
     def test_bipartite_2_2_spectrum(self):
-        summary = spectrum(build_topology("complete_bipartite", 4, 2, 2))
+        summary = spectrum(build_topology("complete_bipartite(2,2)", 4))
         np.testing.assert_allclose(summary.eigenvalues, [0, 0.5, 0.5, 1.0],
                                    atol=1e-12)
 
@@ -123,6 +130,20 @@ class TestTopologySpectra:
         np.testing.assert_allclose(
             summary.eigenvalues, closed_form_spectrum("complete_bipartite", 8, 3, 5),
             atol=1e-10)
+
+    @pytest.mark.parametrize("d", sorted(INLINE_SPLITS))
+    def test_every_inline_split(self, d):
+        """An inline split is built as named, with its closed-form spectrum,
+        which is also the spectrum of its Laplacian."""
+        for name, m1, m2 in INLINE_SPLITS[d]:
+            kind = f"{name}({m1},{m2})"
+            design = build_topology(kind, d)
+            assert design.kind == kind
+            eigenvalues = spectrum(design).eigenvalues
+            np.testing.assert_allclose(eigenvalues, closed_form_spectrum(name, d, m1, m2),
+                                       rtol=0, atol=1e-10, err_msg=kind)
+            np.testing.assert_allclose(eigenvalues, np.linalg.eigvalsh(design.laplacian),
+                                       rtol=0, atol=1e-10, err_msg=kind)
 
     @pytest.mark.parametrize("kind,d", [
         ("hypercube", 6), ("barbell", 7), ("expander", 16), ("expander", 10),

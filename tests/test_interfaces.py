@@ -137,6 +137,31 @@ def unused_imports(path: str) -> list[str]:
     return [f"{path}:{line}: {name}" for name, line in bound.items() if name not in used]
 
 
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level functions, classes and constants whose names start with
+    a single underscore, by line."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found.update((name, node.lineno) for name in names
+                     if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, bare or as an attribute."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
 class TestImportHygiene:
     def test_no_unused_module_imports(self):
         """Every module-level import in the package and its tests is read;
@@ -147,3 +172,19 @@ class TestImportHygiene:
                        if name.endswith(".py") and name != "__init__.py")
         assert len(paths) > 10
         assert [bad for path in paths for bad in unused_imports(path)] == []
+
+    def test_no_unread_private_definitions(self):
+        """Every private module-level name in the package is read somewhere in
+        the package; one that only tests read is dead code."""
+        root = os.path.dirname(ranktopo.__file__)
+        trees = {}
+        for name in sorted(os.listdir(root)):
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as fh:
+                    trees[name] = ast.parse(fh.read(), filename=name)
+        read = set().union(*map(read_names, trees.values()))
+        defined = [(name, line, private) for name, tree in trees.items()
+                   for private, line in private_definitions(tree).items()]
+        assert len(defined) > 10
+        assert [f"{name}:{line}: {private}" for name, line, private in defined
+                if private not in read] == []
