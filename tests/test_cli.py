@@ -150,7 +150,7 @@ class TestSimulateCommand:
         assert set(MERGE_CASES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
     @pytest.mark.parametrize("name", list(MERGE_CASES))
-    def test_flag_beats_file_beats_default(self, name, merged, capsys):
+    def test_flag_beats_file_beats_default(self, name, merged):
         argv, flag_value, key, file_value = MERGE_CASES[name]
         default = getattr(ExperimentConfig(), name)
         assert file_value != default and flag_value != file_value
