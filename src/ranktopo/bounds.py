@@ -364,15 +364,18 @@ def mwise_prefactors(link: MWiseLink) -> MWisePrefactors:
     The two sups come from one search over classes (``_class_sups``).
     With H = beta (I - 11^T/m), both lambda_2(H) and lambda_m(H) are beta,
     and since grad F is orthogonal to 1, |grad F|^2_{H^dagger} is
-    |grad F|^2 / beta.
+    |grad F|^2 / beta.  A B at which beta^2 underflows (from about 186) is refused.
     """
+    beta = link.beta
+    if not beta * beta > 0:
+        raise ValueError(f"B={link.B} is too wide: the m-wise curvature beta^2 underflows")
     sup_grad, sup_grad_log = _class_sups(link.m, link.B)
     return MWisePrefactors(
         inf_choice_prob=1.0 / (1.0 + (link.m - 1) * math.exp(2.0 * link.B)),
-        sup_grad_hdag_sq=sup_grad / link.beta,
+        sup_grad_hdag_sq=sup_grad / beta,
         sup_grad_log_sq=sup_grad_log,
-        lambda2_h=link.beta,
-        lambda_m_h=link.beta,
+        lambda2_h=beta,
+        lambda_m_h=beta,
     )
 
 
@@ -395,8 +398,6 @@ def minimax_bounds(theorem: str, design: ComparisonDesign | HyperDesign,
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     if not n > 0:
         raise ValueError(f"n must be positive, got {n}")
-    if not params.B > 0:
-        raise ValueError(f"B must be positive, got {params.B}")
     summary = spectrum(design)
     d = design.d
     if summary.lambda2 <= 0:
@@ -410,6 +411,9 @@ def minimax_bounds(theorem: str, design: ComparisonDesign | HyperDesign,
         m = link.m
         lower_pref = pre.inf_choice_prob / (m**2 * pre.lambda_m_h * pre.sup_grad_hdag_sq)
         upper_pref = m**2 * pre.sup_grad_log_sq / pre.lambda2_h**2
+        if not (0 < lower_pref and upper_pref < math.inf):
+            raise ValueError(f"B={link.B} is too wide: the T4 prefactors are "
+                             f"{lower_pref} and {upper_pref}")
         applicable = n >= summary.trace_pinv / (pre.zeta * link.B**2 * pre.lambda_m_h)
         if theorem == "T4_mwise_lap":
             lower = lower_pref * d / n
@@ -548,8 +552,6 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
         raise ValueError(f"unknown variant {variant!r}")
     if not n > 0:
         raise ValueError(f"n must be positive, got {n}")
-    if not params.B > 0:
-        raise ValueError(f"B must be positive, got {params.B}")
     if not design.connected:
         raise ValueError("the pipeline requires a connected design")
     summary = spectrum(design)

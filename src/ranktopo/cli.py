@@ -74,13 +74,20 @@ class ExperimentConfig:
                 raise ValueError(f"m-wise campaigns need 2 <= m <= d, "
                                  f"got m={self.m} and d={min(self.d_list)}")
             for kind in self.kinds:
-                if parse_kind(kind)[0] != "complete":
-                    raise ValueError(
-                        "m-wise campaigns support only the complete hyper-design"
-                    )
+                _hyper_builder(kind)
         for kind in self.kinds:
             for d in self.d_list:
                 build_topology(kind, d)  # raises on incompatible dimensions
+
+
+def _hyper_builder(kind: str):
+    """The builder, called as ``builder(d, m)``, of the hyper-design that
+    m-wise campaigns and bounds use for topology ``kind``.  Only a plain
+    ``complete`` names one so far."""
+    if parse_kind(kind) != ("complete", None, None):
+        raise ValueError(f"m-wise comparisons support only the complete hyper-design, "
+                         f"not kind {kind!r}")
+    return complete_hyper
 
 
 @functools.lru_cache(maxsize=1)
@@ -94,7 +101,7 @@ def _cell(kind: str, d: int, family: str, sigma: float, B: float,
     """
     design = build_topology(kind, d)
     if family == "plackett_luce":
-        return design, complete_hyper(d, m), plackett_luce(m, B)
+        return design, _hyper_builder(kind)(d, m), plackett_luce(m, B)
     return design, design, make_link(family, sigma)
 
 
@@ -196,18 +203,21 @@ _RENAMED = {"kinds": ("kind", "kinds"), "d_list": ("d", "d"), "n_list": ("n", "n
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """Each field from its flag, else from the config file, else its default."""
+    """Each field from its flag, else from the config file, else its default.
+    A file key that names no field is refused."""
     base: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
+    names = {f.name: _RENAMED.get(f.name, (f.name, f.name)) for f in fields(ExperimentConfig)}
+    if unread := sorted(set(base) - {key for _, key in names.values()}):
+        raise ValueError(f"config file keys {unread} are not read")
     merged = {}
-    for f in fields(ExperimentConfig):
-        flag, key = _RENAMED.get(f.name, (f.name, f.name))
+    for name, (flag, key) in names.items():
         if (value := getattr(args, flag)) is not None:
-            merged[f.name] = value
+            merged[name] = value
         elif key in base:
-            merged[f.name] = base[key]
+            merged[name] = base[key]
     return ExperimentConfig(**merged)
 
 
@@ -236,16 +246,10 @@ def cmd_bounds(args) -> int:
         raise ValueError(f"--constructive runs the Fano pipeline of "
                          f"{' and '.join(_CONSTRUCTIVE)} only, not {args.theorem}")
     if args.theorem.startswith("T4"):
-        if parse_kind(args.kind)[0] != "complete":
-            raise ValueError("m-wise bounds support only the complete hyper-design")
-        hyper = complete_hyper(args.d, args.m)
-        report = minimax_bounds(args.theorem, hyper, plackett_luce(args.m, args.B),
-                                args.n)
-        print(report.to_json())
-        return 0
-    design = build_topology(args.kind, args.d)
-    link = make_link(args.family, args.sigma)
-    params = model_params(link, args.B)
+        design, params = _hyper_builder(args.kind)(args.d, args.m), plackett_luce(args.m, args.B)
+    else:
+        design = build_topology(args.kind, args.d)
+        params = model_params(make_link(args.family, args.sigma), args.B)
     if args.constructive:
         value = fano_pipeline(design, params, args.n, alpha=args.alpha,
                               variant=_CONSTRUCTIVE[args.theorem], seed=args.seed)
@@ -253,8 +257,7 @@ def cmd_bounds(args) -> int:
                           "kind": design.kind, "d": args.d, "n": args.n,
                           "sigma": args.sigma, "B": args.B}))
         return 0
-    report = minimax_bounds(args.theorem, design, params, args.n)
-    print(report.to_json())
+    print(minimax_bounds(args.theorem, design, params, args.n).to_json())
     return 0
 
 

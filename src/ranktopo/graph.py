@@ -570,7 +570,8 @@ def build_topology(kind: str, d: int) -> ComparisonDesign:
     The budget is spread evenly over the graph's edge multiset, so the
     scaled Laplacian is L'/|E|.  A parametrised kind names its split
     inline, as in ``complete_bipartite(3,5)``; without one, a balanced
-    split is chosen.  The design's kind always carries the split.
+    split is chosen, and a split on any other kind is refused.  The
+    design's kind always carries the split.
 
     Every kind but the expander carries its edge count and its closed-form
     spectrum, which ``spectrum`` evaluates on first use with no Laplacian
@@ -584,8 +585,11 @@ def build_topology(kind: str, d: int) -> ComparisonDesign:
     name, m1, m2 = parse_kind(kind)
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    if m1 is None and name in ("complete_bipartite", "lattice2d"):
-        m1, m2 = _default_split(name, d)
+    if name in ("complete_bipartite", "lattice2d"):
+        if m1 is None:
+            m1, m2 = _default_split(name, d)
+    elif m1 is not None and name in PAIRWISE_KINDS:
+        raise ValueError(f"topology kind {name!r} takes no split, got {kind!r}")
     if name == "complete":
         return _canonical(d, name, d * (d - 1) // 2, partial(np.triu_indices, d, 1),
                           partial(np.repeat, [0.0, d], [1, d - 1]))

@@ -317,11 +317,22 @@ class MWiseLink:
     name: str
     m: int
     B: float
-    beta: float
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError(f"need m >= 2, got {self.m}")
+        if not self.B > 0:
+            raise ValueError(f"B must be positive, got {self.B}")
+
+    @property
+    def beta(self) -> float:
+        """m q / (m - 1 + q)^2 with q = e^{-2B}, the least lambda_2 of the
+        Hessian diag(p) - p p^T over the box; tests check that it sits at a
+        corner.  With k items at +B, p takes a = 1/Z and b = q/Z, Z = k + (m-k) q,
+        and lambda_2 is 1/m (k = 0 or m) or the least of a (k >= 2), b (m-k >= 2)
+        and m a b: over k, m a b at k = m - 1."""
+        q = math.exp(-2.0 * self.B)
+        return self.m * q / (self.m - 1 + q) ** 2
 
     def position_probs(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """Choice probabilities, with the m positions along ``axis``."""
@@ -333,34 +344,13 @@ class MWiseLink:
         shifted = x - x.max(axis=axis, keepdims=True)
         return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
-    @staticmethod
-    def neg_log_hessian(x: np.ndarray) -> np.ndarray:
-        """Exact Hessian of -log F, diag(p) - p p^T with p = softmax(x), over leading axes."""
-        p = softmax(x)
-        return p[..., None, :] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
-
     def to_json(self) -> str:
         return json.dumps({"family": self.name, "m": self.m, "B": self.B})
-
-
-def _box_corners(m: int, B: float) -> np.ndarray:
-    """The 2^m corners of [-B, B]^m, one per row; bit b of row i picks +B."""
-    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
-    return np.where(bits == 1, float(B), -float(B))
 
 
 def plackett_luce(m: int, B: float = 1.0) -> MWiseLink:
     """The softmax choice model: P[item i] proportional to e^{w_i}.
 
-    beta is the least second eigenvalue of the exact Hessian of -log F
-    (``neg_log_hessian``) over the 2^m corners of [-B, B]^m, where the box minimum
-    sits (tests check it against box samples and a multistart optimiser).
     At m = 2 the choice probability coincides with the BTL link at sigma = 1.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
-    if not B > 0:
-        raise ValueError(f"B must be positive, got {B}")
-    hess = MWiseLink.neg_log_hessian(_box_corners(m, B))
-    beta = float(np.min(np.linalg.eigvalsh(hess)[:, 1]))
-    return MWiseLink(name="plackett_luce", m=m, B=B, beta=beta)
+    return MWiseLink(name="plackett_luce", m=m, B=B)

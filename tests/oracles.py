@@ -331,6 +331,13 @@ def box_points(m: int, B: float) -> np.ndarray:
     return np.vstack([corners, rng.uniform(-B, B, size=(4000, m))])
 
 
+def softmax_hessian(x: np.ndarray) -> np.ndarray:
+    """Exact Hessian of -log F, diag(p) - p p^T with p = softmax(x), over leading axes."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    return p[..., None, :] * np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :]
+
+
 def choice_prob_gradient(x: np.ndarray) -> np.ndarray:
     """Gradient p_0 (e_0 - p) of F = p_0, the first item's softmax probability."""
     e = np.exp(x - np.max(x))

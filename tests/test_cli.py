@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ranktopo import cli
+from ranktopo import cli, models
 from ranktopo.cli import (
     ExperimentConfig,
     main,
@@ -204,6 +204,37 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(config)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "bogus" in captured.err
+
+    def test_config_key_that_is_not_read_is_an_error(self, tmp_path, capsys):
+        """The file key for d_list is "d"; a file naming the field itself
+        would run the default d without a word, so it is refused."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"d_list": [5], "kinds": ["star"], "trials": 1,
+                                      "out": "-"}))
+        assert main(["simulate", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "d_list" in captured.err
+
+    def test_mwise_trial_refuses_other_kinds(self):
+        """A lone Plackett-Luce trial on a kind with no hyper-design is an
+        error, not a complete-hyper-design row labelled with that kind."""
+        with pytest.raises(ValueError, match="complete hyper-design"):
+            run_trial("star", 8, 300, "plackett_luce", 1.0, 1.0, 3, "uniform", 5)
+
+    def test_mwise_campaign_reads_no_beta(self, monkeypatch):
+        """The estimator needs no curvature bound, so a campaign never
+        evaluates beta."""
+        def no_beta(self):
+            raise AssertionError("a campaign must not read beta")
+
+        monkeypatch.setattr(models.MWiseLink, "beta", property(no_beta))
+        cli._cell.cache_clear()
+        rows = run_campaign(ExperimentConfig(kinds=["complete"], d_list=[6], n_list=[1000],
+                                             family="plackett_luce", m=3, trials=2),
+                            log=io.StringIO())
+        assert len(rows) == 2
+        assert all(row["converged"] and row["error"] == "" for row in rows)
 
     def test_failed_trials_do_not_abort(self, monkeypatch, capsys):
         import ranktopo.cli as cli_mod
@@ -412,6 +443,30 @@ class TestBoundsCommand:
                      "--d", "6", "--m", "3", "--n", "1000"])
         assert code == 1
 
+    def test_mwise_bounds_at_m24(self, capsys):
+        """The closed-form beta serves any m: the 2^24 corner Hessians an
+        eigensolve would need take 77 GB."""
+        assert main(["bounds", "--theorem", "T4_mwise_l2", "--kind", "complete",
+                     "--d", "40", "--m", "24", "--n", "1e6"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 0 < payload["lower"] <= payload["upper"] < math.inf
+
+    @pytest.mark.parametrize("theorem", ["T4_mwise_lap", "T4_mwise_l2"])
+    def test_mwise_bounds_at_large_B(self, theorem, capsys):
+        """Up to B of about 185 the prefactors are finite; from there beta^2
+        or the upper prefactor leaves the float range, and the command says so."""
+        argv = ["bounds", "--theorem", theorem, "--kind", "complete", "--d", "8",
+                "--m", "3", "--n", "1e4", "--B"]
+        assert main([*argv, "20"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert 0 < payload["lower"] <= payload["upper"] < math.inf
+        assert payload["prefactors"]["lambda2_H"] > 0
+        for B in ("185", "190", "300", "400"):
+            assert main([*argv, B]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: B=") and "too wide" in captured.err
+
     def test_gv_target_overflow_is_an_error(self, capsys):
         """exp overflows in the GV target from d of about 2,386 at alpha=0.01;
         the command reports it as an error, not a traceback."""
@@ -531,6 +586,24 @@ class TestInlineSplits:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and " needs d = m1" in captured.err
+
+    @pytest.mark.parametrize("kind, d", [
+        ("complete(3,4)", 7), ("star(3,4)", 7), ("path(3,4)", 7), ("cycle(3,4)", 7),
+        ("barbell(4,4)", 8), ("hypercube(2,4)", 8), ("expander(2,2)", 49)])
+    def test_split_on_a_kind_that_takes_none_is_an_error(self, kind, d, capsys):
+        assert main(["spectrum", "--kind", kind, "--d", str(d)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "takes no split" in captured.err
+
+    @pytest.mark.parametrize("kind", ["complete_bipartite(3,5)", "lattice2d(2,4)"])
+    def test_split_kinds_keep_their_split(self, kind, capsys):
+        assert main(["spectrum", "--kind", kind, "--d", "8"]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == kind
+
+    def test_unknown_kind_with_a_split(self, capsys):
+        assert main(["spectrum", "--kind", "wheel(3,4)", "--d", "7"]) == 1
+        assert "unknown topology kind" in capsys.readouterr().err
 
 
 class TestCvoCommand:

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import math
 import re
+import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scipy.special import expit, ndtr
 
 from ranktopo.models import (
     ModelParams,
+    MWiseLink,
     compute_gamma,
     compute_zeta,
     make_link,
@@ -20,7 +23,7 @@ from ranktopo.models import (
     softmax,
 )
 
-from oracles import box_points, choice_prob_gradient, fd_gradient, fd_hessian
+from oracles import box_points, choice_prob_gradient, fd_gradient, fd_hessian, softmax_hessian
 
 
 def smooth_custom_cdf(x):
@@ -258,17 +261,16 @@ class TestPlackettLuce:
         for _ in range(10):
             x = rng.uniform(-1, 1, size=3)
             neg_log = lambda z: -math.log(pl.position_probs(z)[0])
-            np.testing.assert_allclose(pl.neg_log_hessian(x), fd_hessian(neg_log, x),
+            np.testing.assert_allclose(softmax_hessian(x), fd_hessian(neg_log, x),
                                        atol=1e-5)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_hessian_spectral_structure(self, m):
         """Exact Hessian: PSD, ones in nullspace, positive second eigenvalue."""
-        pl = plackett_luce(m)
         rng = np.random.default_rng(4)
         for _ in range(100):
             x = rng.uniform(-1, 1, size=m)
-            hess = pl.neg_log_hessian(x)
+            hess = softmax_hessian(x)
             vals = np.linalg.eigvalsh(hess)
             assert vals[0] >= -1e-10
             assert vals[1] > 0
@@ -285,16 +287,6 @@ class TestPlackettLuce:
             np.testing.assert_allclose(choice_prob_gradient(x), grad, atol=1e-8)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
-    def test_batched_derivatives_equal_row_by_row(self, m):
-        """Leading axes batch the Hessian; each row is bit-equal to its own call."""
-        pl = plackett_luce(m)
-        x = np.random.default_rng(m).uniform(-2, 2, size=(4, 6, m))
-        hess = pl.neg_log_hessian(x)
-        assert hess.shape == (4, 6, m, m)
-        for idx in np.ndindex(4, 6):
-            assert pl.neg_log_hessian(x[idx]).tobytes() == hess[idx].tobytes()
-
-    @pytest.mark.parametrize("m", [2, 3, 5])
     def test_curvature_lower_bounds_hessian(self, m):
         """beta (I - 11^T/m) <= Hessian of -log F over the box."""
         pl = plackett_luce(m, B=1.0)
@@ -303,16 +295,18 @@ class TestPlackettLuce:
         rng = np.random.default_rng(6)
         for _ in range(200):
             x = rng.uniform(-1, 1, size=m)
-            gap = np.linalg.eigvalsh(pl.neg_log_hessian(x) - floor)
+            gap = np.linalg.eigvalsh(softmax_hessian(x) - floor)
             assert gap[0] >= -1e-9
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_beta_is_box_sample_minimum(self, m):
-        """beta equals, bit for bit, the least lambda_2 over the box sample."""
+        """beta equals the least lambda_2 over the box sample, to the eigvalsh
+        rounding of about eps |H|."""
         for B in (0.25, 0.7, 1.0, 2.0):
             p = softmax(box_points(m, B), axis=1)
             hess = p[:, None, :] * np.eye(m) - p[:, :, None] * p[:, None, :]
-            assert plackett_luce(m, B).beta == float(np.min(np.linalg.eigvalsh(hess)[:, 1]))
+            box_min = float(np.min(np.linalg.eigvalsh(hess)[:, 1]))
+            assert abs(plackett_luce(m, B).beta - box_min) <= 3e-14 * box_min
 
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_no_box_point_below_beta(self, m):
@@ -320,7 +314,7 @@ class TestPlackettLuce:
         rng = np.random.default_rng(m)
         for B in (0.5, 1.0, 2.0):
             pl = plackett_luce(m, B)
-            lam2 = lambda x: float(np.linalg.eigvalsh(pl.neg_log_hessian(x))[1])
+            lam2 = lambda x: float(np.linalg.eigvalsh(softmax_hessian(x))[1])
             found = [minimize(lam2, x0, method="L-BFGS-B", bounds=[(-B, B)] * m).fun
                      for x0 in rng.uniform(-B, B, size=(12, m))]
             assert min(found) >= pl.beta - 1e-12
@@ -331,8 +325,49 @@ class TestPlackettLuce:
         # score difference -2B.
         pl = plackett_luce(2, B=1.0)
         p = float(expit(-2.0))
-        assert abs(pl.beta - 2 * p * (1 - p)) < 1e-6
+        assert pl.beta == pytest.approx(2 * p * (1 - p), rel=1e-15, abs=0)
 
+
+    @staticmethod
+    def decimal_corner_beta(m: int, B: float) -> Decimal:
+        """The least lambda_2 over every corner spectrum, in 50 digits: with k
+        items at +B, p takes a = 1/Z and b = q/Z, Z = k + (m-k) q, and
+        diag(p) - p p^T has eigenvalues 0, a (k-1 times), b (m-k-1 times)
+        and m a b; k = 0 and k = m give 1/m."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            q = (-2 * Decimal(B)).exp()
+            values = [Decimal(1) / m]
+            for k in range(1, m):
+                a, b = 1 / (k + (m - k) * q), q / (k + (m - k) * q)
+                values += [m * a * b] + [a] * (k >= 2) + [b] * (m - k >= 2)
+            return min(values)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8, 16, 64])
+    def test_beta_matches_decimal_corner_spectrum(self, m):
+        for B in (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0):
+            want = self.decimal_corner_beta(m, B)
+            assert abs(Decimal(plackett_luce(m, B).beta) - want) <= Decimal("1e-15") * want
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_beta_is_least_corner_eigenvalue(self, m):
+        """Against eigvalsh over all 2^m corners, to its rounding (at most
+        2.4e-14 relative here, at m = 9 and B = 2)."""
+        corners = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+        for B in (0.05, 0.3, 1.0, 1.5, 2.0):
+            lam2 = float(np.min(np.linalg.eigvalsh(softmax_hessian(B * corners))[:, 1]))
+            assert plackett_luce(m, B).beta == pytest.approx(lam2, rel=5e-14, abs=0)
+
+    def test_link_stores_m_and_B_only(self):
+        """beta is a property, evaluated in closed form at any m."""
+        assert [f.name for f in dataclasses.fields(MWiseLink)] == ["name", "m", "B"]
+        start = time.perf_counter()
+        beta = plackett_luce(64, 2.0).beta
+        assert time.perf_counter() - start < 0.01
+        assert 0 < beta < 1 / 64
+        for B in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="B must be positive"):
+                plackett_luce(3, B)
 
     @pytest.mark.parametrize("m", [2, 3, 5, 7])
     def test_position_axis_is_a_layout_choice(self, m):
