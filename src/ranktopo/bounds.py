@@ -412,8 +412,7 @@ def minimax_bounds(theorem: str, design: ComparisonDesign | HyperDesign,
         lower_pref = pre.inf_choice_prob / (m**2 * pre.lambda_m_h * pre.sup_grad_hdag_sq)
         upper_pref = m**2 * pre.sup_grad_log_sq / pre.lambda2_h**2
         if not (0 < lower_pref and upper_pref < math.inf):
-            raise ValueError(f"B={link.B} is too wide: the T4 prefactors are "
-                             f"{lower_pref} and {upper_pref}")
+            raise ValueError(f"B={link.B} is too wide: T4 prefactors {lower_pref}, {upper_pref}")
         applicable = n >= summary.trace_pinv / (pre.zeta * link.B**2 * pre.lambda_m_h)
         if theorem == "T4_mwise_lap":
             lower = lower_pref * d / n

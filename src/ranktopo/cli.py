@@ -82,8 +82,9 @@ class ExperimentConfig:
 
 def _hyper_builder(kind: str):
     """The builder, called as ``builder(d, m)``, of the hyper-design that
-    m-wise campaigns and bounds use for topology ``kind``.  Only a plain
-    ``complete`` names one so far."""
+    m-wise campaigns and bounds use for topology ``kind``; only a plain
+    ``complete`` names one so far.  ``validate`` checks a kind through it
+    without building, so a campaign builds each cell's hyper-design once."""
     if parse_kind(kind) != ("complete", None, None):
         raise ValueError(f"m-wise comparisons support only the complete hyper-design, "
                          f"not kind {kind!r}")

@@ -326,11 +326,10 @@ class MWiseLink:
 
     @property
     def beta(self) -> float:
-        """m q / (m - 1 + q)^2 with q = e^{-2B}, the least lambda_2 of the
-        Hessian diag(p) - p p^T over the box; tests check that it sits at a
-        corner.  With k items at +B, p takes a = 1/Z and b = q/Z, Z = k + (m-k) q,
-        and lambda_2 is 1/m (k = 0 or m) or the least of a (k >= 2), b (m-k >= 2)
-        and m a b: over k, m a b at k = m - 1."""
+        """m q/(m - 1 + q)^2, q = e^{-2B}: the least lambda_2 of the Hessian diag(p) - p p^T
+        over the box, which tests find at a corner.  With k items at +B, p is a = 1/Z or
+        b = q/Z (Z = k + (m-k) q), and lambda_2 is 1/m (k = 0 or m) or the least of a (k >= 2),
+        b (m-k >= 2) and m a b: over k, m a b at k = m - 1."""
         q = math.exp(-2.0 * self.B)
         return self.m * q / (self.m - 1 + q) ** 2
 
