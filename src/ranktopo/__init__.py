@@ -51,8 +51,6 @@ from .models import (
     LinkFunction,
     ModelParams,
     MWiseLink,
-    compute_gamma,
-    compute_zeta,
     make_link,
     model_params,
     plackett_luce,
@@ -80,8 +78,7 @@ __all__ = [
     "ComparisonDesign", "HyperDesign", "OptimalityReport", "SpectralSummary",
     "build_topology", "design_from_json", "hypergraph_laplacian",
     "lower_bound_statistic", "optimality_report", "spectrum",
-    "LinkFunction", "ModelParams", "MWiseLink", "compute_gamma", "compute_zeta",
-    "make_link", "model_params", "plackett_luce",
+    "LinkFunction", "ModelParams", "MWiseLink", "make_link", "model_params", "plackett_luce",
     "CardinalModel", "ObservationBatch", "QualityVector",
     "even_allocation", "gen_quality", "sample_comparisons", "sample_outcomes",
     "__version__",

@@ -586,7 +586,6 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
             delta_sq = 0.01 * sigma**2 * d / (n * zeta)
             coords = math.sqrt(delta_sq / d) * z * np.sqrt(pinv)
             lap_weights = eigenvalues * pinv
-            separation = delta_sq / d * _min_hamming(z[:, eigenvalues > 0])
         else:
             delta_sq = 0.01 * sigma**2 * d * d / (4.0 * n * zeta)
             # Pair heavily-used packing coordinates with small eigenvalues:
@@ -596,7 +595,9 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
             coords = math.sqrt(delta_sq / d) * z[:, order]
             lap_weights = np.empty(d)
             lap_weights[order] = eigenvalues
-            separation = delta_sq / d * _min_hamming(z)
+        # GV rows are 0 at coordinate 0, a connected design's only null
+        # direction, so one Hamming minimum serves both variants.
+        separation = delta_sq / d * _min_hamming(z)
         mean_lap = delta_sq / d * float(lap_weights @ (2 * pairs_apart)) / (
             m_rows * (m_rows - 1))
 

@@ -242,11 +242,26 @@ def cmd_simulate(args) -> int:
 _CONSTRUCTIVE = {"T1_lap": "lap", "T2_l2": "l2"}
 
 
+def _path_flags(args, defaults: dict, read: bool, reader: str) -> None:
+    """Flags that one path reads: where it is taken, fill in each default;
+    where it is not, refuse any of them that was given."""
+    for flag, default in defaults.items():
+        if read and getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif not read and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} is not read by {reader}")
+
+
 def cmd_bounds(args) -> int:
     if args.constructive and args.theorem not in _CONSTRUCTIVE:
         raise ValueError(f"--constructive runs the Fano pipeline of "
                          f"{' and '.join(_CONSTRUCTIVE)} only, not {args.theorem}")
-    if args.theorem.startswith("T4"):
+    mwise = args.theorem.startswith("T4")
+    _path_flags(args, {"family": "btl", "sigma": 1.0}, not mwise, args.theorem)
+    _path_flags(args, {"m": 3}, mwise, args.theorem)
+    _path_flags(args, {"alpha": 0.01, "seed": 0}, args.constructive,
+                "bounds without --constructive")
+    if mwise:
         design, params = _hyper_builder(args.kind)(args.d, args.m), plackett_luce(args.m, args.B)
     else:
         design = build_topology(args.kind, args.d)
@@ -331,6 +346,8 @@ def _empirical_cvo(sigma_ord: float, sigma_card: float, B: float, d: int,
 
 
 def cmd_cvo(args) -> int:
+    _path_flags(args, {"d": 6, "n": 600, "trials": 100, "seed": 0}, args.empirical,
+                "cvo without --empirical")
     report = cvo_decision(args.sigma_ord, args.sigma_card, args.B)
     out = json.loads(report.to_json())
     if args.empirical:
@@ -382,16 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--theorem", required=True, choices=THEOREMS)
     p_bounds.add_argument("--kind", required=True)
     p_bounds.add_argument("--d", type=int, required=True)
-    p_bounds.add_argument("--m", type=int, default=3,
-                          help="subset size for the m-wise bound pair")
+    p_bounds.add_argument("--m", type=int, help="subset size, read by T4_* only")
     p_bounds.add_argument("--n", type=float, required=True)
-    p_bounds.add_argument("--family", default="btl")
-    p_bounds.add_argument("--sigma", type=float, default=1.0)
+    p_bounds.add_argument("--family", help="read by T1_lap, T2_l2 and T3_paired only")
+    p_bounds.add_argument("--sigma", type=float, help="read by T1_lap, T2_l2 and T3_paired only")
     p_bounds.add_argument("--B", type=float, default=1.0)
     p_bounds.add_argument("--constructive", action="store_true",
                           help="run the Fano proof pipeline of T1_lap or T2_l2")
-    p_bounds.add_argument("--alpha", type=float, default=0.01)
-    p_bounds.add_argument("--seed", type=int, default=0)
+    p_bounds.add_argument("--alpha", type=float, help="read with --constructive only")
+    p_bounds.add_argument("--seed", type=int, help="read with --constructive only")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_design = sub.add_parser("design", help="rank topologies for a comparison budget")
@@ -407,10 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cvo.add_argument("--sigma-card", dest="sigma_card", type=float, required=True)
     p_cvo.add_argument("--B", type=float, default=1.0)
     p_cvo.add_argument("--empirical", action="store_true")
-    p_cvo.add_argument("--d", type=int, default=6)
-    p_cvo.add_argument("--n", type=int, default=600)
-    p_cvo.add_argument("--trials", type=int, default=100)
-    p_cvo.add_argument("--seed", type=int, default=0)
+    for flag in ("--d", "--n", "--trials", "--seed"):
+        p_cvo.add_argument(flag, type=int, help="read with --empirical only")
     p_cvo.set_defaults(func=cmd_cvo)
     return parser
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -197,7 +196,7 @@ def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLin
     totals = counts.sum(axis=0)
     n, d = batch.n, design.d
     flat_columns = columns.ravel()
-    a, b = map(list, zip(*itertools.combinations(range(link.m), 2)))  # np.triu_indices order
+    a, b = np.triu_indices(link.m, 1)
     laplacian = _laplacian(d, columns[a].ravel(), columns[b].ravel())
 
     def point(w: np.ndarray) -> np.ndarray:

@@ -26,20 +26,9 @@ FD_STEP = 1e-6
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _normal_pdf(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
-
-
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
     # ndtr evaluates via erfc; absolute error below 1e-15 on the real line.
     return ndtr(np.asarray(x, dtype=float))
-
-
-def _btl_neg_log_second(x: np.ndarray) -> np.ndarray:
-    # d^2/dt^2 [log(1 + e^{-t})] = F(t)(1 - F(t))
-    f = expit(np.asarray(x, dtype=float))
-    return f * (1.0 - f)
 
 
 def _btl_pdf_over_cdf(t: np.ndarray, log_f: np.ndarray) -> np.ndarray:
@@ -64,12 +53,6 @@ def _thurstone_second_pair(t: np.ndarray, h: np.ndarray,
     return h * (h + t), h_reflected * (h_reflected - t)
 
 
-def _thurstone_neg_log_second(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    h = _thurstone_pdf_over_cdf(x, log_ndtr(x))
-    return h * (h + x)
-
-
 # Both named links have their density peak at 0 and (-log F)'' decreasing
 # on [0, inf), so over [-h, h] its minimum sits at +h (for the symmetric
 # BTL curvature, at -h too).  The BTL minimum is F(h) F(-h): at h = 20 the
@@ -77,7 +60,8 @@ def _thurstone_neg_log_second(x: np.ndarray) -> np.ndarray:
 
 
 def _thurstone_extremes(hi: float) -> tuple[float, float]:
-    return float(_normal_pdf(0.0)), float(_thurstone_neg_log_second(hi))
+    mills = _thurstone_pdf_over_cdf(hi, log_ndtr(hi))
+    return 1.0 / _SQRT_2PI, float(mills * (mills + hi))
 
 
 def _btl_extremes(hi: float) -> tuple[float, float]:
@@ -88,31 +72,26 @@ def _btl_extremes(hi: float) -> tuple[float, float]:
 class LinkFunction:
     """A symmetric CDF with derivatives and a noise scale.
 
-    ``cdf`` and ``pdf`` take the already-rescaled argument t = x/sigma;
-    callers are responsible for dividing by sigma.  ``neg_log_second`` is
-    the second derivative of -log F, the quantity whose infimum over the
-    working interval is the strong log-concavity constant.  ``log_cdf``
-    and ``pdf_over_cdf`` (F'/F) are evaluated in log space where the
-    family allows it, which keeps them finite far into the tails;
+    Every callable takes the already-rescaled argument t = x/sigma;
+    callers are responsible for dividing by sigma.  ``log_cdf`` and
+    ``pdf_over_cdf`` (F'/F) are evaluated in log space where the family
+    allows it, which keeps them finite far into the tails;
     ``pdf_over_cdf(t, log_f)`` is handed log_f = ``log_cdf(t)``, so that a
     caller holding log F pays for no second special-function pass.
-    ``neg_log_second_pair(t, r, r_reflected)`` gives ``neg_log_second`` at
-    t and -t from r and r_reflected, F'/F at t and -t.
-    ``extremes``, where the family knows them in closed form, maps h >= 0
-    to the max of ``pdf`` over [0, h] and the min of ``neg_log_second``
-    over [-h, h]; without it, ``model_params`` finds both by a grid search.
+    ``neg_log_second_pair(t, r, r_reflected)`` gives (-log F)'' at t and
+    -t from r and r_reflected, F'/F at t and -t.  ``extremes`` maps
+    h >= 0 to the max of F' over [0, h] and the min of (-log F)'' over
+    [-h, h], the two constants ``model_params`` reads.
     """
 
     name: str
     sigma: float
     cdf: Callable[[np.ndarray], np.ndarray]
-    pdf: Callable[[np.ndarray], np.ndarray]
-    neg_log_second: Callable[[np.ndarray], np.ndarray]
     log_cdf: Callable[[np.ndarray], np.ndarray]
     pdf_over_cdf: Callable[[np.ndarray, np.ndarray], np.ndarray]
     neg_log_second_pair: Callable[[np.ndarray, np.ndarray, np.ndarray],
                                   tuple[np.ndarray, np.ndarray]]
-    extremes: Callable[[float], tuple[float, float]] | None = None
+    extremes: Callable[[float], tuple[float, float]]
 
     def win_probability(self, score_diff: np.ndarray) -> np.ndarray:
         """P[first item wins] for raw score differences."""
@@ -159,24 +138,24 @@ def make_link(family: str | Callable, sigma: float = 1.0) -> LinkFunction:
     """Construct a link: 'thurstone', 'btl', or a custom CDF callable.
 
     Custom CDFs are screened for symmetry, monotonicity and interior range
-    on a test grid, and get finite-difference derivatives.
+    on a test grid, and get finite-difference derivatives, whose extremes
+    a grid search finds.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if family == "thurstone":
-        return LinkFunction("thurstone", sigma, _normal_cdf, _normal_pdf,
-                            _thurstone_neg_log_second, log_ndtr, _thurstone_pdf_over_cdf,
+        return LinkFunction("thurstone", sigma, _normal_cdf, log_ndtr, _thurstone_pdf_over_cdf,
                             _thurstone_second_pair, _thurstone_extremes)
     if family == "btl":
-        return LinkFunction("btl", sigma, expit, _btl_neg_log_second,
-                            _btl_neg_log_second, log_expit, _btl_pdf_over_cdf,
+        return LinkFunction("btl", sigma, expit, log_expit, _btl_pdf_over_cdf,
                             _btl_second_pair, _btl_extremes)
     if callable(family):
         _screen_custom_cdf(family)
         pdf, second = _fd_pdf(family), _fd_neg_log_second(family)
-        return LinkFunction("custom", sigma, family, pdf, second,
-                            lambda t: np.log(family(t)), lambda t, log_f: pdf(t) / family(t),
-                            lambda t, r, r_reflected: (second(t), second(-t)))
+        return LinkFunction("custom", sigma, family, lambda t: np.log(family(t)),
+                            lambda t, log_f: pdf(t) / family(t),
+                            lambda t, r, r_reflected: (second(t), second(-t)),
+                            _grid_extremes(pdf, second))
     raise ValueError(f"unknown link family {family!r}")
 
 
@@ -242,54 +221,36 @@ def _grid_extremum(fun: Callable, lo: float, hi: float, resolution: float,
     return min(best_grid, refined) if minimize else max(best_grid, refined)
 
 
-def compute_zeta(link: LinkFunction, B: float) -> float:
-    """max F' over [0, 2B/sigma], divided by F(2B/sigma)(1 - F(2B/sigma))."""
-    if not B >= 0:
-        raise ValueError(f"B must be nonnegative, got {B}")
-    hi = 2.0 * B / link.sigma
-    if link.extremes is None:
-        peak = _grid_extremum(link.pdf, 0.0, hi, 1e-4, minimize=False)
-    else:
-        peak = link.extremes(hi)[0]
-    # 1 - F(hi) = F(-hi); the product evaluated in log space survives far
-    # larger intervals than the naive form, whose upper factor rounds to 1.
-    log_denom = float(link.log_cdf(np.asarray(hi)) + link.log_cdf(np.asarray(-hi)))
-    denom = math.exp(log_denom)
-    if denom <= 0.0 or not math.isfinite(denom):
-        raise ValueError(f"interval [0, {hi}] is too wide: F(1-F) underflows")
-    return peak / denom
+def _grid_extremes(pdf: Callable, second: Callable) -> Callable[[float], tuple[float, float]]:
+    """``extremes`` of a link known only through F' and (-log F)'': each
+    found by a 1e-4 grid refined by golden-section search."""
+    def extremes(hi: float) -> tuple[float, float]:
+        return (_grid_extremum(pdf, 0.0, hi, 1e-4, minimize=False),
+                _grid_extremum(second, -hi, hi, 1e-4, minimize=True))
 
-
-def compute_gamma(link: LinkFunction, B: float) -> float:
-    """min of d^2/dt^2 (-log F) over [-2B/sigma, 2B/sigma].
-
-    Rejects links whose computed minimum is not strictly positive: such a
-    link is not strongly log-concave on the working interval.
-    """
-    if not B >= 0:
-        raise ValueError(f"B must be nonnegative, got {B}")
-    hi = 2.0 * B / link.sigma
-    if link.extremes is None:
-        gamma = _grid_extremum(link.neg_log_second, -hi, hi, 1e-4, minimize=True)
-    else:
-        gamma = link.extremes(hi)[1]
-    if gamma <= 0:
-        raise ValueError(
-            f"link {link.name!r} is not strongly log-concave on [-{hi}, {hi}]"
-        )
-    return gamma
+    return extremes
 
 
 def model_params(link: LinkFunction, B: float) -> ModelParams:
-    """Bundle gamma and zeta for a link over the interval set by B.
+    """gamma and zeta of a link over [-h, h], h = 2B/sigma, from ``link.extremes(h)``.
 
-    zeta goes first: on an interval so wide that F(1-F) underflows, the
-    curvature underflows too, and zeta's error names that cause.
+    zeta is the peak density over F(h) F(-h) = F(h)(1 - F(h)).  That
+    product is checked first, in log space, which survives far wider
+    intervals than the naive form, whose upper factor rounds to 1: where
+    it underflows the curvature underflows too, and the error names that
+    cause.  A link whose least curvature is not strictly positive is not
+    strongly log-concave on the interval and is refused.
     """
     if not B > 0:
         raise ValueError(f"B must be positive, got {B}")
-    zeta = compute_zeta(link, B)
-    return ModelParams(B=B, gamma=compute_gamma(link, B), zeta=zeta, sigma=link.sigma)
+    hi = 2.0 * B / link.sigma
+    denom = math.exp(float(link.log_cdf(np.asarray(hi)) + link.log_cdf(np.asarray(-hi))))
+    if denom <= 0.0 or not math.isfinite(denom):
+        raise ValueError(f"interval [0, {hi}] is too wide: F(1-F) underflows")
+    peak, gamma = link.extremes(hi)
+    if gamma <= 0:
+        raise ValueError(f"link {link.name!r} is not strongly log-concave on [-{hi}, {hi}]")
+    return ModelParams(B=B, gamma=gamma, zeta=peak / denom, sigma=link.sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -741,9 +741,7 @@ class TestFanoPipeline:
     def test_membership_violation_raises(self):
         design = build_topology("complete", 10)
         link = make_link("btl", 1.0)
-        from ranktopo.models import ModelParams, compute_gamma, compute_zeta
-        tight = ModelParams(B=1e-4, gamma=compute_gamma(link, 1e-4),
-                            zeta=compute_zeta(link, 1e-4), sigma=1.0)
+        tight = model_params(link, 1e-4)
         with pytest.raises(ValueError, match="bound set"):
             fano_pipeline(design, tight, 100)
 

@@ -651,6 +651,67 @@ class TestCvoCommand:
         assert emp["ordinal_risk"] == want["ordinal_risk"]
 
 
+class TestUnreadFlags:
+    """A flag that the chosen path never reads is refused before any work;
+    the path that reads it still runs."""
+
+    BOUNDS = ["bounds", "--kind", "complete", "--d", "16", "--n", "1e5", "--theorem"]
+    CVO = ["cvo", "--sigma-ord", "1", "--sigma-card", "2"]
+
+    @pytest.mark.parametrize("argv, flag, reader", [
+        ([*BOUNDS, "T4_mwise_lap", "--family", "thurstone", "--sigma", "5", "--alpha", "0.2",
+          "--seed", "9"], "family", "T4_mwise_lap"),
+        ([*BOUNDS, "T4_mwise_l2", "--sigma", "5"], "sigma", "T4_mwise_l2"),
+        ([*BOUNDS, "T1_lap", "--m", "7"], "m", "T1_lap"),
+        ([*BOUNDS, "T2_l2", "--m", "7", "--constructive"], "m", "T2_l2"),
+        ([*BOUNDS, "T3_paired", "--m", "7"], "m", "T3_paired"),
+        ([*BOUNDS, "T1_lap", "--alpha", "0.2"], "alpha", "bounds without --constructive"),
+        ([*BOUNDS, "T4_mwise_lap", "--seed", "9"], "seed", "bounds without --constructive"),
+        ([*CVO, "--trials", "0", "--d", "3"], "d", "cvo without --empirical"),
+        ([*CVO, "--n", "100"], "n", "cvo without --empirical"),
+        ([*CVO, "--trials", "5"], "trials", "cvo without --empirical"),
+        ([*CVO, "--seed", "1"], "seed", "cvo without --empirical"),
+    ])
+    def test_unread_flag_is_an_error(self, argv, flag, reader, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the flags were checked")
+
+        for name in ("cvo_decision", "build_topology", "_hyper_builder"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --{flag} is not read by {reader}\n"
+
+    @pytest.mark.parametrize("argv", [
+        [*BOUNDS, "T1_lap", "--family", "thurstone"],
+        [*BOUNDS, "T3_paired", "--sigma", "5"],
+        [*BOUNDS, "T4_mwise_l2", "--m", "4"],
+        [*BOUNDS, "T1_lap", "--constructive", "--alpha", "0.05"],
+        [*BOUNDS, "T2_l2", "--constructive", "--seed", "9"],
+        [*CVO, "--empirical", "--d", "4", "--trials", "2"],
+        [*CVO, "--empirical", "--n", "120", "--trials", "2"],
+        [*CVO, "--empirical", "--trials", "2"],
+        [*CVO, "--empirical", "--seed", "1", "--trials", "2"],
+    ], ids=["family", "sigma", "m", "alpha", "bounds-seed", "d", "n", "trials", "cvo-seed"])
+    def test_read_flag_still_runs(self, argv, capsys):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv, defaults", [
+        ([*BOUNDS, "T1_lap"], ["--family", "btl", "--sigma", "1"]),
+        ([*BOUNDS, "T4_mwise_lap"], ["--m", "3"]),
+        ([*BOUNDS, "T2_l2", "--constructive"], ["--alpha", "0.01", "--seed", "0"]),
+        ([*CVO, "--empirical", "--trials", "2"], ["--d", "6", "--n", "600", "--seed", "0"]),
+    ])
+    def test_omitted_flag_takes_its_default(self, argv, defaults, capsys):
+        """A path fills in the default of each flag it reads and was not given."""
+        assert main(argv) == 0
+        omitted = capsys.readouterr().out
+        assert main([*argv, *defaults]) == 0
+        assert capsys.readouterr().out == omitted
+
+
 class TestNanScales:
     """NaN passes a `<= 0` check; every scale is tested with `not x > 0`."""
 

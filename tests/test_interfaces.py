@@ -173,6 +173,18 @@ class TestImportHygiene:
         assert len(paths) > 10
         assert [bad for path in paths for bad in unused_imports(path)] == []
 
+    def test_exports_are_the_imports(self):
+        """``ranktopo.__all__`` lists exactly the names ``__init__.py``
+        imports, plus ``__version__``: an export removed from one list only
+        is caught here."""
+        path = ranktopo.__file__
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        imported = {alias.asname or alias.name for node in tree.body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert len(ranktopo.__all__) == len(set(ranktopo.__all__))
+        assert set(ranktopo.__all__) == imported | {"__version__"}
+
     def test_no_unread_private_definitions(self):
         """Every private module-level name in the package is read somewhere in
         the package; one that only tests read is dead code."""

@@ -10,13 +10,13 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.special import expit, ndtr
+from scipy.special import expit, log_ndtr, ndtr
 
 from ranktopo.models import (
+    LinkFunction,
     ModelParams,
     MWiseLink,
-    compute_gamma,
-    compute_zeta,
+    _grid_extremes,
     make_link,
     model_params,
     plackett_luce,
@@ -35,6 +35,21 @@ def cubic_warp_cdf(x):
     """Symmetric and monotone but not log-concave near the origin."""
     x = np.asarray(x, dtype=float)
     return 0.5 * (1.0 + np.tanh(x**3 / (1.0 + x * x)))
+
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def thurstone_curvature(t):
+    """(-log Phi)''(t) = m (m + t) with m = phi/Phi, the inverse Mills ratio."""
+    mills = np.exp(-0.5 * t * t - math.log(SQRT_2PI) - log_ndtr(t))
+    return mills * (mills + t)
+
+
+def density(link, t):
+    """F' from the link's own callables, as F'/F times F."""
+    t = np.asarray(t, dtype=float)
+    return link.pdf_over_cdf(t, link.log_cdf(t)) * link.cdf(t)
 
 
 class TestLinkBasics:
@@ -60,7 +75,7 @@ class TestLinkBasics:
 
     @pytest.mark.parametrize("family", ["btl", "thurstone"])
     def test_derivative_matches_finite_differences(self, family):
-        """Analytic F' vs central differences, 1e-6 relative on the grid.
+        """F' = (F'/F) F vs central differences, 1e-6 relative on the grid.
 
         For x > 0 the difference F(x+h) - F(x-h) is evaluated at -x via
         symmetry (F' is even), where the CDF is small and the subtraction
@@ -71,7 +86,7 @@ class TestLinkBasics:
         h = 1e-6
         stable = -np.abs(grid)
         fd = (link.cdf(stable + h) - link.cdf(stable - h)) / (2 * h)
-        np.testing.assert_allclose(link.pdf(grid), fd, rtol=1e-6)
+        np.testing.assert_allclose(density(link, grid), fd, rtol=1e-6)
 
     def test_btl_values(self):
         link = make_link("btl", 1.0)
@@ -80,7 +95,7 @@ class TestLinkBasics:
 
     def test_thurstone_density_at_zero(self):
         link = make_link("thurstone", 1.0)
-        assert abs(float(link.pdf(np.float64(0.0))) - 0.3989423) < 1e-7
+        assert abs(float(density(link, 0.0)) - 0.3989423) < 1e-7
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
@@ -90,12 +105,25 @@ class TestLinkBasics:
         with pytest.raises(ValueError):
             make_link("cauchyish", 1.0)
 
+    def test_every_link_carries_its_extremes(self):
+        """extremes is a required field, the one route to zeta and gamma; a
+        custom CDF's is the grid search over its finite-difference F' and
+        (-log F)''.  For F(t) = expit(1.5 t) on [-2, 2]: F'(0) = 0.375 and
+        the least curvature is 2.25 F(3) F(-3)."""
+        fields = dataclasses.fields(LinkFunction)
+        assert [f.name for f in fields] == ["name", "sigma", "cdf", "log_cdf", "pdf_over_cdf",
+                                            "neg_log_second_pair", "extremes"]
+        assert all(f.default is dataclasses.MISSING for f in fields)
+        peak, gamma = make_link(smooth_custom_cdf, 1.0).extremes(2.0)
+        assert peak == pytest.approx(0.375, rel=1e-6)
+        assert gamma == pytest.approx(2.25 * expit(3.0) * expit(-3.0), rel=1e-4)
+
     def test_custom_link_screens(self):
         link = make_link(smooth_custom_cdf, 1.0)
         grid = np.linspace(-4, 4, 101)
         np.testing.assert_allclose(link.cdf(grid) + link.cdf(-grid), 1.0, atol=1e-10)
         fd = (smooth_custom_cdf(grid + 1e-6) - smooth_custom_cdf(grid - 1e-6)) / 2e-6
-        np.testing.assert_allclose(link.pdf(grid), fd, rtol=1e-6)
+        np.testing.assert_allclose(density(link, grid), fd, rtol=1e-6)
         with pytest.raises(ValueError):
             make_link(lambda x: expit(np.asarray(x) + 0.3), 1.0)  # asymmetric
         with pytest.raises(ValueError):
@@ -104,51 +132,54 @@ class TestLinkBasics:
 
 class TestZeta:
     def test_btl_zero_bound(self):
-        assert abs(compute_zeta(make_link("btl", 1.0), 0.0) - 1.0) < 1e-12
+        """The B -> 0 limit, at B = 1e-9: 4 F'(0) = 1."""
+        assert abs(model_params(make_link("btl", 1.0), 1e-9).zeta - 1.0) < 1e-12
 
     def test_btl_unit_bound(self):
-        value = compute_zeta(make_link("btl", 1.0), 1.0)
+        value = model_params(make_link("btl", 1.0), 1.0).zeta
         f2 = float(expit(2.0))
         assert abs(value - 0.25 / (f2 * (1 - f2))) < 1e-9
         assert abs(value - 2.38110) < 1e-4
 
     def test_thurstone_zero_bound(self):
-        value = compute_zeta(make_link("thurstone", 1.0), 0.0)
+        """The B -> 0 limit, at B = 1e-9: 4 phi(0)."""
+        value = model_params(make_link("thurstone", 1.0), 1e-9).zeta
         assert abs(value - 1.595769) < 1e-6
 
     def test_sigma_rescaling(self):
         # 2B/sigma is all that matters: (B=2, sigma=2) matches (B=1, sigma=1)
-        assert abs(compute_zeta(make_link("btl", 2.0), 2.0)
-                   - compute_zeta(make_link("btl", 1.0), 1.0)) < 1e-9
+        assert abs(model_params(make_link("btl", 2.0), 2.0).zeta
+                   - model_params(make_link("btl", 1.0), 1.0).zeta) < 1e-9
 
     def test_dominates_four_fprime0(self):
         """zeta >= 4 F'(0) for every bound, since F(1-F) <= 1/4."""
         for family in ("btl", "thurstone"):
             link = make_link(family, 1.0)
-            fp0 = float(link.pdf(np.float64(0.0)))
-            for bound in (0.0, 0.3, 1.0, 2.5, 5.0):
-                assert compute_zeta(link, bound) >= 4 * fp0 - 1e-9
+            fp0 = float(density(link, 0.0))
+            for bound in (1e-9, 0.3, 1.0, 2.5, 5.0):
+                assert model_params(link, bound).zeta >= 4 * fp0 - 1e-9
 
     def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            compute_zeta(make_link("btl", 1.0), -0.5)
+        for bound in (-0.5, 0.0):
+            with pytest.raises(ValueError, match="B must be positive"):
+                model_params(make_link("btl", 1.0), bound)
 
 
 class TestGamma:
     def test_btl_matches_analytic(self):
         """For BTL the curvature minimum is F(2B/s)(1 - F(2B/s))."""
         link = make_link("btl", 1.0)
-        for bound in (0.0, 0.5, 1.0, 2.0):
+        for bound in (1e-9, 0.5, 1.0, 2.0):
             f = float(expit(2.0 * bound))
-            assert abs(compute_gamma(link, bound) - f * (1 - f)) < 1e-9
+            assert abs(model_params(link, bound).gamma - f * (1 - f)) < 1e-9
 
     def test_btl_unit_value(self):
-        assert abs(compute_gamma(make_link("btl", 1.0), 1.0) - 0.104994) < 1e-6
+        assert abs(model_params(make_link("btl", 1.0), 1.0).gamma - 0.104994) < 1e-6
 
     def test_thurstone_vs_finite_difference_scan(self):
         """gamma matches a 1e-5-step finite-difference scan of -log Phi."""
         link = make_link("thurstone", 1.0)
-        value = compute_gamma(link, 1.0)
+        value = model_params(link, 1.0).gamma
         grid = np.linspace(-2, 2, 4001)
         h = 1e-5
         neglog = lambda t: -np.log(ndtr(t))
@@ -158,35 +189,44 @@ class TestGamma:
 
     def test_non_log_concave_rejected(self):
         link = make_link(cubic_warp_cdf, 1.0)
-        with pytest.raises(ValueError):
-            compute_gamma(link, 1.0)
+        with pytest.raises(ValueError, match="not strongly log-concave on \\[-2.0, 2.0\\]"):
+            model_params(link, 1.0)
+
+    # The exact F' and (-log F)'' of the named links, for the grid search a
+    # custom link gets.  The BTL curvature is written F(t) F(-t), whose
+    # digits survive far out.
+    EXACT = {
+        "thurstone": (lambda t: np.exp(-0.5 * t * t) / SQRT_2PI, thurstone_curvature),
+        "btl": (lambda t: expit(t) * (1.0 - expit(t)), lambda t: expit(t) * expit(-t)),
+    }
 
     @pytest.mark.parametrize("family", ["thurstone", "btl"])
     def test_closed_forms_match_the_grid_search(self, family):
         """Both named links carry their extremes in closed form; the grid
-        search a custom link gets finds the same zeta and gamma within 4e-15,
-        and raises alike where F(1-F) underflows.  The grid reads the BTL
-        curvature as F(t) F(-t), whose digits survive far out."""
+        search a custom link gets, run on their exact F' and (-log F)'',
+        finds the same peak and curvature within 4e-15, the same zeta and
+        gamma, and raises alike where F(1-F) underflows."""
         for sigma, B in itertools.product(np.geomspace(0.3, 5.0, 5), np.geomspace(0.01, 10.0, 7)):
             link = make_link(family, float(sigma))
-            grid = dataclasses.replace(link, extremes=None)
-            if family == "btl":
-                grid = dataclasses.replace(grid, neg_log_second=lambda t: expit(t) * expit(-t))
-            for constant in (compute_zeta, compute_gamma):
-                try:
-                    want = constant(grid, float(B))
-                except ValueError as exc:
-                    with pytest.raises(ValueError, match=re.escape(str(exc))):
-                        constant(link, float(B))
-                    continue
-                assert constant(link, float(B)) == pytest.approx(want, rel=4e-15, abs=0)
+            grid = dataclasses.replace(link, extremes=_grid_extremes(*self.EXACT[family]))
+            h = 2.0 * float(B) / link.sigma
+            assert link.extremes(h) == pytest.approx(grid.extremes(h), rel=4e-15, abs=0)
+            try:
+                want = model_params(grid, float(B))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    model_params(link, float(B))
+                continue
+            got = model_params(link, float(B))
+            assert (got.zeta, got.gamma) == pytest.approx((want.zeta, want.gamma),
+                                                          rel=4e-15, abs=0)
 
     @pytest.mark.parametrize("h", [6.0, 20.0, 33.0])
     def test_btl_gamma_keeps_its_digits_far_out(self, h):
         """gamma = F(h) F(-h) at h = 2B/sigma.  Written F(h)(1 - F(h)), it
         keeps only the digits of 1 - F(h) that survive rounding F(h) near 1:
         off by 4.8e-14 relative at h = 6, 3.6e-8 at 20 and 8.7e-4 at 33."""
-        assert compute_gamma(make_link("btl", 1.0), h / 2) == pytest.approx(
+        assert model_params(make_link("btl", 1.0), h / 2).gamma == pytest.approx(
             math.exp(-h) / (1.0 + math.exp(-h)) ** 2, rel=1e-15, abs=0)
 
     def test_model_params_bundle(self):
