@@ -312,14 +312,6 @@ class MWisePrefactors:
         return self.sup_grad_hdag_sq / self.inf_choice_prob
 
 
-# The class search evaluates a _CLASS_GRID x _CLASS_GRID grid per class and
-# zooms it _CLASS_ROUNDS times onto +-2 spacings of its best point, a factor
-# 4 per round: the last spacing is B/8 * 4^-9, about 5e-7 B, and a smooth
-# maximum is then found to about 1e-14 relative.
-_CLASS_GRID = 17
-_CLASS_ROUNDS = 10
-
-
 def _class_sups(m: int, B: float) -> tuple[float, float]:
     """sup over [-B, B]^m of |grad F|^2 = p_0^2 S and of |grad log F|^2 = S.
 
@@ -328,40 +320,42 @@ def _class_sups(m: int, B: float) -> tuple[float, float]:
         d(p_0^2 S)/dx_i = 2 p_0^2 p_i (p_i - S - Q + p_0 (1 - p_0)),
         dS/dx_i = 2 p_i (p_i - Q + p_0 (1 - p_0)),
     each zero at one p_i, the same for every item inside the box.  So a
-    maximiser has k items at +B, l at -B, the other r = m-1-k-l at one
-    shared score v, and item 0 at some t: a search over (t, v) in
-    [-B, B]^2 for each class (k, l), vectorised over classes and both sups
-    (rows [0, half) for p_0^2 S, [half, 2 half) for S).  Scores are shifted
-    by -B, so every exponential is at most 1 and an item at -B weighs e^{-2B}.
+    maximiser has k items at +B, l at -B and the other r = m-1-k-l at one
+    shared score.  In weights e^{x-B}, +B weighs 1, -B weighs q = e^{-2B},
+    the shared items v and item 0 a, both in [q, 1].  With s = k + lq + rv,
+    T = sum_{i>=1} (w_i/s)^2 and p_0 = a/(a+s), S = (1-p_0)^2 (1+T) and
+    p_0^2 S = (p_0 (1-p_0))^2 (1+T).  S falls in a, so a = q; a/(a+s)^2
+    peaks at a = s, so a = min(s, 1) for p_0^2 S.  In v, with R = k + lq and
+    P = k + lq^2, S is stationary at v = (P - Rq)/(R + q(r+1)), p_0^2 S at
+    a = 1 at the roots of r(r+1) v^2 - (1 + r + R - 2Rr) v - (R - R^2 - 2P),
+    and p_0^2 S at a = s only at its minimum v = P/R.  So each class's sups
+    lie at v = q, 1, (1-R)/r (where s = 1) or a stationary point, clipped to
+    [q, 1]; all classes are evaluated at all six at once.  p_0 (1-p_0) is a
+    product of two shares and T a sum of them: from B of about 177, a s
+    is subnormal and (v/s)^2 overflows.
     """
     k, top = np.triu_indices(m)  # every k <= top < m: l = m-1-top gives each k + l <= m-1
-    k, l = (np.tile(a, 2)[:, None, None].astype(float) for a in (k, m - 1 - top))
-    half, rows = top.size, 2 * top.size
-    r, low = m - 1 - k - l, math.exp(-2.0 * B)
-    fixed, fixed_sq = k + l * low, k + l * low**2  # weights p_i Z at +-B: sum, sum of squares
-    lo, hi = np.full((2, rows), -float(B)), np.full((2, rows), float(B))
-    u = np.linspace(0.0, 1.0, _CLASS_GRID)
-    for _ in range(_CLASS_ROUNDS):
-        t, v = lo[..., None] + (hi - lo)[..., None] * u
-        a0, av = np.exp(t - B)[:, :, None], np.exp(v - B)[:, None, :]
-        rest = fixed + r * av
-        z = a0 + rest
-        vals = (rest**2 + fixed_sq + r * av**2) / z**2
-        p0 = a0[:half] / z[:half]
-        vals[:half] *= p0 * p0
-        best = vals.reshape(rows, -1).argmax(axis=1)
-        step = (hi - lo) / (_CLASS_GRID - 1)
-        centre = lo + step * np.stack(np.divmod(best, _CLASS_GRID))
-        lo, hi = np.maximum(centre - 2 * step, -B), np.minimum(centre + 2 * step, B)
-    found = vals.reshape(rows, -1)[np.arange(rows), best]
-    return float(found[:half].max()), float(found[half:].max())
+    k, l = k[:, None].astype(float), (m - 1 - top)[:, None].astype(float)
+    r, q = m - 1 - k - l, math.exp(-2.0 * B)
+    big_r, big_p, rr = k + l * q, k + l * q * q, np.maximum(r, 1.0)  # a class with r = 0 ignores v
+    b, den = 1.0 + r + big_r - 2.0 * big_r * r, 2.0 * rr * (rr + 1.0)
+    root = np.sqrt(np.maximum(b * b + 4.0 * r * (r + 1.0) * (big_r - big_r**2 - 2.0 * big_p), 0.0))
+    v = np.clip(np.hstack([np.full_like(k, q), np.ones_like(k), (1.0 - big_r) / rr,
+                           (big_p - big_r * q) / (big_r + q * (r + 1.0)),
+                           (b - root) / den, (b + root) / den]), q, 1.0)
+    rv = r * v
+    s = big_r + rv
+    one_plus_t = 1.0 + k / s / s + l * (q / s) ** 2 + rv / s * (v / s)
+    a = np.minimum(s, 1.0)
+    return (float(np.max((a / (a + s) * (s / (a + s))) ** 2 * one_plus_t)),
+            float(np.max((s / (q + s)) ** 2 * one_plus_t)))
 
 
 def mwise_prefactors(link: MWiseLink) -> MWisePrefactors:
     """Box extrema of the m-wise link quantities over [-B, B]^m.
 
     inf F = 1/(1 + (m-1) e^{2B}), at x_0 = -B and every other item at +B.
-    The two sups come from one search over classes (``_class_sups``).
+    The two sups are exact maxima over classes (``_class_sups``).
     With H = beta (I - 11^T/m), both lambda_2(H) and lambda_m(H) are beta,
     and since grad F is orthogonal to 1, |grad F|^2_{H^dagger} is
     |grad F|^2 / beta.  A B at which beta^2 underflows (from about 186) is refused.

@@ -392,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--out", help="output CSV path, or - for stdout")
-    p_sim.add_argument("--threads", type=int, help="ignored; kept for compatibility")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bounds = sub.add_parser("bounds", help="evaluate minimax bound formulas")

@@ -614,6 +614,25 @@ class TestMWisePrefactors:
             for got, grid in zip(sups, grid_sups):
                 assert got >= grid * (1 - 1e-15)
 
+    @pytest.mark.parametrize("B", [0.1, 1.0, 20.0, 100.0, 180.0, 185.0])
+    def test_m2_sups_in_closed_form(self, B):
+        """At m=2, S = 2 (1-p_0)^2: sup p_0^2 S = 1/8 at p_0 = 1/2, and
+        sup S = 2/(1 + e^{-2B})^2 at x_0 = -B, x_1 = +B, each within 4 ulp."""
+        pre = mwise_prefactors(plackett_luce(2, B))
+        sups = (pre.sup_grad_hdag_sq * pre.lambda2_h, pre.sup_grad_log_sq)
+        for got, exact in zip(sups, (0.125, 2.0 / (1.0 + math.exp(-2.0 * B)) ** 2)):
+            assert abs(got - exact) <= 4 * math.ulp(exact)
+
+    def test_sups_within_hard_bounds(self):
+        """sum_{i>=1} p_i^2 <= (1-p_0)^2, so S <= 2 (1-p_0)^2: sup S <= 2 and
+        sup p_0^2 S <= 2 max (p_0 (1-p_0))^2 = 1/8, for every m and B."""
+        eps = np.finfo(float).eps
+        for m in range(2, 13):
+            for B in (0.1, 1.0, 3.0, 20.0, 100.0, 177.0, 180.0, 185.0):
+                pre = mwise_prefactors(plackett_luce(m, B))
+                assert pre.sup_grad_hdag_sq * pre.lambda2_h <= 0.125 * (1 + 4 * eps)
+                assert pre.sup_grad_log_sq <= 2.0 * (1 + 4 * eps)
+
     def test_interior_stationarity_formulas(self):
         """For i >= 1, d(p_0^2 S)/dx_i = 2 p_0^2 p_i (p_i - S - Q + p_0 (1 - p_0)) and
         dS/dx_i = 2 p_i (p_i - Q + p_0 (1 - p_0)), S = |e_0 - p|^2, Q = sum_{i>=1} p_i^2:

@@ -114,12 +114,18 @@ class TestSimulateCommand:
     def test_cli_writes_file(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         code = main(["simulate", "--kind", "complete", "--d", "4", "--n", "100",
-                     "--trials", "2", "--seed", "1", "--out", str(out),
-                     "--threads", "2"])
+                     "--trials", "2", "--seed", "1", "--out", str(out)])
         assert code == 0
         text = out.read_text()
         assert text.startswith(",".join(CSV_COLUMNS))
         assert len(text.strip().split("\n")) == 3
+
+    def test_threads_flag_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--kind", "complete", "--d", "4", "--n", "100",
+                  "--trials", "1", "--out", "-", "--threads", "2"])
+        assert excinfo.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "config.json"
