@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import ComparisonDesign, HyperDesign, _connected, _laplacian
+from .graph import ComparisonDesign, HyperDesign, _connected
 from .models import LinkFunction, MWiseLink
 from .synth import ObservationBatch, QualityVector, _values
 
@@ -102,15 +102,11 @@ def project_feasible(x: np.ndarray, B: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _ordinal_counts(batch: ObservationBatch, num_edges: int) -> tuple[np.ndarray, np.ndarray]:
-    """Wins and losses per edge, from one count over 2 * edge + (outcome == 1).
-
-    ``ObservationBatch`` holds ordinal outcomes to +-1, so every sample
-    lands in one of its edge's two slots.
-    """
-    slots = 2 * batch.entry_indices + (np.asarray(batch.outcomes) == 1)
-    counts = np.bincount(slots, minlength=2 * num_edges).astype(float)
-    return counts[1::2], counts[0::2]
+def _counts(batch: ObservationBatch, slots, num_slots: int, num_entries: int) -> np.ndarray:
+    """Samples per (slot, entry), as a (num_slots, num_entries) array, in one bincount."""
+    flat = np.asarray(slots, dtype=np.intp) * num_entries + batch.entry_indices
+    return np.bincount(flat, minlength=num_slots * num_entries).astype(float).reshape(
+        num_slots, num_entries)
 
 
 def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
@@ -129,9 +125,9 @@ def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
     -log F and W_e, L_e the wins and losses on edge e.
     """
     j_idx, k_idx, _ = design.edge_arrays
-    wins, losses = _ordinal_counts(batch, len(j_idx))
+    # Outcomes are +-1 (``ObservationBatch`` checks), so slot 0 wins, slot 1 losses.
+    wins, losses = _counts(batch, np.asarray(batch.outcomes) != 1, 2, j_idx.size)
     sigma, n, d = link.sigma, batch.n, design.d
-    laplacian = _laplacian(d, j_idx, k_idx)
 
     def point(w: np.ndarray):
         t = (w[j_idx] - w[k_idx]) / sigma
@@ -156,7 +152,7 @@ def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
     def hessian(pt) -> np.ndarray:
         second, second_reflected = link.neg_log_second_pair(pt[0], *pt[3]())
         curvature = wins * second + losses * second_reflected
-        return laplacian(curvature / (n * sigma * sigma))
+        return design._scatter(curvature / (n * sigma * sigma))
 
     return point, objective, gradient, hessian
 
@@ -174,30 +170,21 @@ def ordinal_nll_gradient(w: np.ndarray, batch: ObservationBatch,
     return gradient(point(np.asarray(w, dtype=float)))
 
 
-def _mwise_counts(batch: ObservationBatch, num_subsets: int, m: int) -> np.ndarray:
-    """Wins per (position, subset), as an (m, S) array."""
-    flat = np.asarray(batch.outcomes, dtype=np.intp) * num_subsets + batch.entry_indices
-    return np.bincount(flat, minlength=m * num_subsets).astype(float).reshape(
-        m, num_subsets)
-
-
 def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLink):
     """The m-wise counterpart of ``_ordinal_closures``.
 
-    Subsets are gathered column-major, as an (m, S) array, so every
-    reduction over a subset's m positions runs down whole columns.  The
+    Subsets are gathered column-major, as the design's (m, S) array, so
+    every reduction over a subset's m positions runs down whole columns.  The
     point is the log choice probabilities.  The Hessian of -log p_k is
     diag(p) - p p^T whichever position k won, and that is the Laplacian of
     the subset's clique with weights p_a p_b; summed over subsets with
     weights n_S / n it is one Laplacian on the pairs a < b of every subset.
     """
-    columns = np.ascontiguousarray(design.subsets.T)
-    counts = _mwise_counts(batch, columns.shape[1], link.m)
+    columns, (a, b), laplacian = design._cliques
+    counts = _counts(batch, batch.outcomes, link.m, columns.shape[1])
     totals = counts.sum(axis=0)
     n, d = batch.n, design.d
     flat_columns = columns.ravel()
-    a, b = np.triu_indices(link.m, 1)
-    laplacian = _laplacian(d, columns[a].ravel(), columns[b].ravel())
 
     def point(w: np.ndarray) -> np.ndarray:
         return link.log_position_probs(w[columns], axis=0)
@@ -438,20 +425,19 @@ def ls_paired_cardinal(batch: ObservationBatch, design: ComparisonDesign) -> Est
     if batch.kind != "cardinal_pair":
         raise ValueError(f"expected a cardinal_pair batch, got {batch.kind!r}")
     j_idx, k_idx, _ = design.edge_arrays
-    counts = np.bincount(batch.entry_indices, minlength=len(j_idx)).astype(float)
+    y = np.asarray(batch.outcomes, dtype=float)
+    counts = np.bincount(batch.entry_indices, minlength=j_idx.size).astype(float)
     sampled = counts > 0
     if not _connected(design.d, j_idx[sampled], k_idx[sampled]):
         raise ValueError("sampled comparison graph is disconnected; w is not identifiable")
-    lap = _laplacian(design.d, j_idx[sampled], k_idx[sampled])(counts[sampled]) / batch.n
+    # An unsampled edge scatters weight 0, which leaves every entry's sum exact.
+    lap = design._scatter(counts) / batch.n
     # X^T y accumulated per edge: each sample adds y_i (e_j - e_k).
-    sums = np.zeros(len(j_idx))
-    np.add.at(sums, batch.entry_indices, np.asarray(batch.outcomes, dtype=float))
-    xty = np.zeros(design.d)
-    np.add.at(xty, j_idx, sums)
-    np.add.at(xty, k_idx, -sums)
+    sums = np.bincount(batch.entry_indices, weights=y, minlength=j_idx.size)
+    xty = np.bincount(np.r_[j_idx, k_idx], weights=np.r_[sums, -sums], minlength=design.d)
     w = np.linalg.solve(lap + 1.0 / design.d, xty / batch.n)
     w = w - np.mean(w)  # remove float residue along the nullspace
-    resid = np.asarray(batch.outcomes, dtype=float) - (w[j_idx] - w[k_idx])[batch.entry_indices]
+    resid = y - (w[j_idx] - w[k_idx])[batch.entry_indices]
     objective = float(resid @ resid / (2.0 * batch.n))
     bound = float(np.max(np.abs(w)))
     return EstimateResult(QualityVector(w, bound), True, 0, objective, 0.0)
@@ -461,16 +447,16 @@ def mean_cardinal(batch: ObservationBatch, d: int) -> EstimateResult:
     """Per-item sample means recentred to sum zero."""
     if batch.kind != "cardinal_item":
         raise ValueError(f"expected a cardinal_item batch, got {batch.kind!r}")
+    y = np.asarray(batch.outcomes, dtype=float)
     counts = np.bincount(batch.entry_indices, minlength=d).astype(float)
+    if counts.size > d:
+        raise ValueError(f"item index {counts.size - 1} out of range for d={d}")
     if np.any(counts == 0):
         missing = np.nonzero(counts == 0)[0]
         raise ValueError(f"items never observed: {missing.tolist()}")
-    sums = np.zeros(d)
-    np.add.at(sums, batch.entry_indices, np.asarray(batch.outcomes, dtype=float))
-    means = sums / counts
+    means = np.bincount(batch.entry_indices, weights=y, minlength=d) / counts
     w = means - np.mean(means)
-    resid_obj = float(np.sum((np.asarray(batch.outcomes, dtype=float)
-                              - means[batch.entry_indices]) ** 2) / (2.0 * batch.n))
+    resid_obj = float(np.sum((y - means[batch.entry_indices]) ** 2) / (2.0 * batch.n))
     bound = float(np.max(np.abs(w)))
     return EstimateResult(QualityVector(w, bound), True, 0, resid_obj, 0.0)
 

@@ -16,7 +16,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable
 
 import numpy as np
 
@@ -56,23 +55,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _laplacian(d: int, j: np.ndarray, k: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _scatter_laplacian(d: int, off_diagonal, diagonal, w: np.ndarray) -> np.ndarray:
+    lap = np.bincount(off_diagonal, weights=np.repeat(-w, 2), minlength=d * d).reshape(d, d)
+    lap.flat[::d + 1] = np.bincount(diagonal, weights=np.repeat(w, 2), minlength=d)
+    return lap
+
+
+def _laplacian(d: int, j: np.ndarray, k: np.ndarray) -> partial:
     """The map w -> sum_e w_e (e_j - e_k)(e_j - e_k)^T over parallel edge arrays.
 
     The scatter indices are built here, once, so a solver that needs a
     Laplacian per iterate on fixed edges pays only for the weights.
     Repeated pairs accumulate; each entry sums its terms in edge order.
+    A partial, not a closure, so a design that keeps it stays picklable.
     """
-    off_diagonal = np.stack([j * d + k, k * d + j], axis=1).ravel()
-    diagonal = np.stack([j, k], axis=1).ravel()
-
-    def build(w: np.ndarray) -> np.ndarray:
-        lap = np.bincount(off_diagonal, weights=np.repeat(-w, 2),
-                          minlength=d * d).reshape(d, d)
-        lap.flat[::d + 1] = np.bincount(diagonal, weights=np.repeat(w, 2), minlength=d)
-        return lap
-
-    return build
+    return partial(_scatter_laplacian, d, np.stack([j * d + k, k * d + j], axis=1).ravel(),
+                   np.stack([j, k], axis=1).ravel())
 
 
 def _connected(d: int, j: np.ndarray, k: np.ndarray) -> bool:
@@ -197,17 +195,22 @@ class ComparisonDesign:
         return _connected(self.d, j[w > 0], k[w > 0])
 
     @cached_property
+    def _scatter(self) -> partial:
+        """``_laplacian`` over ``edge_arrays``: built once, shared by every reader."""
+        j, k, _ = self.edge_arrays
+        return _laplacian(self.d, j, k)
+
+    @cached_property
     def laplacian(self) -> np.ndarray:
         """Scaled Laplacian, sum_e w_e (e_j - e_k)(e_j - e_k)^T; trace 2; read-only."""
-        j, k, w = self.edge_arrays
-        return _read_only(_laplacian(self.d, j, k)(w))
+        return _read_only(self._scatter(self.edge_arrays[2]))
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "d": self.d,
                 "kind": self.kind,
-                "edges": [list(e) for e in self.edges],
+                "edges": [list(e) for e in zip(*(a.tolist() for a in self.edge_arrays))],
             }
         )
 
@@ -291,6 +294,14 @@ class HyperDesign:
         return _connected(self.d, np.repeat(sa[:, 0], self.m - 1), sa[:, 1:].ravel())
 
     @cached_property
+    def _cliques(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], partial]:
+        """The (m, S) column-major subsets, the position pairs a < b, and
+        ``_laplacian`` over (columns[a], columns[b]) raveled: built once."""
+        columns = _read_only(np.ascontiguousarray(self.subsets.T))
+        a, b = np.triu_indices(self.m, 1)
+        return columns, (a, b), _laplacian(self.d, columns[a].ravel(), columns[b].ravel())
+
+    @cached_property
     def laplacian(self) -> np.ndarray:
         return _read_only(hypergraph_laplacian(self))
 
@@ -303,9 +314,8 @@ def hypergraph_laplacian(design: HyperDesign) -> np.ndarray:
     1/|subsets|.  Reduces entrywise to the pairwise scaled Laplacian when
     m = 2.
     """
-    a, b = np.triu_indices(design.m, 1)
-    j, k = design.subsets[:, a].ravel(), design.subsets[:, b].ravel()
-    return _laplacian(design.d, j, k)(np.ones(j.size)) / len(design.subsets)
+    columns, (a, _), scatter = design._cliques
+    return scatter(np.ones(a.size * columns.shape[1])) / columns.shape[1]
 
 
 @dataclass(frozen=True)

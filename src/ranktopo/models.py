@@ -22,6 +22,9 @@ from scipy.special import expit, log_expit, log_ndtr, ndtr
 
 SYMMETRY_TOL = 1e-10
 FD_STEP = 1e-6
+# A custom link's (-log F)'': second differences at steps s and 2s, combined so
+# their s^2 errors cancel.  s is large: they divide -log F's rounding by s^2.
+_CURVATURE_STEP = 0.02
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -112,13 +115,12 @@ def _fd_pdf(cdf: Callable) -> Callable:
     return pdf
 
 
-def _fd_neg_log_second(cdf: Callable, step: float = 1e-5) -> Callable:
+def _fd_neg_log_second(cdf: Callable) -> Callable:
     def second(x):
         x = np.asarray(x, dtype=float)
-        g0 = -np.log(cdf(x))
-        gp = -np.log(cdf(x + step))
-        gm = -np.log(cdf(x - step))
-        return (gp - 2.0 * g0 + gm) / (step * step)
+        g = [-np.log(cdf(x + i * _CURVATURE_STEP)) for i in (-2, -1, 0, 1, 2)]
+        return ((16.0 * (g[1] + g[3]) - (g[0] + g[4]) - 30.0 * g[2])
+                / (12.0 * _CURVATURE_STEP * _CURVATURE_STEP))
 
     return second
 

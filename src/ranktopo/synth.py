@@ -246,7 +246,7 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
         # runs down whole rows of n, not along n short rows of m.  The
         # cumulative sum adds row to row for the same reason: np.cumsum
         # along axis 0 steps through n columns of m, at about 8x the cost.
-        scores = values[design.subsets.T.take(comparisons, axis=1)]
+        scores = values[design._cliques[0].take(comparisons, axis=1)]
         cum = model.position_probs(scores, axis=0)
         for row in range(1, model.m):
             cum[row] += cum[row - 1]

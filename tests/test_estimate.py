@@ -10,6 +10,8 @@ from scipy.special import ndtri
 
 import ranktopo.cli as cli
 import ranktopo.estimate as estimate
+import ranktopo.synth as synth
+from ranktopo import graph
 from ranktopo.estimate import (
     SolverOptions,
     _mwise_closures,
@@ -25,7 +27,7 @@ from ranktopo.estimate import (
     ordinal_nll_gradient,
     project_feasible,
 )
-from ranktopo.graph import ComparisonDesign, HyperDesign, build_topology, spectrum
+from ranktopo.graph import ComparisonDesign, HyperDesign, build_topology, complete_hyper, spectrum
 from ranktopo.models import make_link, plackett_luce
 from ranktopo.synth import (
     CardinalModel,
@@ -578,6 +580,36 @@ class TestPairedCardinal:
             ls_paired_cardinal(batch, design)
 
 
+    def test_unsampled_edges_match_the_sampled_design(self):
+        """An unsampled edge scatters weight 0 into the design's Laplacian:
+        the result has the bytes of the same samples on the design cut to
+        its sampled edges."""
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(80):
+            d = int(rng.integers(3, 10))
+            num = int(rng.integers(d, 3 * d))
+            j = rng.integers(0, d, num)
+            k = (j + rng.integers(1, d, num)) % d
+            w = rng.random(num)
+            design = ComparisonDesign.from_arrays(d, j, k, w / w.sum())
+            entries = rng.integers(0, num, int(rng.integers(num // 2 + 1, 2 * num)))
+            y = rng.standard_normal(entries.size)
+            sampled = np.bincount(entries, minlength=num) > 0
+            try:
+                full = ls_paired_cardinal(ObservationBatch("cardinal_pair", entries, y), design)
+            except ValueError:  # the sample is disconnected
+                continue
+            cut = ComparisonDesign.from_arrays(d, j[sampled], k[sampled],
+                                               w[sampled] / w[sampled].sum())
+            renumbered = (np.cumsum(sampled) - 1)[entries]
+            part = ls_paired_cardinal(ObservationBatch("cardinal_pair", renumbered, y), cut)
+            assert full.w_hat.values.tobytes() == part.w_hat.values.tobytes()
+            assert (full.objective, full.w_hat.B) == (part.objective, part.w_hat.B)
+            checked += not sampled.all()
+        assert checked >= 20
+
+
 class TestMeanCardinal:
     def test_noiseless_single_pass(self):
         w = QualityVector(np.array([0.5, -0.2, -0.3]), 0.5)
@@ -604,6 +636,61 @@ class TestMeanCardinal:
                                  np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             mean_cardinal(batch, 3)
+
+    def test_item_out_of_range_rejected(self):
+        """An item index >= d is an error, not a longer estimate."""
+        batch = ObservationBatch("cardinal_item", np.array([0, 1, 2], dtype=np.intp),
+                                 np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="item index 2 out of range for d=2"):
+            mean_cardinal(batch, 2)
+
+
+class TestSharedScatter:
+    """A design builds its Laplacian's scatter indices once, on first use,
+    and its Laplacian, every MLE and the paired least squares read them."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        builds = []
+        build = graph._laplacian
+
+        def spy(d, j, k):
+            builds.append(d)
+            return build(d, j, k)
+
+        # Wherever a package module binds the name, so that a module that
+        # imported the builder is counted too.
+        for module in (graph, estimate, synth):
+            if hasattr(module, "_laplacian"):
+                monkeypatch.setattr(module, "_laplacian", spy)
+        return builds
+
+    def test_design_builds_once(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        design = build_topology("cycle", 8)
+        link = make_link("btl", 1.0)
+        w_star = gen_quality("uniform", 8, 1.0, 0)
+        for seed in (1, 2):
+            comps = sample_comparisons(design, 400, seed)
+            batch = sample_outcomes(link, w_star, design, comps, seed)
+            assert mle_ordinal(batch, design, link, 1.0).converged
+        comps = sample_comparisons(design, 400, 3)
+        ls_paired_cardinal(sample_outcomes(CardinalModel("pair", 1.0), w_star, design, comps, 3),
+                           design)
+        assert design.laplacian.trace() == pytest.approx(2.0)
+        assert builds == [8]
+
+    def test_hyper_design_builds_once(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        hyper = complete_hyper(6, 3)
+        link = plackett_luce(3, 1.0)
+        w_star = gen_quality("uniform", 6, 1.0, 0)
+        for seed in (1, 2):
+            comps = sample_comparisons(hyper, 600, seed)
+            batch = sample_outcomes(link, w_star, hyper, comps, seed)
+            assert mle_mwise(batch, hyper, link, 1.0).converged
+        assert hyper.laplacian.trace() == pytest.approx(6.0)
+        assert builds == [6]
 
 
 class TestErrorMetrics:

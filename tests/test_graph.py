@@ -12,7 +12,7 @@ import scipy.linalg
 
 from ranktopo import graph
 from ranktopo.cli import main
-from ranktopo.estimate import error_metrics
+from ranktopo.estimate import error_metrics, ls_paired_cardinal, mle_mwise, mle_ordinal
 from ranktopo.graph import (
     PAIRWISE_KINDS,
     ComparisonDesign,
@@ -26,6 +26,8 @@ from ranktopo.graph import (
     optimality_report,
     spectrum,
 )
+from ranktopo.models import make_link, plackett_luce
+from ranktopo.synth import CardinalModel, gen_quality, sample_comparisons, sample_outcomes
 
 from oracles import (
     closed_form_spectrum,
@@ -486,6 +488,33 @@ class TestHypergraph:
                 assert hyper == eager and hash(hyper) == hash(eager)
                 assert hyper.laplacian.tobytes() == eager.laplacian.tobytes()
 
+    @pytest.mark.parametrize("read", ["laplacian", "sample", "mle"])
+    @pytest.mark.parametrize("make", [
+        lambda: complete_hyper(6, 3),
+        lambda: HyperDesign(6, 3, ((0, 1, 2), (2, 3, 4), (3, 4, 5), (5, 0, 3), (1, 4, 2))),
+    ])
+    def test_pickles_after_any_read(self, make, read):
+        """Pickled after a read that keeps its column-major subsets and clique
+        scatter, the copy equals the design, and samples and estimates alike."""
+        link = plackett_luce(3, 1.0)
+        fresh = make()
+        w_star = gen_quality("uniform", 6, 1.0, 0)
+        comps = sample_comparisons(fresh, 600, 1)
+        batch = sample_outcomes(link, w_star, fresh, comps, 1)
+        readers = {
+            "laplacian": lambda hyper: hyper.laplacian,
+            "sample": lambda hyper: sample_outcomes(link, w_star, hyper, comps, 1),
+            "mle": lambda hyper: mle_mwise(batch, hyper, link, 1.0),
+        }
+        hyper = make()
+        readers[read](hyper)
+        copy = pickle.loads(pickle.dumps(hyper))
+        assert copy == hyper and hyper == fresh and hash(copy) == hash(fresh)
+        assert copy.laplacian.tobytes() == fresh.laplacian.tobytes()
+        assert readers["sample"](copy).outcomes.tobytes() == batch.outcomes.tobytes()
+        got, want = (readers["mle"](h).w_hat.values for h in (copy, fresh))
+        assert got.tobytes() == want.tobytes()
+
     def test_subset_validation(self):
         with pytest.raises(ValueError):
             HyperDesign(4, 3, ((0, 1, 1),))
@@ -698,6 +727,32 @@ class TestLazyEdges:
                 assert build_topology(kind, d).to_json() == eager.to_json()
             built += 1
         assert built
+
+    @pytest.mark.parametrize("read", ["laplacian", "spectrum", "mle", "ls_paired_cardinal"])
+    @pytest.mark.parametrize("kind,d", [("cycle", 8), ("lattice2d", 12), ("expander", 25)])
+    def test_pickles_after_any_read(self, kind, d, read):
+        """Pickled after a read that caches on the design (its Laplacian
+        scatter among them), the copy equals the design and estimates alike."""
+        link = make_link("btl", 1.0)
+        fresh = build_topology(kind, d)
+        w_star = gen_quality("uniform", d, 1.0, 0)
+        comps = sample_comparisons(fresh, 60 * d, 1)
+        ordinal = sample_outcomes(link, w_star, fresh, comps, 1)
+        cardinal = sample_outcomes(CardinalModel("pair", 1.0), w_star, fresh, comps, 2)
+        readers = {
+            "laplacian": lambda design: design.laplacian,
+            "spectrum": spectrum,
+            "mle": lambda design: mle_ordinal(ordinal, design, link, 1.0),
+            "ls_paired_cardinal": lambda design: ls_paired_cardinal(cardinal, design),
+        }
+        design = build_topology(kind, d)
+        readers[read](design)
+        copy = pickle.loads(pickle.dumps(design))
+        assert copy == design and design == fresh and hash(copy) == hash(fresh)
+        assert copy.laplacian.tobytes() == fresh.laplacian.tobytes()
+        for estimator in ("mle", "ls_paired_cardinal"):
+            got, want = (readers[estimator](x).w_hat.values for x in (copy, fresh))
+            assert got.tobytes() == want.tobytes()
 
     def test_analysis_path_builds_no_edges(self, monkeypatch, capsys):
         """design, spectrum, T1-T3 and campaign validation run at d = 2^14 for

@@ -200,3 +200,22 @@ class TestImportHygiene:
         assert len(defined) > 10
         assert [f"{name}:{line}: {private}" for name, line, private in defined
                 if private not in read] == []
+
+    def test_only_the_design_caches_build_laplacians(self):
+        """``graph.py`` is the one package module that reads ``_laplacian``, and
+        there only the design caches ``_scatter`` and ``_cliques`` call it, so
+        each design builds its scatter indices once for every consumer."""
+        root = os.path.dirname(ranktopo.__file__)
+        readers = []
+        for name in sorted(os.listdir(root)):
+            if name.endswith(".py"):
+                with open(os.path.join(root, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=name)
+                if "_laplacian" in read_names(tree):
+                    readers.append(name)
+                if name == "graph.py":
+                    callers = sorted(node.name for node in ast.walk(tree)
+                                     if isinstance(node, ast.FunctionDef)
+                                     and "_laplacian" in read_names(ast.Module(node.body, [])))
+        assert readers == ["graph.py"]
+        assert callers == ["_cliques", "_scatter"]

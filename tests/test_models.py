@@ -229,6 +229,16 @@ class TestGamma:
         assert model_params(make_link("btl", 1.0), h / 2).gamma == pytest.approx(
             math.exp(-h) / (1.0 + math.exp(-h)) ** 2, rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("B", [1.0, 2.0, 3.0, 4.0])
+    def test_custom_gamma_keeps_its_digits(self, B):
+        """A custom link's gamma, from finite differences of -log F, is the
+        exact 2.25 F(1.5 h) F(-1.5 h) of F(t) = expit(1.5 t) within 1e-5, h = 2B.
+        One second difference at step 1e-5 was 23% low at B = 3 and refused
+        B = 4, its rounding swamping a curvature of 1.4e-5."""
+        h = 2.0 * B
+        assert model_params(make_link(smooth_custom_cdf, 1.0), B).gamma == pytest.approx(
+            2.25 * expit(1.5 * h) * expit(-1.5 * h), rel=1e-5, abs=0)
+
     def test_model_params_bundle(self):
         link = make_link("btl", 1.0)
         params = model_params(link, 1.0)
