@@ -69,6 +69,13 @@ class ExperimentConfig:
             raise ValueError(f"unknown quality generator {self.w_gen!r}")
         if self.w_variant not in PACKING_VARIANTS:
             raise ValueError(f"unknown packing variant {self.w_variant!r}")
+        # A value the chosen path never reads must be the one that path implies.
+        if self.family == "plackett_luce" and self.sigma != 1:
+            raise ValueError(f"sigma={self.sigma} is not read by plackett_luce (unit scale)")
+        if self.family != "plackett_luce" and self.m != 2:
+            raise ValueError(f"m={self.m} is not read by {self.family} (pairwise)")
+        if self.w_gen != "packing" and self.w_variant != "pinv":
+            raise ValueError(f"w_variant={self.w_variant} is not read by w_gen {self.w_gen}")
         if self.family == "plackett_luce":
             if not 2 <= self.m <= min(self.d_list):
                 raise ValueError(f"m-wise campaigns need 2 <= m <= d, "

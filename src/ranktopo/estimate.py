@@ -14,7 +14,6 @@ closed form.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -114,12 +113,11 @@ def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
     """Closures over per-edge win/loss counts: point, objective, gradient, Hessian.
 
     ``point(w)`` gathers the scaled edge differences t = (w_j - w_k)/sigma
-    and evaluates log F at t and -t once; the other three take that point,
-    so an iterate shares one gather and one special-function pass per sign
-    among its objective, gradient and Hessian.  The point also carries
-    F'/F at t and -t, computed on first use by the gradient and reused by
-    the Hessian.  Aggregating the samples once keeps the per-iteration
-    cost at O(edges) regardless of the sample count.  The Hessian is the
+    and evaluates log F and F'/F at t and -t once; the other three take
+    that point, so an iterate shares one gather and one special-function
+    pass per sign among its objective, gradient and Hessian.  Aggregating
+    the samples once keeps the per-iteration cost at O(edges) regardless of
+    the sample count.  The Hessian is the
     comparison-graph Laplacian with edge weights
     (W_e h(t_e) + L_e h(-t_e)) / (n sigma^2), h the second derivative of
     -log F and W_e, L_e the wins and losses on edge e.
@@ -134,23 +132,22 @@ def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
         # 1 - F(t) = F(-t) by link symmetry; evaluating the reflected CDF
         # keeps the log well away from cancellation.
         log_f, log_f_reflected = link.log_cdf(t), link.log_cdf(-t)
-        ratios = functools.cache(lambda: (link.pdf_over_cdf(t, log_f),
-                                          link.pdf_over_cdf(-t, log_f_reflected)))
-        return t, log_f, log_f_reflected, ratios
+        return (t, log_f, log_f_reflected, link.pdf_over_cdf(t, log_f),
+                link.pdf_over_cdf(-t, log_f_reflected))
 
     def objective(pt) -> float:
-        _, log_f, log_f_reflected, _ = pt
+        _, log_f, log_f_reflected, _, _ = pt
         return float(-(wins @ log_f + losses @ log_f_reflected) / n)
 
     def gradient(pt) -> np.ndarray:
-        r, r_reflected = pt[3]()
+        _, _, _, r, r_reflected = pt
         slope = -(wins * r - losses * r_reflected)
         slope /= n * sigma
         return (np.bincount(j_idx, weights=slope, minlength=d)
                 - np.bincount(k_idx, weights=slope, minlength=d))
 
     def hessian(pt) -> np.ndarray:
-        second, second_reflected = link.neg_log_second_pair(pt[0], *pt[3]())
+        second, second_reflected = link.neg_log_second_pair(pt[0], *pt[3:])
         curvature = wins * second + losses * second_reflected
         return design._scatter(curvature / (n * sigma * sigma))
 
@@ -175,10 +172,11 @@ def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLin
 
     Subsets are gathered column-major, as the design's (m, S) array, so
     every reduction over a subset's m positions runs down whole columns.  The
-    point is the log choice probabilities.  The Hessian of -log p_k is
-    diag(p) - p p^T whichever position k won, and that is the Laplacian of
-    the subset's clique with weights p_a p_b; summed over subsets with
-    weights n_S / n it is one Laplacian on the pairs a < b of every subset.
+    point is the log choice probabilities and their exponentials.  The
+    Hessian of -log p_k is diag(p) - p p^T whichever position k won, and
+    that is the Laplacian of the subset's clique with weights p_a p_b;
+    summed over subsets with weights n_S / n it is one Laplacian on the
+    pairs a < b of every subset.
     """
     columns, (a, b), laplacian = design._cliques
     counts = _counts(batch, batch.outcomes, link.m, columns.shape[1])
@@ -186,18 +184,19 @@ def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLin
     n, d = batch.n, design.d
     flat_columns = columns.ravel()
 
-    def point(w: np.ndarray) -> np.ndarray:
-        return link.log_position_probs(w[columns], axis=0)
+    def point(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        logp = link.log_position_probs(w[columns], axis=0)
+        return logp, np.exp(logp)
 
-    def objective(logp: np.ndarray) -> float:
-        return float(-(counts * logp).sum() / n)
+    def objective(pt) -> float:
+        return float(-(counts * pt[0]).sum() / n)
 
-    def gradient(logp: np.ndarray) -> np.ndarray:
-        contrib = (totals * np.exp(logp) - counts) / n
+    def gradient(pt) -> np.ndarray:
+        contrib = (totals * pt[1] - counts) / n
         return np.bincount(flat_columns, weights=contrib.ravel(), minlength=d)
 
-    def hessian(logp: np.ndarray) -> np.ndarray:
-        probs = np.exp(logp)
+    def hessian(pt) -> np.ndarray:
+        _, probs = pt
         weights = (totals / n) * probs[a] * probs[b]
         return laplacian(weights.ravel())
 

@@ -67,7 +67,6 @@ def _laplacian(d: int, j: np.ndarray, k: np.ndarray) -> partial:
     The scatter indices are built here, once, so a solver that needs a
     Laplacian per iterate on fixed edges pays only for the weights.
     Repeated pairs accumulate; each entry sums its terms in edge order.
-    A partial, not a closure, so a design that keeps it stays picklable.
     """
     return partial(_scatter_laplacian, d, np.stack([j * d + k, k * d + j], axis=1).ravel(),
                    np.stack([j, k], axis=1).ravel())
@@ -104,7 +103,8 @@ class ComparisonDesign:
     way they are stored once, as the read-only arrays ``edge_arrays``
     (intp, intp, float64); ``edges`` is a tuple view of them.  A design
     from ``build_topology`` builds and checks its edge arrays on first
-    read.  Designs compare equal by value.
+    read.  Designs compare equal by value and pickle as the call that made
+    them, never their caches.
     """
 
     d: int
@@ -153,7 +153,8 @@ class ComparisonDesign:
             (w < 0, "negative weight in edge"),
         ):
             _reject_first(bad, what, j, k, w)
-        arrays = (j.astype(np.intp), k.astype(np.intp), w.astype(np.float64))
+        # + 0.0 stores a weight of -0.0 as 0.0, so equal designs hash alike.
+        arrays = (j.astype(np.intp), k.astype(np.intp), w.astype(np.float64) + 0.0)
         # np.sum sums pairwise: on nonnegative weights its error stays below
         # about 30 ulp at any E a design can have, far inside the tolerance,
         # where a running sum of the d(d-1)/2 equal weights of a complete
@@ -183,6 +184,11 @@ class ComparisonDesign:
 
     def __hash__(self) -> int:
         return hash((self.d, self.kind, *(a.tobytes() for a in self.edge_arrays)))
+
+    def __reduce__(self):
+        if "_pairs" in vars(self):
+            return build_topology, (self.kind, self.d)
+        return self.from_arrays, (self.d, *self.edge_arrays, self.kind)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -236,7 +242,7 @@ class HyperDesign:
     ``complete_hyper`` builds and checks it on first read.  Samples are
     spread evenly over its rows.  Row order fixes the columns of the
     selection matrices, i.e. the positions that m-wise winners refer to.
-    Designs compare equal by value.
+    Designs compare equal by value and pickle as the call that made them.
     """
 
     d: int
@@ -287,6 +293,11 @@ class HyperDesign:
 
     def __hash__(self) -> int:
         return hash((self.d, self.m, self.subsets.tobytes()))
+
+    def __reduce__(self):
+        if "_subsets" in vars(self):
+            return complete_hyper, (self.d, self.m)
+        return HyperDesign, (self.d, self.m, self.subsets)
 
     @cached_property
     def connected(self) -> bool:
@@ -340,6 +351,9 @@ class SpectralSummary:
     def d(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def __reduce__(self):
+        return spectrum, (self.design,)
+
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Rows are eigenvectors, in the order of ``eigenvalues``: L = U^T diag U.
@@ -390,12 +404,11 @@ def spectrum(design: ComparisonDesign | HyperDesign) -> SpectralSummary:
     A design made by ``build_topology`` carries the closed-form spectrum of
     its kind, except the expander, and so does ``complete_hyper``: it is
     evaluated here, with no edges, no Laplacian and no eigensolve.  Every
-    other design goes through ``eigvalsh``, with
-    eigenvalues clamped to exact zero below DEFAULT_ZERO_TOL * lambda_max;
-    eigensolver non-convergence surfaces as EigensolverError.  The summary
-    computes the Laplacian and the eigenvectors only when they are read.
-    A design is immutable, so its summary is computed once and kept on it,
-    like its Laplacian.
+    other design goes through ``eigvalsh``, with eigenvalues clamped to exact
+    zero below DEFAULT_ZERO_TOL * lambda_max; eigensolver non-convergence
+    surfaces as EigensolverError.  The summary computes the Laplacian and the
+    eigenvectors only when they are read.  A design is immutable, so its
+    summary is computed once and kept on it, like its Laplacian.
     """
     cache = vars(design)
     if "_spectrum" not in cache:
@@ -409,11 +422,6 @@ def spectrum(design: ComparisonDesign | HyperDesign) -> SpectralSummary:
             lambda2=float(vals[1]) if len(vals) > 1 else 0.0,
         )
     return cache["_spectrum"]
-
-
-def _scaled_spectrum(unscaled, count: int) -> np.ndarray:
-    """Ascending eigenvalues of L = L' / count, from any-order eigenvalues of L'."""
-    return np.sort(unscaled()) / count
 
 
 def _lexicographic_subsets(d: int, m: int) -> np.ndarray:
@@ -430,11 +438,9 @@ def complete_hyper(d: int, m: int) -> HyperDesign:
     """
     _check_hyper_size(d, m)
     hyper = HyperDesign.__new__(HyperDesign)
-    vars(hyper).update(d=d, m=m, _subsets=partial(_lexicographic_subsets, d, m),
-                       _closed_spectrum=partial(
-                           _scaled_spectrum,
-                           partial(np.repeat, [0.0, d * math.comb(d - 2, m - 2)], [1, d - 1]),
-                           math.comb(d, m)))
+    vars(hyper).update(d=d, m=m, _subsets=lambda: _lexicographic_subsets(d, m),
+                       _closed_spectrum=lambda: np.repeat(
+                           [0.0, d * math.comb(d - 2, m - 2)], [1, d - 1]) / math.comb(d, m))
     return hyper
 
 
@@ -468,15 +474,14 @@ def _unweighted(d: int, j: np.ndarray, k: np.ndarray):
 def _canonical(d: int, kind: str, count: int, pairs, unscaled) -> ComparisonDesign:
     """A canonical kind: ``count`` distinct pairs, each with weight 1/count.
 
-    ``pairs`` and ``unscaled`` are zero-argument callables (partials of
-    module-level functions, so designs stay picklable).  ``pairs`` returns
+    ``pairs`` and ``unscaled`` are zero-argument callables.  ``pairs`` returns
     the edge multiset (j, k), which ``edge_arrays`` merges and checks on
     first read; ``unscaled`` returns the eigenvalues of L' in any order,
     which ``spectrum`` reads in place of an eigensolve.  Neither runs here.
     """
     design = ComparisonDesign.__new__(ComparisonDesign)
     vars(design).update(d=d, kind=kind, _pairs=pairs,
-                        _closed_spectrum=partial(_scaled_spectrum, unscaled, count))
+                        _closed_spectrum=lambda: np.sort(unscaled()) / count)
     return design
 
 

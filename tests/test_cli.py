@@ -704,6 +704,44 @@ class TestUnreadFlags:
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)
 
+    SIMULATE = ["simulate", "--trials", "1", "--out", "-"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "plackett_luce", "--kind", "complete", "--m", "3", "--d", "6",
+          "--n", "1000", "--sigma", "3"], "sigma=3.0 is not read by plackett_luce (unit scale)"),
+        (["--family", "thurstone", "--kind", "cycle", "--d", "8", "--m", "3"],
+         "m=3 is not read by thurstone (pairwise)"),
+        (["--w-variant", "sqrt_pinv"], "w_variant=sqrt_pinv is not read by w_gen uniform"),
+    ], ids=["sigma", "m", "w_variant"])
+    def test_unread_simulate_value_is_an_error(self, argv, message, capsys, monkeypatch):
+        """``simulate`` refuses a value its path never reads unless it is the
+        value that path implies."""
+        def no_work(*args):
+            raise AssertionError("a trial started before the config was checked")
+
+        monkeypatch.setattr(cli, "run_trial", no_work)
+        assert main([*self.SIMULATE, *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "plackett_luce", "--kind", "complete", "--m", "3", "--d", "5",
+         "--n", "300", "--sigma", "1"],
+        ["--family", "btl", "--m", "2", "--d", "5", "--n", "300"],
+        ["--w-gen", "uniform", "--w-variant", "pinv", "--d", "5", "--n", "300"],
+    ], ids=["sigma", "m", "w_variant"])
+    def test_implied_simulate_value_still_runs(self, argv, capsys):
+        assert main([*self.SIMULATE, *argv]) == 0
+        assert capsys.readouterr().out.startswith(",".join(CSV_COLUMNS))
+
+    def test_unread_config_file_value_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"family": "plackett_luce", "sigma": 2}))
+        assert main(["simulate", "--config", str(config), "--out", "-"]) == 1
+        assert capsys.readouterr().err == \
+            "error: sigma=2 is not read by plackett_luce (unit scale)\n"
+
     @pytest.mark.parametrize("argv, defaults", [
         ([*BOUNDS, "T1_lap"], ["--family", "btl", "--sigma", "1"]),
         ([*BOUNDS, "T4_mwise_lap"], ["--m", "3"]),
@@ -799,6 +837,42 @@ class TestGoldenOutputs:
         assert len(text.splitlines()) == 2 + 3 * 5
         assert hashlib.sha256(text.encode()).hexdigest() == \
             "de377f460aede2fa73e2b66c5fc879469a7464fc8f7703721b83b78dec34487f"
+
+    def test_outputs_without_mle(self, capsys, tmp_path):
+        """30 commands that run no MLE: ``bounds`` formulas on three designs,
+        three constructive Fano runs, ``design``, ``spectrum`` with its CSV
+        and ``cvo``; each output is its stdout, stderr and any CSV written."""
+        scales = ["--n", "1e5", "--sigma", "0.7", "--B", "1.3"]
+        runs = [["bounds", "--theorem", theorem, "--family", family, "--kind", kind, "--d", d,
+                 *scales] for theorem in ("T1_lap", "T2_l2", "T3_paired")
+                for family in ("btl", "thurstone")
+                for kind, d in (("cycle", "64"), ("barbell", "64"), ("expander", "49"))]
+        runs += [["bounds", "--theorem", theorem, "--kind", "complete", "--d", "10", "--m", m,
+                  "--n", "1e5", "--B", "1.3"]
+                 for theorem in ("T4_mwise_lap", "T4_mwise_l2") for m in ("2", "4")]
+        runs += [["bounds", "--constructive", "--theorem", theorem, "--kind", kind, "--d", d,
+                  *extra, *scales]
+                 for theorem, kind, d, extra in (
+                     ("T1_lap", "complete", "46", ["--alpha", "0.01", "--seed", "3"]),
+                     ("T2_l2", "star", "24", ["--alpha", "0.05", "--seed", "4"]),
+                     ("T2_l2", "complete", "8", []))]
+        csv_path = tmp_path / "spectrum.csv"
+        runs += [["design", "--d", "64", "--n", "1e4", "--json"],
+                 ["design", "--d", "49", "--n", "1e4"],
+                 ["spectrum", "--kind", "expander", "--d", "49", "--csv", str(csv_path)],
+                 ["spectrum", "--kind", "lattice2d(4,6)", "--d", "24"],
+                 ["cvo", "--sigma-ord", "1", "--sigma-card", "2"]]
+        parts = []
+        for argv in runs:
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            parts += [captured.out, captured.err]
+            if csv_path.exists():
+                parts.append(csv_path.read_text())
+                csv_path.unlink()
+        assert len(runs) == 30
+        assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == \
+            "d8c0b6158231d6c01b6f76d0c8ca6bc6f2e784f56867292243d9f42b7676ac0c"
 
     def test_cvo_empirical(self, capsys):
         assert main(["cvo", "--sigma-ord", "1", "--sigma-card", "2", "--empirical",

@@ -12,7 +12,8 @@ import scipy.linalg
 
 from ranktopo import graph
 from ranktopo.cli import main
-from ranktopo.estimate import error_metrics, ls_paired_cardinal, mle_mwise, mle_ordinal
+from ranktopo.estimate import (design_digest, error_metrics, ls_paired_cardinal, mle_mwise,
+                               mle_ordinal)
 from ranktopo.graph import (
     PAIRWISE_KINDS,
     ComparisonDesign,
@@ -509,6 +510,8 @@ class TestHypergraph:
         hyper = make()
         readers[read](hyper)
         copy = pickle.loads(pickle.dumps(hyper))
+        for array in (copy.subsets, copy.laplacian, spectrum(copy).eigenvalues):
+            assert not array.flags.writeable
         assert copy == hyper and hyper == fresh and hash(copy) == hash(fresh)
         assert copy.laplacian.tobytes() == fresh.laplacian.tobytes()
         assert readers["sample"](copy).outcomes.tobytes() == batch.outcomes.tobytes()
@@ -748,11 +751,38 @@ class TestLazyEdges:
         design = build_topology(kind, d)
         readers[read](design)
         copy = pickle.loads(pickle.dumps(design))
+        for array in (*copy.edge_arrays, copy.laplacian, spectrum(copy).eigenvalues):
+            assert not array.flags.writeable
         assert copy == design and design == fresh and hash(copy) == hash(fresh)
         assert copy.laplacian.tobytes() == fresh.laplacian.tobytes()
         for estimator in ("mle", "ls_paired_cardinal"):
             got, want = (readers[estimator](x).w_hat.values for x in (copy, fresh))
             assert got.tobytes() == want.tobytes()
+
+    def test_pickles_hold_no_cache(self):
+        """After an MLE and every cached read, a canonical design and a
+        complete hyper-design pickle as the call that made them; a summary
+        loads as its loaded design's own summary."""
+        link = make_link("btl", 1.0)
+        design = build_topology("complete", 64)
+        w_star = gen_quality("uniform", 64, 1.0, 0)
+        batch = sample_outcomes(link, w_star, design, sample_comparisons(design, 4000, 1), 1)
+        mle_ordinal(batch, design, link, 1.0)
+        hyper = complete_hyper(8, 3)
+        mwise = plackett_luce(3, 1.0)
+        w_star = gen_quality("uniform", 8, 1.0, 0)
+        batch = sample_outcomes(mwise, w_star, hyper, sample_comparisons(hyper, 600, 1), 1)
+        mle_mwise(batch, hyper, mwise, 1.0)
+        large = build_topology("complete", 256)
+        assert len(large.edges) == 256 * 255 // 2
+        for cached in (design, hyper, large):
+            assert spectrum(cached).eigenvectors.shape == cached.laplacian.shape
+            assert len(pickle.dumps(cached)) < 200
+        for made in (design, hyper, large, build_topology("expander", 25),
+                     HyperDesign(5, 3, ((0, 1, 2), (2, 3, 4), (4, 0, 1)))):
+            summary = pickle.loads(pickle.dumps(spectrum(made)))
+            assert summary is spectrum(summary.design) and summary.design == made
+            assert summary.eigenvalues.tobytes() == spectrum(made).eigenvalues.tobytes()
 
     def test_analysis_path_builds_no_edges(self, monkeypatch, capsys):
         """design, spectrum, T1-T3 and campaign validation run at d = 2^14 for
@@ -863,6 +893,17 @@ class TestRestrictedCauchySchwarz:
 
 
 class TestSerialization:
+    def test_signed_zero_weight_is_zero(self):
+        """A -0.0 weight is stored as 0.0: equal designs hash, serialise and
+        digest alike, so a set holds one of them."""
+        for make in (lambda w: ComparisonDesign(3, [(0, 1, 1.0), (1, 2, w)]),
+                     lambda w: ComparisonDesign.from_arrays(3, [0, 1], [1, 2], [1.0, w])):
+            negative, positive = make(-0.0), make(0.0)
+            assert negative == positive and len({negative, positive}) == 1
+            assert negative.to_json() == positive.to_json()
+            assert design_digest(negative) == design_digest(positive)
+            assert not np.signbit(negative.edge_arrays[2]).any()
+
     def test_json_roundtrip(self):
         design = build_topology("barbell", 8)
         restored = design_from_json(design.to_json())
