@@ -105,26 +105,43 @@ def kl_upper(w1, w2, design: ComparisonDesign, params: ModelParams, n: float) ->
 # ---------------------------------------------------------------------------
 
 
+def _unpack(words: np.ndarray, d: int) -> np.ndarray:
+    """The read-only M x d 0/1 matrix of M rows of packed words."""
+    rows = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), 1, d, bitorder="little")
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True)
 class PackingSet:
-    """Binary packing vectors with first coordinate pinned to zero."""
+    """Binary packing vectors, first coordinate zero, as read-only uint64 words
+    (bit i % 64 of word i // 64 is coordinate i), unpacked to ``vectors`` on first read."""
 
-    vectors: np.ndarray  # M x d, entries in {0, 1}
+    words: np.ndarray
+    d: int
     target: int
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return _unpack(self.words, self.d)
 
     @property
     def M(self) -> int:
-        return self.vectors.shape[0]
+        return self.words.shape[0]
 
     @property
     def shortfall(self) -> bool:
         return self.M < self.target
 
 
-def gv_target(d: int, alpha: float) -> int:
-    """Packing cardinality floor(exp{(d/2)(log2 + 2a log 2a + (1-2a)log(1-2a))})."""
+def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 0.25):
         raise ValueError(f"alpha must lie in (0, 1/4), got {alpha}")
+
+
+def gv_target(d: int, alpha: float) -> int:
+    """Packing cardinality floor(exp{(d/2)(log2 + 2a log 2a + (1-2a)log(1-2a))})."""
+    _check_alpha(alpha)
     inner = math.log(2.0) + 2 * alpha * math.log(2 * alpha) \
         + (1 - 2 * alpha) * math.log(1 - 2 * alpha)
     try:
@@ -241,8 +258,7 @@ def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> Pa
     ranges, and two vectors closer than alpha*d agree on a whole range, so
     only rows whose range keys tie are compared (multi-index hashing,
     Norouzi, Punjani & Fleet 2012).  With alpha*d <= 1 there is one range
-    and the screen is a distinctness test.  The kept words are unpacked to
-    an M x d 0/1 matrix once, at the end.
+    and the screen is a distinctness test.
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
@@ -277,9 +293,8 @@ def gv_packing(d: int, alpha: float, seed=0, max_rejects: int = 1_000_000) -> Pa
         kept_words = np.concatenate([kept_words, words[:take] if prefix
                                      else words[kept_at[:take]]])
         kept, rejects = kept + take, rejects + end - take
-    little = kept_words.astype("<u8", copy=False).view(np.uint8)
-    vectors = np.unpackbits(little, axis=1, count=d, bitorder="little")
-    return PackingSet(vectors, target)
+    kept_words.flags.writeable = False
+    return PackingSet(kept_words, d, target)
 
 
 def fano_bound(delta_sq: float, beta: float, M: int) -> float:
@@ -496,18 +511,12 @@ def cvo_decision(sigma_ord: float, sigma_card: float, B: float) -> CvoReport:
 # ---------------------------------------------------------------------------
 
 
-def _min_hamming(rows: np.ndarray) -> int:
-    """Smallest Hamming distance between two rows of a 0/1 matrix: popcounts
-    of the XOR of every pair of rows, packed 64 coordinates to a word and
-    summed one word column at a time."""
-    packed = np.packbits(rows, axis=1)
-    words = np.zeros((rows.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    dists = np.zeros((rows.shape[0],) * 2, dtype=np.intp)
-    for word in words.view(np.uint64).T:
+def _min_hamming(words: np.ndarray) -> int:
+    """Smallest Hamming distance between two packed rows, by XOR popcounts a word at a time."""
+    dists = np.zeros((words.shape[0],) * 2, dtype=np.intp)
+    for word in words.T:
         dists += np.bitwise_count(word[:, None] ^ word)
-    np.fill_diagonal(dists, rows.shape[1] + 1)
-    return int(dists.min())
+    return int(dists[np.triu_indices(words.shape[0], 1)].min())
 
 
 def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
@@ -543,6 +552,7 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
     """
     if variant not in ("lap", "l2"):
         raise ValueError(f"unknown variant {variant!r}")
+    _check_alpha(alpha)  # at every d, though only the GV packing reads it
     if not n > 0:
         raise ValueError(f"n must be positive, got {n}")
     if not design.connected:
@@ -570,10 +580,11 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
             raise ValueError(
                 f"greedy packing shortfall: found {packing.M} of {packing.target} vectors"
             )
-        z = packing.vectors[:packing_cap]
-        m_rows = z.shape[0]
+        words = packing.words[:packing_cap]
+        m_rows = words.shape[0]
         if m_rows < 2:
             raise ValueError(f"Fano needs a packing of size >= 2, got M={m_rows}")
+        z = _unpack(words, d)
         counts = z.sum(axis=0, dtype=np.int64)
         pairs_apart = counts * (m_rows - counts)  # unordered pairs differing at k
         if variant == "lap":
@@ -591,7 +602,7 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
             lap_weights[order] = eigenvalues
         # GV rows are 0 at coordinate 0, a connected design's only null
         # direction, so one Hamming minimum serves both variants.
-        separation = delta_sq / d * _min_hamming(z)
+        separation = delta_sq / d * _min_hamming(words)
         mean_lap = delta_sq / d * float(lap_weights @ (2 * pairs_apart)) / (
             m_rows * (m_rows - 1))
 

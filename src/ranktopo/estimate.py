@@ -101,11 +101,34 @@ def project_feasible(x: np.ndarray, B: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _counts(batch: ObservationBatch, slots, num_slots: int, num_entries: int) -> np.ndarray:
-    """Samples per (slot, entry), as a (num_slots, num_entries) array, in one bincount."""
-    flat = np.asarray(slots, dtype=np.intp) * num_entries + batch.entry_indices
-    return np.bincount(flat, minlength=num_slots * num_entries).astype(float).reshape(
-        num_slots, num_entries)
+# What a batch's entries index, and the name of their count.
+_ENTRIES = {"ordinal_pair": ("edge", "E"), "cardinal_pair": ("edge", "E"),
+            "mwise": ("subset", "S"), "cardinal_item": ("item", "d")}
+
+
+def _in_range(values, bound: int, name: str, symbol: str) -> np.ndarray:
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer, got dtype {values.dtype}")
+    if values.size and (values.min() < 0 or values.max() >= bound):
+        bad = values.min() if values.min() < 0 else values.max()
+        raise ValueError(f"{name} {bad} out of range for {symbol}={bound}")
+    return values.astype(np.intp, copy=False)
+
+
+def _counts(batch: ObservationBatch, num_entries: int, slots=None, num_slots: int = 1,
+            weights=None) -> np.ndarray:
+    """Samples per (slot, entry), or the sums of ``weights`` over them, as a
+    (num_slots, num_entries) array, in one bincount.  Entries must be
+    integers in [0, num_entries) and slots (m-wise winner positions, or the
+    ordinal loss flag) in [0, num_slots): an index past either bound would
+    land in another cell."""
+    noun, symbol = _ENTRIES[batch.kind]
+    flat = _in_range(batch.entry_indices, num_entries, f"{noun} index", symbol)
+    if slots is not None:
+        flat = _in_range(slots, num_slots, "winner position", "m") * num_entries + flat
+    tally = np.bincount(flat, weights=weights, minlength=num_slots * num_entries)
+    return tally.astype(float, copy=False).reshape(num_slots, num_entries)
 
 
 def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
@@ -124,7 +147,8 @@ def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
     """
     j_idx, k_idx, _ = design.edge_arrays
     # Outcomes are +-1 (``ObservationBatch`` checks), so slot 0 wins, slot 1 losses.
-    wins, losses = _counts(batch, np.asarray(batch.outcomes) != 1, 2, j_idx.size)
+    losing = (np.asarray(batch.outcomes) != 1).astype(np.intp)
+    wins, losses = _counts(batch, j_idx.size, losing, 2)
     sigma, n, d = link.sigma, batch.n, design.d
 
     def point(w: np.ndarray):
@@ -179,7 +203,7 @@ def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLin
     pairs a < b of every subset.
     """
     columns, (a, b), laplacian = design._cliques
-    counts = _counts(batch, batch.outcomes, link.m, columns.shape[1])
+    counts = _counts(batch, columns.shape[1], batch.outcomes, link.m)
     totals = counts.sum(axis=0)
     n, d = batch.n, design.d
     flat_columns = columns.ravel()
@@ -425,14 +449,13 @@ def ls_paired_cardinal(batch: ObservationBatch, design: ComparisonDesign) -> Est
         raise ValueError(f"expected a cardinal_pair batch, got {batch.kind!r}")
     j_idx, k_idx, _ = design.edge_arrays
     y = np.asarray(batch.outcomes, dtype=float)
-    counts = np.bincount(batch.entry_indices, minlength=j_idx.size).astype(float)
+    (counts,), (sums,) = _counts(batch, j_idx.size), _counts(batch, j_idx.size, weights=y)
     sampled = counts > 0
     if not _connected(design.d, j_idx[sampled], k_idx[sampled]):
         raise ValueError("sampled comparison graph is disconnected; w is not identifiable")
     # An unsampled edge scatters weight 0, which leaves every entry's sum exact.
     lap = design._scatter(counts) / batch.n
     # X^T y accumulated per edge: each sample adds y_i (e_j - e_k).
-    sums = np.bincount(batch.entry_indices, weights=y, minlength=j_idx.size)
     xty = np.bincount(np.r_[j_idx, k_idx], weights=np.r_[sums, -sums], minlength=design.d)
     w = np.linalg.solve(lap + 1.0 / design.d, xty / batch.n)
     w = w - np.mean(w)  # remove float residue along the nullspace
@@ -447,13 +470,11 @@ def mean_cardinal(batch: ObservationBatch, d: int) -> EstimateResult:
     if batch.kind != "cardinal_item":
         raise ValueError(f"expected a cardinal_item batch, got {batch.kind!r}")
     y = np.asarray(batch.outcomes, dtype=float)
-    counts = np.bincount(batch.entry_indices, minlength=d).astype(float)
-    if counts.size > d:
-        raise ValueError(f"item index {counts.size - 1} out of range for d={d}")
+    (counts,), (sums,) = _counts(batch, d), _counts(batch, d, weights=y)
     if np.any(counts == 0):
         missing = np.nonzero(counts == 0)[0]
         raise ValueError(f"items never observed: {missing.tolist()}")
-    means = np.bincount(batch.entry_indices, weights=y, minlength=d) / counts
+    means = sums / counts
     w = means - np.mean(means)
     resid_obj = float(np.sum((y - means[batch.entry_indices]) ** 2) / (2.0 * batch.n))
     bound = float(np.max(np.abs(w)))

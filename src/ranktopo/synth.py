@@ -35,6 +35,10 @@ class QualityVector:
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
+        if not np.isfinite(vals).all():
+            raise ValueError("quality vector entries must be finite")
+        if not self.B >= 0:
+            raise ValueError(f"B must be nonnegative, got {self.B}")
         if abs(float(np.sum(vals))) > SUM_TOL * max(1.0, float(np.max(np.abs(vals)))):
             raise ValueError(f"quality vector must sum to zero, got {np.sum(vals)}")
         if float(np.max(np.abs(vals))) > self.B + BOX_TOL:
@@ -137,6 +141,8 @@ def gen_quality(kind: str, d: int, B: float, seed,
         raise ValueError(f"need d >= 2, got {d}")
     if not B > 0:
         raise ValueError("B must be positive")
+    if variant not in ("pinv", "sqrt_pinv"):
+        raise ValueError(f"unknown packing variant {variant!r}")
     rng = _rng(seed)
     if kind == "gaussian":
         raw = rng.standard_normal(d)
@@ -149,12 +155,7 @@ def gen_quality(kind: str, d: int, B: float, seed,
             raise ValueError("packing generation requires a connected design")
         summary = spectrum(design)
         z = packing_sign_vector(d, rng)
-        if variant == "pinv":
-            scale = summary.pinv_diag
-        elif variant == "sqrt_pinv":
-            scale = np.sqrt(summary.pinv_diag)
-        else:
-            raise ValueError(f"unknown packing variant {variant!r}")
+        scale = summary.pinv_diag if variant == "pinv" else np.sqrt(summary.pinv_diag)
         raw = summary.eigenvectors.T @ (scale * z)
     else:
         raise ValueError(f"unknown quality kind {kind!r}")
@@ -209,6 +210,8 @@ def sample_comparisons(design: ComparisonDesign | HyperDesign, n: int, seed) -> 
 
 def even_allocation(num_entries: int, n: int) -> np.ndarray:
     """Deterministic round-robin allocation of n samples over entries."""
+    if num_entries < 1:
+        raise ValueError(f"need num_entries >= 1, got {num_entries}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return (np.arange(n) % num_entries).astype(np.intp)

@@ -14,6 +14,7 @@ from scipy.special import expit
 from ranktopo import graph
 from ranktopo.bounds import (
     BoundReport,
+    PackingSet,
     cvo_decision,
     fano_bound,
     fano_pipeline,
@@ -176,6 +177,28 @@ class TestGVPacking:
         a = gv_packing(12, 0.05, seed=9)
         b = gv_packing(12, 0.05, seed=9)
         np.testing.assert_array_equal(a.vectors, b.vectors)
+
+    @pytest.mark.parametrize("d, alpha", [(20, 0.1), (64, 0.1), (70, 0.1), (130, 0.2)])
+    def test_words_are_the_stored_form(self, d, alpha):
+        """A packing holds its read-only packed words; the 0/1 vectors are
+        unpacked on first read, read-only, and are the words' bits."""
+        packing = gv_packing(d, alpha, seed=2)
+        assert "vectors" not in vars(packing)
+        words = packing.words
+        assert words.dtype == np.uint64 and words.shape == (packing.M, (d + 63) // 64)
+        assert not (words[:, 0] & np.uint64(1)).any()
+        if d % 64:
+            assert not (words[:, -1] >> np.uint64(d % 64)).any()  # padding bits clear
+        bits = np.arange(d)
+        expected = (words[:, bits // 64] >> (bits % 64).astype(np.uint64)) & np.uint64(1)
+        vectors = packing.vectors
+        assert "vectors" in vars(packing) and packing.vectors is vectors
+        assert vectors.dtype == np.uint8 and vectors.shape == (packing.M, d)
+        np.testing.assert_array_equal(vectors, expected)
+        for array in (words, vectors):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
 
     def test_shortfall_flag(self, monkeypatch):
         """A degenerate draw stream exhausts the reject budget honestly."""
@@ -731,6 +754,33 @@ class TestFanoPipeline:
                 continue
             got = fano_pipeline(design, params, n, 0.05, variant, seed)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("variant", ["lap", "l2"])
+    @pytest.mark.parametrize("d, alpha, cap", [(20, 0.1, 512), (46, 0.01, 512), (48, 0.05, 40)])
+    def test_reads_packed_words_only(self, monkeypatch, d, alpha, cap, variant):
+        """The pipeline takes its counts, coordinates and Hamming minimum
+        from at most packing_cap rows of packed words and never unpacks the
+        whole packing: reading ``PackingSet.vectors`` fails here, and the
+        bound still equals the dense route's, which reads them."""
+        design = build_topology("complete", d)
+        params = model_params(make_link("btl", 1.0), 1.0)
+        want = fano_dense_laplacian(design, params, 1e6, alpha, variant, 3, packing_cap=cap)
+
+        def unread(packing):
+            raise AssertionError("fano_pipeline read PackingSet.vectors")
+
+        monkeypatch.setattr(PackingSet, "vectors", property(unread))
+        got = fano_pipeline(design, params, 1e6, alpha, variant, 3, packing_cap=cap)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.49, 0.0, -3.0, float("nan")])
+    def test_alpha_checked_at_every_d(self, alpha):
+        """The d <= 9 proof set draws no packing, but alpha outside (0, 1/4)
+        is refused there as the GV packing refuses it at d = 12."""
+        params = model_params(make_link("btl", 1.0), 1.0)
+        for d in (8, 12):
+            with pytest.raises(ValueError, match=re.escape("alpha must lie in (0, 1/4)")):
+                fano_pipeline(build_topology("complete", d), params, 1e4, alpha=alpha)
 
     def test_positive_on_reference_instance(self):
         design = build_topology("complete", 10)

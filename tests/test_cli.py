@@ -482,6 +482,17 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "d=2400" in err and "alpha=0.01" in err
 
+    @pytest.mark.parametrize("alpha", ["0.49", "0", "-3"])
+    def test_alpha_outside_its_range_is_an_error_at_every_d(self, alpha, capsys):
+        """d <= 9 draws no GV packing, and an alpha outside (0, 1/4) used to
+        exit 0 there with the bytes of the default alpha; d = 12 refused it."""
+        for d in ("8", "12"):
+            code = main(["bounds", "--theorem", "T2_l2", "--kind", "complete", "--d", d,
+                         "--n", "1e4", "--constructive", "--alpha", alpha])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err == f"error: alpha must lie in (0, 1/4), got {float(alpha)}\n"
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind, d, alpha", [("cycle", "12", "0.2"), ("star", "24", "0.24")])
     def test_one_vector_packing_is_an_error(self, kind, d, alpha, capsys):

@@ -645,6 +645,56 @@ class TestMeanCardinal:
             mean_cardinal(batch, 2)
 
 
+class TestTallyChecks:
+    """Every estimator tallies its samples through one checked helper: an
+    entry or winner past its bound used to land in another cell of the
+    tally, or to fail with a message that named neither."""
+
+    def test_ordinal_entry_past_the_edges(self):
+        """Entry 9 of complete d=4 (6 edges), won, was tallied as a loss on
+        edge 3, and the MLE reported that aliased batch as converged."""
+        design = build_topology("complete", 4)
+        batch = ordinal_batch([0, 1, 9], [1, -1, 1])
+        with pytest.raises(ValueError, match="edge index 9 out of range for E=6"):
+            mle_ordinal(batch, design, make_link("btl", 1.0), 1.0)
+
+    def test_negative_entry(self):
+        design = build_topology("complete", 4)
+        with pytest.raises(ValueError, match="edge index -1 out of range for E=6"):
+            mle_ordinal(ordinal_batch([0, -1], [1, 1]), design, make_link("btl", 1.0), 1.0)
+
+    def test_mwise_entry_past_the_subsets(self):
+        """Entry 5 of complete_hyper(4, 3) (4 subsets), won by position 0,
+        was tallied as a win for position 1 on subset 1."""
+        batch = ObservationBatch("mwise", np.array([0, 2, 5]), np.array([1, 2, 0]))
+        with pytest.raises(ValueError, match="subset index 5 out of range for S=4"):
+            mle_mwise(batch, complete_hyper(4, 3), plackett_luce(3), 1.0)
+
+    def test_mwise_winner_past_m(self):
+        batch = ObservationBatch("mwise", np.array([0, 1, 2]), np.array([0, 3, 1]))
+        with pytest.raises(ValueError, match="winner position 3 out of range for m=3"):
+            mle_mwise(batch, complete_hyper(4, 3), plackett_luce(3), 1.0)
+
+    def test_paired_cardinal_entry_past_the_edges(self):
+        batch = ObservationBatch("cardinal_pair", np.arange(10), np.ones(10))
+        with pytest.raises(ValueError, match="edge index 9 out of range for E=6"):
+            ls_paired_cardinal(batch, build_topology("complete", 4))
+
+    @pytest.mark.parametrize("kind", ["ordinal_pair", "mwise", "cardinal_pair",
+                                      "cardinal_item"])
+    def test_float_entries(self, kind):
+        outcomes = {"ordinal_pair": [1, -1], "mwise": [0, 1]}.get(kind, [0.5, -0.5])
+        batch = ObservationBatch(kind, np.array([0.0, 1.0]), np.array(outcomes))
+        estimator = {
+            "ordinal_pair": lambda: mle_ordinal(batch, SINGLE_EDGE, make_link("btl", 1.0), 1.0),
+            "mwise": lambda: mle_mwise(batch, complete_hyper(4, 3), plackett_luce(3), 1.0),
+            "cardinal_pair": lambda: ls_paired_cardinal(batch, SINGLE_EDGE),
+            "cardinal_item": lambda: mean_cardinal(batch, 2),
+        }[kind]
+        with pytest.raises(ValueError, match="index must be an integer, got dtype float64"):
+            estimator()
+
+
 class TestSharedScatter:
     """A design builds its Laplacian's scatter indices once, on first use,
     and its Laplacian, every MLE and the paired least squares read them."""

@@ -53,6 +53,20 @@ class TestQualityVector:
         with pytest.raises(ValueError):
             QualityVector(np.array([0.6, -0.6]), 0.5)  # exceeds bound
 
+    @pytest.mark.parametrize("values, B, message", [
+        ([np.nan, np.nan], 1.0, "finite"),
+        ([np.inf, -np.inf], 1.0, "finite"),
+        ([0.0, 0.0, 0.0], np.nan, "B must be nonnegative"),
+        ([0.0, 0.0], -1.0, "B must be nonnegative"),
+    ])
+    def test_non_finite_input_refused(self, values, B, message):
+        """NaN entries and a NaN B used to pass every check, and infinite
+        entries raised a RuntimeWarning before the box error.  B = 0 stays
+        valid: mean_cardinal on constant data returns that bound."""
+        assert QualityVector(np.zeros(len(values)), 0.0).B == 0.0
+        with pytest.raises(ValueError, match=message):
+            QualityVector(np.array(values), B)
+
     @pytest.mark.parametrize("kind", ["gaussian", "uniform", "packing"])
     def test_generated_vectors_in_bound_set(self, kind):
         design = build_topology("complete", 7)
@@ -77,6 +91,12 @@ class TestQualityVector:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             gen_quality("cauchy", 4, 1.0, 0)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    def test_unknown_variant_refused_for_every_kind(self, kind):
+        """The packing draw already refused it; the other kinds ignored it."""
+        with pytest.raises(ValueError, match="unknown packing variant 'bogus'"):
+            gen_quality(kind, 4, 1.0, 0, variant="bogus")
 
     def test_sign_vector_composition(self):
         rng = np.random.default_rng(0)
@@ -186,6 +206,12 @@ class TestSampleComparisons:
     def test_even_allocation(self):
         alloc = even_allocation(3, 7)
         np.testing.assert_array_equal(alloc, [0, 1, 2, 0, 1, 2, 0])
+
+    @pytest.mark.parametrize("num_entries", [0, -2])
+    def test_even_allocation_needs_an_entry(self, num_entries):
+        """No entries used to give zeros after a divide-by-zero warning."""
+        with pytest.raises(ValueError, match="need num_entries >= 1"):
+            even_allocation(num_entries, 5)
 
 
 class TestSampleOutcomes:
