@@ -29,10 +29,6 @@ from .estimate import (
     mean_cardinal,
     mle_mwise,
     mle_ordinal,
-    mwise_nll,
-    mwise_nll_gradient,
-    ordinal_nll,
-    ordinal_nll_gradient,
     project_feasible,
 )
 from .graph import (
@@ -73,7 +69,6 @@ __all__ = [
     "kl_exact", "kl_upper", "minimax_bounds", "mwise_prefactors",
     "ErrorMetrics", "EstimateResult", "SolverOptions", "error_metrics",
     "ls_paired_cardinal", "mean_cardinal", "mle_mwise", "mle_ordinal",
-    "mwise_nll", "mwise_nll_gradient", "ordinal_nll", "ordinal_nll_gradient",
     "project_feasible",
     "ComparisonDesign", "HyperDesign", "OptimalityReport", "SpectralSummary",
     "build_topology", "design_from_json", "hypergraph_laplacian",

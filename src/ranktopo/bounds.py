@@ -17,12 +17,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimate import error_metrics
+from .estimate import _mwise_closures, _ordinal_closures, error_metrics
 from .graph import ComparisonDesign, HyperDesign, lower_bound_statistic, spectrum
 from .models import LinkFunction, ModelParams, MWiseLink, make_link, model_params
 from .synth import BOX_TOL, _values
 
 THEOREMS = ("T1_lap", "T2_l2", "T3_paired", "T4_mwise_lap", "T4_mwise_l2")
+# The largest d at which the Fano pipeline uses the three-vector proof set,
+# which draws nothing; above it, a seeded GV packing.
+PROOF_SET_MAX_D = 9
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,10 @@ def kl_exact(w1, w2, design: ComparisonDesign | HyperDesign,
              link: LinkFunction | MWiseLink, n: float) -> float:
     """KL divergence between the n-sample observation laws at w1 and w2.
 
-    Pairwise designs contribute Bernoulli KLs per edge, hyper designs
-    categorical KLs per subset, each weighted by the expected number of
-    samples the design allocates to that entry.
+    That is n times the rise of the estimators' negative log-likelihood
+    from w1 to w2 at the outcome counts one sample is expected to give at
+    w1: w_e F(+-t_e) wins and losses on edge e of a pairwise design, and
+    p / S on the positions of each of a hyper design's S subsets.
     """
     a, b = _values(w1), _values(w2)
     if a.shape != b.shape or a.shape != (design.d,):
@@ -68,22 +72,17 @@ def kl_exact(w1, w2, design: ComparisonDesign | HyperDesign,
     if isinstance(design, HyperDesign):
         if not isinstance(link, MWiseLink):
             raise ValueError("hyper designs need an m-wise link")
-        scores1 = a[design.subsets]
-        scores2 = b[design.subsets]
-        lp1 = link.log_position_probs(scores1)
-        lp2 = link.log_position_probs(scores2)
-        per_subset = np.sum(np.exp(lp1) * (lp1 - lp2), axis=1)
-        return float(n * np.mean(per_subset))
-    if not isinstance(link, LinkFunction):
-        raise ValueError("pairwise designs need a pairwise link")
-    j_idx, k_idx, weights = design.edge_arrays
-    t1 = (a[j_idx] - a[k_idx]) / link.sigma
-    t2 = (b[j_idx] - b[k_idx]) / link.sigma
-    p1 = link.cdf(t1)
-    # Bernoulli KL written with log F(t) and log F(-t) = log(1 - F(t)).
-    per_edge = (p1 * (link.log_cdf(t1) - link.log_cdf(t2))
-                + (1.0 - p1) * (link.log_cdf(-t1) - link.log_cdf(-t2)))
-    return float(n * np.sum(weights * per_edge))
+        columns = design._cliques[0]
+        counts = link.position_probs(a[columns], axis=0) / columns.shape[1]
+        point, objective, _, _ = _mwise_closures(design, link, counts, 1.0)
+    else:
+        if not isinstance(link, LinkFunction):
+            raise ValueError("pairwise designs need a pairwise link")
+        j_idx, k_idx, weights = design.edge_arrays
+        t = (a[j_idx] - a[k_idx]) / link.sigma
+        point, objective, _, _ = _ordinal_closures(
+            design, link, weights * link.cdf(t), weights * link.cdf(-t), 1.0)
+    return float(n * (objective(point(b)) - objective(point(a))))
 
 
 def kl_upper(w1, w2, design: ComparisonDesign, params: ModelParams, n: float) -> float:
@@ -524,12 +523,12 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
                   packing_cap: int = 512) -> float:
     """Execute the lower-bound proof recipe and return the numeric bound.
 
-    Builds a packing (the three-vector proof set for d <= 9, else a GV
-    packing) as eigen-coordinates x, one row per vector, maps it through
-    the design's eigensystem L = U^T Lambda U into w = x U, verifies that
-    w lies in the bound set, computes the mean KL through the seminorm
-    bound, and applies the Fano inequality with the realised minimum
-    separation.  U is orthogonal, so every distance is one of the
+    Builds a packing (the three-vector proof set for d <= PROOF_SET_MAX_D,
+    else a GV packing) as eigen-coordinates x, one row per vector, maps it
+    through the design's eigensystem L = U^T Lambda U into w = x U,
+    verifies that w lies in the bound set, computes the mean KL through the
+    seminorm bound, and applies the Fano inequality with the realised
+    minimum separation.  U is orthogonal, so every distance is one of the
     eigen-coordinates: |w - w'|_L^2 = |(x - x') Lambda^{1/2}|^2 and
     |w - w'|^2 = |x - x'|^2.  variant 'lap' lower-bounds the squared
     Laplacian seminorm risk, variant 'l2' the squared Euclidean risk.
@@ -562,7 +561,7 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
     sigma, zeta, B = params.sigma, params.zeta, params.B
     eigenvalues, pinv = summary.eigenvalues, summary.pinv_diag
 
-    if d <= 9:
+    if d <= PROOF_SET_MAX_D:
         # The origin and +-v along one eigenvector, |v|_L^2 = delta^2/d along
         # the largest eigenvalue's for 'lap', delta^2 along lambda_2's for 'l2'.
         delta_sq = sigma**2 * math.log(2.0) / (8.0 * n * zeta)

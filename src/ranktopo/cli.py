@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import THEOREMS, cvo_decision, fano_pipeline, minimax_bounds
+from .bounds import PROOF_SET_MAX_D, THEOREMS, cvo_decision, fano_pipeline, minimax_bounds
 from .estimate import error_metrics, mean_cardinal, mle_mwise, mle_ordinal
 from .graph import (PAIRWISE_KINDS, build_topology, complete_hyper, optimality_report,
                     parse_kind, spectrum)
@@ -266,6 +266,9 @@ def cmd_bounds(args) -> int:
     mwise = args.theorem.startswith("T4")
     _path_flags(args, {"family": "btl", "sigma": 1.0}, not mwise, args.theorem)
     _path_flags(args, {"m": 3}, mwise, args.theorem)
+    if args.constructive and args.d <= PROOF_SET_MAX_D:
+        _path_flags(args, {"seed": 0}, False,
+                    f"the three-vector proof set at d <= {PROOF_SET_MAX_D}")
     _path_flags(args, {"alpha": 0.01, "seed": 0}, args.constructive,
                 "bounds without --constructive")
     if mwise:

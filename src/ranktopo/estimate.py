@@ -24,7 +24,7 @@ import numpy as np
 
 from .graph import ComparisonDesign, HyperDesign, _connected
 from .models import LinkFunction, MWiseLink
-from .synth import ObservationBatch, QualityVector, _values
+from .synth import _ENTRIES, ObservationBatch, QualityVector, _in_range, _values
 
 
 @dataclass(frozen=True)
@@ -101,21 +101,6 @@ def project_feasible(x: np.ndarray, B: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# What a batch's entries index, and the name of their count.
-_ENTRIES = {"ordinal_pair": ("edge", "E"), "cardinal_pair": ("edge", "E"),
-            "mwise": ("subset", "S"), "cardinal_item": ("item", "d")}
-
-
-def _in_range(values, bound: int, name: str, symbol: str) -> np.ndarray:
-    values = np.asarray(values)
-    if values.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be an integer, got dtype {values.dtype}")
-    if values.size and (values.min() < 0 or values.max() >= bound):
-        bad = values.min() if values.min() < 0 else values.max()
-        raise ValueError(f"{name} {bad} out of range for {symbol}={bound}")
-    return values.astype(np.intp, copy=False)
-
-
 def _counts(batch: ObservationBatch, num_entries: int, slots=None, num_slots: int = 1,
             weights=None) -> np.ndarray:
     """Samples per (slot, entry), or the sums of ``weights`` over them, as a
@@ -123,33 +108,30 @@ def _counts(batch: ObservationBatch, num_entries: int, slots=None, num_slots: in
     integers in [0, num_entries) and slots (m-wise winner positions, or the
     ordinal loss flag) in [0, num_slots): an index past either bound would
     land in another cell."""
-    noun, symbol = _ENTRIES[batch.kind]
-    flat = _in_range(batch.entry_indices, num_entries, f"{noun} index", symbol)
+    flat = _in_range(batch.entry_indices, num_entries, *_ENTRIES[batch.kind])
     if slots is not None:
         flat = _in_range(slots, num_slots, "winner position", "m") * num_entries + flat
     tally = np.bincount(flat, weights=weights, minlength=num_slots * num_entries)
     return tally.astype(float, copy=False).reshape(num_slots, num_entries)
 
 
-def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
-                      link: LinkFunction):
-    """Closures over per-edge win/loss counts: point, objective, gradient, Hessian.
+def _ordinal_closures(design: ComparisonDesign, link: LinkFunction, wins: np.ndarray,
+                      losses: np.ndarray, n: float):
+    """Closures over per-edge win and loss counts: point, objective, gradient, Hessian.
 
-    ``point(w)`` gathers the scaled edge differences t = (w_j - w_k)/sigma
-    and evaluates log F and F'/F at t and -t once; the other three take
-    that point, so an iterate shares one gather and one special-function
-    pass per sign among its objective, gradient and Hessian.  Aggregating
-    the samples once keeps the per-iteration cost at O(edges) regardless of
-    the sample count.  The Hessian is the
-    comparison-graph Laplacian with edge weights
-    (W_e h(t_e) + L_e h(-t_e)) / (n sigma^2), h the second derivative of
-    -log F and W_e, L_e the wins and losses on edge e.
+    The objective is the counts' negative log-likelihood over n.  The MLE
+    passes a batch's tallies, and ``bounds.kl_exact`` the fractional counts
+    expected at a point.  Either way the per-iteration cost is O(edges),
+    whatever the sample count.  ``point(w)`` gathers the scaled edge
+    differences t = (w_j - w_k)/sigma and evaluates log F and F'/F at t and
+    -t once; the other three take that point, so an iterate shares one
+    gather and one special-function pass per sign among its objective,
+    gradient and Hessian.  The Hessian is the comparison-graph Laplacian
+    with edge weights (W_e h(t_e) + L_e h(-t_e)) / (n sigma^2), h the second
+    derivative of -log F and W_e, L_e the wins and losses on edge e.
     """
     j_idx, k_idx, _ = design.edge_arrays
-    # Outcomes are +-1 (``ObservationBatch`` checks), so slot 0 wins, slot 1 losses.
-    losing = (np.asarray(batch.outcomes) != 1).astype(np.intp)
-    wins, losses = _counts(batch, j_idx.size, losing, 2)
-    sigma, n, d = link.sigma, batch.n, design.d
+    sigma, d = link.sigma, design.d
 
     def point(w: np.ndarray):
         t = (w[j_idx] - w[k_idx]) / sigma
@@ -178,21 +160,9 @@ def _ordinal_closures(batch: ObservationBatch, design: ComparisonDesign,
     return point, objective, gradient, hessian
 
 
-def ordinal_nll(w: np.ndarray, batch: ObservationBatch, design: ComparisonDesign,
-                link: LinkFunction) -> float:
-    """Negative log-likelihood of the ordinal model, averaged over samples."""
-    point, objective, _, _ = _ordinal_closures(batch, design, link)
-    return objective(point(np.asarray(w, dtype=float)))
-
-
-def ordinal_nll_gradient(w: np.ndarray, batch: ObservationBatch,
-                         design: ComparisonDesign, link: LinkFunction) -> np.ndarray:
-    point, _, gradient, _ = _ordinal_closures(batch, design, link)
-    return gradient(point(np.asarray(w, dtype=float)))
-
-
-def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLink):
-    """The m-wise counterpart of ``_ordinal_closures``.
+def _mwise_closures(design: HyperDesign, link: MWiseLink, counts: np.ndarray, n: float):
+    """The m-wise counterpart of ``_ordinal_closures``, over the (m, S) wins
+    of each position of each subset.
 
     Subsets are gathered column-major, as the design's (m, S) array, so
     every reduction over a subset's m positions runs down whole columns.  The
@@ -203,9 +173,8 @@ def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLin
     pairs a < b of every subset.
     """
     columns, (a, b), laplacian = design._cliques
-    counts = _counts(batch, columns.shape[1], batch.outcomes, link.m)
     totals = counts.sum(axis=0)
-    n, d = batch.n, design.d
+    d = design.d
     flat_columns = columns.ravel()
 
     def point(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,18 +194,6 @@ def _mwise_closures(batch: ObservationBatch, design: HyperDesign, link: MWiseLin
         return laplacian(weights.ravel())
 
     return point, objective, gradient, hessian
-
-
-def mwise_nll(w: np.ndarray, batch: ObservationBatch, design: HyperDesign,
-              link: MWiseLink) -> float:
-    point, objective, _, _ = _mwise_closures(batch, design, link)
-    return objective(point(np.asarray(w, dtype=float)))
-
-
-def mwise_nll_gradient(w: np.ndarray, batch: ObservationBatch, design: HyperDesign,
-                       link: MWiseLink) -> np.ndarray:
-    point, _, gradient, _ = _mwise_closures(batch, design, link)
-    return gradient(point(np.asarray(w, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +366,10 @@ def mle_ordinal(batch: ObservationBatch, design: ComparisonDesign, link: LinkFun
         raise ValueError("MLE requires a connected comparison graph")
     if not B > 0:
         raise ValueError("B must be positive")
-    closures = _ordinal_closures(batch, design, link)
+    # Outcomes are +-1 (``ObservationBatch`` checks), so slot 0 wins, slot 1 losses.
+    losing = (np.asarray(batch.outcomes) != 1).astype(np.intp)
+    wins, losses = _counts(batch, design.edge_arrays[0].size, losing, 2)
+    closures = _ordinal_closures(design, link, wins, losses, batch.n)
     w, conv, iters, f, pg = _active_set_newton(closures, design.d, B, opts, callback)
     return EstimateResult(QualityVector(w, B), conv, iters, f, pg)
 
@@ -426,7 +386,8 @@ def mle_mwise(batch: ObservationBatch, design: HyperDesign, link: MWiseLink,
         raise ValueError(f"design m={design.m} does not match link m={link.m}")
     if not B > 0:
         raise ValueError("B must be positive")
-    closures = _mwise_closures(batch, design, link)
+    counts = _counts(batch, design._cliques[0].shape[1], batch.outcomes, link.m)
+    closures = _mwise_closures(design, link, counts, batch.n)
     w, conv, iters, f, pg = _active_set_newton(closures, design.d, B, opts, callback)
     return EstimateResult(QualityVector(w, B), conv, iters, f, pg)
 

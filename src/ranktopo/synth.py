@@ -51,6 +51,22 @@ class QualityVector:
         return self.values.shape[0]
 
 
+# What a batch's entries index, and the symbol of their count.
+_ENTRIES = {"ordinal_pair": ("edge index", "E"), "cardinal_pair": ("edge index", "E"),
+            "mwise": ("subset index", "S"), "cardinal_item": ("item index", "d")}
+
+
+def _in_range(values, bound: int, name: str, symbol: str) -> np.ndarray:
+    """``values`` as intp, refused unless they are integers in [0, bound)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer, got dtype {values.dtype}")
+    if values.size and (values.min() < 0 or values.max() >= bound):
+        bad = values.min() if values.min() < 0 else values.max()
+        raise ValueError(f"{name} {bad} out of range for {symbol}={bound}")
+    return values.astype(np.intp, copy=False)
+
+
 def _values(w: QualityVector | np.ndarray) -> np.ndarray:
     """The scores of a QualityVector, or an array-like of scores, as floats."""
     return w.values if isinstance(w, QualityVector) else np.asarray(w, dtype=float)
@@ -226,10 +242,9 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
     Ordinal links need a ComparisonDesign, m-wise links a HyperDesign with
     matching m, cardinal pair models a ComparisonDesign; cardinal item
     models take the comparison entries as item indices directly and accept
-    design=None.
+    design=None.  The entries must be integers in [0, E), [0, S) or [0, d).
     """
     values = _values(w)
-    comparisons = np.asarray(comparisons, dtype=np.intp)
     n = len(comparisons)
     rng = _rng(seed)
 
@@ -237,6 +252,7 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
         if not isinstance(design, ComparisonDesign):
             raise ValueError("ordinal sampling requires a ComparisonDesign")
         j_idx, k_idx, _ = design.edge_arrays
+        comparisons = _in_range(comparisons, j_idx.size, *_ENTRIES["ordinal_pair"])
         # The link acts elementwise: one value per edge, gathered per sample.
         p_win = model.win_probability(values[j_idx] - values[k_idx])[comparisons]
         outcomes = np.where(rng.random(n) < p_win, 1, -1)
@@ -245,11 +261,13 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
     if isinstance(model, MWiseLink):
         if not isinstance(design, HyperDesign) or design.m != model.m:
             raise ValueError("m-wise sampling requires a HyperDesign with matching m")
+        columns = design._cliques[0]
+        comparisons = _in_range(comparisons, columns.shape[1], *_ENTRIES["mwise"])
         # Column-major, (m, n): each reduction over a subset's m positions
         # runs down whole rows of n, not along n short rows of m.  The
         # cumulative sum adds row to row for the same reason: np.cumsum
         # along axis 0 steps through n columns of m, at about 8x the cost.
-        scores = values[design._cliques[0].take(comparisons, axis=1)]
+        scores = values[columns.take(comparisons, axis=1)]
         cum = model.position_probs(scores, axis=0)
         for row in range(1, model.m):
             cum[row] += cum[row - 1]
@@ -260,13 +278,13 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
     if isinstance(model, CardinalModel):
         noise = model.sigma_c * rng.standard_normal(n) if model.sigma_c > 0 else np.zeros(n)
         if model.kind == "item":
-            if np.any(comparisons >= len(values)):
-                raise ValueError("cardinal item indices out of range")
+            comparisons = _in_range(comparisons, len(values), *_ENTRIES["cardinal_item"])
             y = values[comparisons] + noise
             return ObservationBatch("cardinal_item", comparisons, y)
         if not isinstance(design, ComparisonDesign):
             raise ValueError("paired cardinal sampling requires a ComparisonDesign")
         j_idx, k_idx, _ = design.edge_arrays
+        comparisons = _in_range(comparisons, j_idx.size, *_ENTRIES["cardinal_pair"])
         y = values[j_idx[comparisons]] - values[k_idx[comparisons]] + noise
         return ObservationBatch("cardinal_pair", comparisons, y)
 

@@ -398,3 +398,24 @@ def mwise_winners_row_major(link, values: np.ndarray, design, comparisons: np.nd
     cum = np.cumsum(probs, axis=1)
     winners = np.sum(rng.random(len(comparisons))[:, None] >= cum, axis=1).astype(int)
     return np.clip(winners, 0, link.m - 1)
+
+
+def kl_per_entry(w1, w2, design, link, n: float) -> float:
+    """n times the per-sample KL between the observation laws at w1 and w2,
+    summed entry by entry: the Bernoulli KL of each edge's win probability
+    F((w_j - w_k)/sigma) at the edge's weight, or the categorical KL of each
+    listed subset's softmax at weight 1/S."""
+    total = 0.0
+    if hasattr(design, "subsets"):
+        for subset in design.subsets.tolist():
+            z1 = sum(math.exp(w1[i]) for i in subset)
+            z2 = sum(math.exp(w2[i]) for i in subset)
+            for i in subset:
+                p, q = math.exp(w1[i]) / z1, math.exp(w2[i]) / z2
+                total += p * math.log(p / q) / len(design.subsets)
+        return n * total
+    for j, k, weight in design.edges:
+        p = float(link.cdf(np.float64((w1[j] - w1[k]) / link.sigma)))
+        q = float(link.cdf(np.float64((w2[j] - w2[k]) / link.sigma)))
+        total += weight * (p * math.log(p / q) + (1 - p) * math.log((1 - p) / (1 - q)))
+    return n * total

@@ -21,10 +21,6 @@ from ranktopo.estimate import (
     mean_cardinal,
     mle_mwise,
     mle_ordinal,
-    mwise_nll,
-    mwise_nll_gradient,
-    ordinal_nll,
-    ordinal_nll_gradient,
 )
 from ranktopo.graph import ComparisonDesign, HyperDesign, build_topology, spectrum
 from ranktopo.models import make_link, model_params, plackett_luce
@@ -37,6 +33,7 @@ from ranktopo.synth import (
     sample_outcomes,
 )
 
+from likelihood import batch_likelihood
 from oracles import closed_form_spectrum, exact_projection, fd_gradient
 
 EXPANDER_LAMBDA2 = {4: 0.5, 25: 0.03343268884465986}
@@ -225,20 +222,22 @@ def test_criterion_06_mle_correctness():
         for link in (btl, thurstone):
             obatch = sample_outcomes(link, gen_quality("uniform", 5, 1.0, rng),
                                      design, comps, rng)
+            nll, gradient, _ = batch_likelihood(obatch, design, link)
             for _ in range(20):
                 w = exact_projection(rng.uniform(-1, 1, size=5), 1.0)
-                analytic = ordinal_nll_gradient(w, obatch, design, link)
-                numeric = fd_gradient(lambda v: ordinal_nll(v, obatch, design, link), w)
+                analytic = gradient(w)
+                numeric = fd_gradient(nll, w)
                 np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
         pl3 = plackett_luce(3)
         hyper = HyperDesign(5, 3, tuple(itertools.combinations(range(5), 3)))
         hcomps = sample_comparisons(hyper, 300, rng)
         hbatch = sample_outcomes(pl3, gen_quality("uniform", 5, 1.0, rng), hyper,
                                  hcomps, rng)
+        nll, gradient, _ = batch_likelihood(hbatch, hyper, pl3)
         for _ in range(20):
             w = exact_projection(rng.uniform(-1, 1, size=5), 1.0)
-            analytic = mwise_nll_gradient(w, hbatch, hyper, pl3)
-            numeric = fd_gradient(lambda v: mwise_nll(v, hbatch, hyper, pl3), w)
+            analytic = gradient(w)
+            numeric = fd_gradient(nll, w)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
 
         # every iterate stays inside the feasible set

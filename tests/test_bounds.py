@@ -38,7 +38,7 @@ from ranktopo.synth import CardinalModel, even_allocation, gen_quality, sample_o
 
 from oracles import (box_points, choice_grad_sq, choice_prob_gradient, exact_projection,
                      fano_dense_laplacian, fd_gradient, gv_distance_packing, gv_distinct_packing,
-                     mwise_sups_multistart)
+                     kl_per_entry, mwise_sups_multistart)
 
 SINGLE_EDGE = ComparisonDesign(2, ((0, 1, 1.0),))
 
@@ -69,6 +69,13 @@ class TestKLExact:
         one = kl_exact(w1, w2, SINGLE_EDGE, link, 1)
         assert abs(kl_exact(w1, w2, SINGLE_EDGE, link, 7) - 7 * one) < 1e-12
 
+    def test_no_samples_no_divergence(self):
+        """n = 0 gives 0, not the 0/0 of a likelihood averaged over n samples."""
+        w1 = np.array([0.2, -0.2])
+        assert kl_exact(w1, np.zeros(2), SINGLE_EDGE, make_link("btl", 1.0), 0) == 0.0
+        hyper = HyperDesign(3, 3, ((0, 1, 2),))
+        assert kl_exact(np.array([0.5, 0.0, -0.5]), np.zeros(3), hyper, plackett_luce(3), 0) == 0.0
+
     def test_mwise_categorical(self):
         hyper = HyperDesign(3, 3, ((0, 1, 2),))
         pl = plackett_luce(3)
@@ -79,6 +86,26 @@ class TestKLExact:
         p = np.exp(w1) / np.sum(np.exp(w1))
         expected = 4 * float(np.sum(p * np.log(p * 3)))
         assert abs(value - expected) < 1e-12
+
+    @pytest.mark.parametrize("case", ["unequal_weights", "custom_link", "repeated_subsets"])
+    def test_matches_per_entry_oracle(self, case):
+        """Within 1e-14 n of the entry-by-entry KL on 50 random feasible pairs."""
+        design, link = {
+            "unequal_weights": (ComparisonDesign(5, ((0, 1, 0.05), (1, 2, 0.4), (0, 2, 0.15),
+                                                     (2, 3, 0.1), (3, 4, 0.3))),
+                                make_link("thurstone", 0.7)),
+            "custom_link": (build_topology("cycle", 6),
+                            make_link(lambda x: 0.5 + np.arctan(x) / np.pi, 1.3)),
+            "repeated_subsets": (HyperDesign(6, 3, ((0, 1, 2), (3, 4, 5), (0, 1, 2), (1, 3, 5),
+                                                    (0, 1, 2), (2, 4, 0))),
+                                 plackett_luce(3)),
+        }[case]
+        rng = np.random.default_rng(19)
+        n = 37.0
+        for _ in range(50):
+            w1, w2 = (exact_projection(rng.uniform(-1, 1, size=design.d), 1.0) for _ in range(2))
+            assert kl_exact(w1, w2, design, link, n) == pytest.approx(
+                kl_per_entry(w1, w2, design, link, n), rel=0, abs=1e-14 * n)
 
     def test_link_design_mismatch(self):
         hyper = HyperDesign(3, 3, ((0, 1, 2),))

@@ -688,6 +688,8 @@ class TestUnreadFlags:
         ([*CVO, "--n", "100"], "n", "cvo without --empirical"),
         ([*CVO, "--trials", "5"], "trials", "cvo without --empirical"),
         ([*CVO, "--seed", "1"], "seed", "cvo without --empirical"),
+        (["bounds", "--kind", "complete", "--d", "9", "--n", "1e4", "--theorem", "T2_l2",
+          "--constructive", "--seed", "7"], "seed", "the three-vector proof set at d <= 9"),
     ])
     def test_unread_flag_is_an_error(self, argv, flag, reader, capsys, monkeypatch):
         def no_work(*args):

@@ -14,17 +14,12 @@ import ranktopo.synth as synth
 from ranktopo import graph
 from ranktopo.estimate import (
     SolverOptions,
-    _mwise_closures,
     _ordinal_closures,
     error_metrics,
     ls_paired_cardinal,
     mean_cardinal,
     mle_mwise,
     mle_ordinal,
-    mwise_nll,
-    mwise_nll_gradient,
-    ordinal_nll,
-    ordinal_nll_gradient,
     project_feasible,
 )
 from ranktopo.graph import ComparisonDesign, HyperDesign, build_topology, complete_hyper, spectrum
@@ -39,6 +34,7 @@ from ranktopo.synth import (
     sample_outcomes,
 )
 
+from likelihood import batch_likelihood
 from oracles import (
     exact_projection,
     fd_gradient,
@@ -129,9 +125,10 @@ class TestGradients:
         comps = sample_comparisons(design, 400, rng)
         batch = sample_outcomes(link, gen_quality("uniform", 5, 1.0, rng), design,
                                 comps, rng)
+        nll, gradient, _ = batch_likelihood(batch, design, link)
         for w in self._feasible_points(5, 1.0, 20, 4):
-            analytic = ordinal_nll_gradient(w, batch, design, link)
-            numeric = fd_gradient(lambda v: ordinal_nll(v, batch, design, link), w)
+            analytic = gradient(w)
+            numeric = fd_gradient(nll, w)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
@@ -143,9 +140,10 @@ class TestGradients:
         comps = sample_comparisons(hyper, 300, rng)
         batch = sample_outcomes(link, gen_quality("uniform", d, 1.0, rng), hyper,
                                 comps, rng)
+        nll, gradient, _ = batch_likelihood(batch, hyper, link)
         for w in self._feasible_points(d, 1.0, 20, 6):
-            analytic = mwise_nll_gradient(w, batch, hyper, link)
-            numeric = fd_gradient(lambda v: mwise_nll(v, batch, hyper, link), w)
+            analytic = gradient(w)
+            numeric = fd_gradient(nll, w)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("family", ["btl", "thurstone"])
@@ -157,10 +155,9 @@ class TestGradients:
         comps = sample_comparisons(design, 400, rng)
         batch = sample_outcomes(link, gen_quality("uniform", 5, 1.0, rng), design,
                                 comps, rng)
-        point, _, _, hessian = _ordinal_closures(batch, design, link)
+        nll, _, hessian = batch_likelihood(batch, design, link)
         for w in self._feasible_points(5, 1.0, 5, 12):
-            numeric = fd_hessian(lambda v: ordinal_nll(v, batch, design, link), w)
-            np.testing.assert_allclose(hessian(point(w)), numeric, atol=1e-5)
+            np.testing.assert_allclose(hessian(w), fd_hessian(nll, w), atol=1e-5)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_mwise_hessian(self, m):
@@ -172,10 +169,9 @@ class TestGradients:
         comps = sample_comparisons(hyper, 300, rng)
         batch = sample_outcomes(link, gen_quality("uniform", d, 1.0, rng), hyper,
                                 comps, rng)
-        point, _, _, hessian = _mwise_closures(batch, hyper, link)
+        nll, _, hessian = batch_likelihood(batch, hyper, link)
         for w in self._feasible_points(d, 1.0, 5, 14):
-            numeric = fd_hessian(lambda v: mwise_nll(v, batch, hyper, link), w)
-            np.testing.assert_allclose(hessian(point(w)), numeric, atol=1e-5)
+            np.testing.assert_allclose(hessian(w), fd_hessian(nll, w), atol=1e-5)
 
     def test_shift_invariance_of_likelihood(self):
         """The likelihood never reacts to constant shifts of w."""
@@ -185,12 +181,11 @@ class TestGradients:
         comps = sample_comparisons(design, 200, rng)
         batch = sample_outcomes(link, gen_quality("gaussian", 6, 1.0, rng), design,
                                 comps, rng)
+        nll, _, _ = batch_likelihood(batch, design, link)
         for _ in range(20):
             w = rng.uniform(-2, 2, size=6)
             t = float(rng.uniform(-4, 4))
-            base = ordinal_nll(w, batch, design, link)
-            shifted = ordinal_nll(w + t, batch, design, link)
-            assert abs(base - shifted) < 1e-10
+            assert abs(nll(w) - nll(w + t)) < 1e-10
 
 
 class TestOrdinalMLE:
@@ -248,9 +243,9 @@ class TestOrdinalMLE:
         batch = sample_outcomes(link, gen_quality("uniform", 4, 0.6, rng), design,
                                 comps, rng)
         ours = mle_ordinal(batch, design, link, 0.6)
+        nll, gradient, _ = batch_likelihood(batch, design, link)
         ref = minimize(
-            lambda w: ordinal_nll(w, batch, design, link), np.zeros(4),
-            jac=lambda w: ordinal_nll_gradient(w, batch, design, link),
+            nll, np.zeros(4), jac=gradient,
             method="SLSQP", bounds=[(-0.6, 0.6)] * 4,
             constraints={"type": "eq", "fun": lambda w: np.sum(w)},
             options={"ftol": 1e-14, "maxiter": 1000},
@@ -303,8 +298,8 @@ def oracle_residual(args, result) -> float:
     """|P(w - grad) - w| with the KKT bisection projection."""
     batch, design, link, B, _ = args
     w = result.w_hat.values
-    nll_gradient = mwise_nll_gradient if batch.kind == "mwise" else ordinal_nll_gradient
-    grad = nll_gradient(w, batch, design, link)
+    _, gradient, _ = batch_likelihood(batch, design, link)
+    grad = gradient(w)
     return float(np.linalg.norm(exact_projection(w - grad, B) - w))
 
 
@@ -407,7 +402,8 @@ class TestOneProjectionSolver:
         assert replay.w_hat.values.tobytes() == result.w_hat.values.tobytes()
         assert len(iterates) == 4 and iterates[-1].tobytes() == replay.w_hat.values.tobytes()
         start = iterates[-2]
-        grad = ordinal_nll_gradient(start, batch, design, link)
+        _, gradient, _ = batch_likelihood(batch, design, link)
+        grad = gradient(start)
         expected = float(np.linalg.norm(exact_projection(start - grad, B) - start))
         assert result.grad_norm == pytest.approx(expected, rel=1e-9)
 

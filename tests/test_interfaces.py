@@ -219,3 +219,17 @@ class TestImportHygiene:
                                      and "_laplacian" in read_names(ast.Module(node.body, [])))
         assert readers == ["graph.py"]
         assert callers == ["_cliques", "_scatter"]
+
+    def test_only_the_estimators_read_the_likelihood(self):
+        """Outside ``models.py``, ``estimate.py`` is the one package module that
+        reads the link's log-likelihood pieces, so the MLEs and ``kl_exact``
+        evaluate the one likelihood of the estimators' closures."""
+        pieces = {"log_cdf", "pdf_over_cdf", "neg_log_second_pair", "log_position_probs"}
+        root = os.path.dirname(ranktopo.__file__)
+        readers = []
+        for name in sorted(os.listdir(root)):
+            if name.endswith(".py") and name != "models.py":
+                with open(os.path.join(root, name), encoding="utf-8") as fh:
+                    if pieces & read_names(ast.parse(fh.read(), filename=name)):
+                        readers.append(name)
+        assert readers == ["estimate.py"]

@@ -316,6 +316,32 @@ class TestSampleOutcomes:
         with pytest.raises(ValueError):
             sample_outcomes(plackett_luce(2), np.zeros(4), hyper, comps, 0)
 
+    # Complete d=4 has 6 edges, complete_hyper(4, 3) 4 subsets.
+    MODELS = {
+        "ordinal": (make_link("btl", 1.0), build_topology("complete", 4), "edge index", "E=6"),
+        "mwise": (plackett_luce(3), complete_hyper(4, 3), "subset index", "S=4"),
+        "cardinal_item": (CardinalModel("item", 0.0), None, "item index", "d=4"),
+        "cardinal_pair": (CardinalModel("pair", 0.0), build_topology("complete", 4),
+                          "edge index", "E=6"),
+    }
+
+    @pytest.mark.parametrize("kind", MODELS)
+    @pytest.mark.parametrize("bad", ["negative", "past_the_end"])
+    def test_entry_out_of_range_refused(self, kind, bad):
+        """An index of -1 used to wrap to the last entry, and one past the
+        end was a bare IndexError (or, for items, a message without it)."""
+        model, design, noun, count = self.MODELS[kind]
+        index = -1 if bad == "negative" else int(count.split("=")[1])
+        with pytest.raises(ValueError, match=f"{noun} {index} out of range for {count}"):
+            sample_outcomes(model, gen_quality("uniform", 4, 1.0, 0), design, [0, index], 0)
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_float_entries_refused(self, kind):
+        """Float indices used to be truncated to integers."""
+        model, design, noun, _ = self.MODELS[kind]
+        with pytest.raises(ValueError, match=f"{noun} must be an integer, got dtype float64"):
+            sample_outcomes(model, gen_quality("uniform", 4, 1.0, 0), design, [0.0, 1.5], 0)
+
     def test_bitwise_determinism(self):
         design = build_topology("cycle", 6)
         link = make_link("thurstone", 1.0)
