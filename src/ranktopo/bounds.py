@@ -20,7 +20,7 @@ import numpy as np
 from .estimate import _mwise_closures, _ordinal_closures, error_metrics
 from .graph import ComparisonDesign, HyperDesign, lower_bound_statistic, spectrum
 from .models import LinkFunction, ModelParams, MWiseLink, make_link, model_params
-from .synth import BOX_TOL, _values
+from .synth import BOX_TOL, _check_model, _scores
 
 THEOREMS = ("T1_lap", "T2_l2", "T3_paired", "T4_mwise_lap", "T4_mwise_l2")
 # The largest d at which the Fano pipeline uses the three-vector proof set,
@@ -57,6 +57,11 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_n(n: float) -> None:
+    if not n > 0:
+        raise ValueError(f"n must be positive, got {n}")
+
+
 def kl_exact(w1, w2, design: ComparisonDesign | HyperDesign,
              link: LinkFunction | MWiseLink, n: float) -> float:
     """KL divergence between the n-sample observation laws at w1 and w2.
@@ -66,18 +71,14 @@ def kl_exact(w1, w2, design: ComparisonDesign | HyperDesign,
     w1: w_e F(+-t_e) wins and losses on edge e of a pairwise design, and
     p / S on the positions of each of a hyper design's S subsets.
     """
-    a, b = _values(w1), _values(w2)
-    if a.shape != b.shape or a.shape != (design.d,):
-        raise ValueError("quality vectors must both have the design's dimension")
-    if isinstance(design, HyperDesign):
-        if not isinstance(link, MWiseLink):
-            raise ValueError("hyper designs need an m-wise link")
+    _check_n(n)
+    _check_model(design, link)
+    a, b = _scores(w1, design), _scores(w2, design)
+    if isinstance(link, MWiseLink):
         columns = design._cliques[0]
         counts = link.position_probs(a[columns], axis=0) / columns.shape[1]
         point, objective, _, _ = _mwise_closures(design, link, counts, 1.0)
     else:
-        if not isinstance(link, LinkFunction):
-            raise ValueError("pairwise designs need a pairwise link")
         j_idx, k_idx, weights = design.edge_arrays
         t = (a[j_idx] - a[k_idx]) / link.sigma
         point, objective, _, _ = _ordinal_closures(
@@ -93,7 +94,8 @@ def kl_upper(w1, w2, design: ComparisonDesign, params: ModelParams, n: float) ->
     params.B, the domain on which the bound is valid; membership is
     enforced here.
     """
-    for v in (_values(w1), _values(w2)):
+    _check_n(n)
+    for v in (_scores(w1, design), _scores(w2, design)):
         if float(np.max(np.abs(v))) > params.B + BOX_TOL:
             raise ValueError("KL upper bound requires |w|_inf <= B")
     return n * params.zeta / params.sigma**2 * error_metrics(w1, w2, design).sq_lap
@@ -404,16 +406,17 @@ def minimax_bounds(theorem: str, design: ComparisonDesign | HyperDesign,
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
-    if not n > 0:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_n(n)
+    wanted = MWiseLink if theorem.startswith("T4") else ModelParams
+    if not isinstance(params, wanted):
+        raise ValueError(f"{theorem} needs {wanted.__name__}, got {type(params).__name__}")
+    _check_model(design, params)
     summary = spectrum(design)
     d = design.d
     if summary.lambda2 <= 0:
         raise ValueError("bounds require a connected design")
 
     if theorem.startswith("T4"):
-        if not isinstance(design, HyperDesign) or not isinstance(params, MWiseLink):
-            raise ValueError("T4 needs a HyperDesign and an MWiseLink")
         link = params
         pre = mwise_prefactors(link)
         m = link.m
@@ -438,8 +441,6 @@ def minimax_bounds(theorem: str, design: ComparisonDesign | HyperDesign,
                                   "lambda_m_H": pre.lambda_m_h}}
         return BoundReport(lower, upper, applicable, theorem, context)
 
-    if not isinstance(design, ComparisonDesign) or not isinstance(params, ModelParams):
-        raise ValueError(f"{theorem} needs a ComparisonDesign and ModelParams")
     sigma, zeta, gamma, B = params.sigma, params.zeta, params.gamma, params.B
     sample_floor = sigma**2 * summary.trace_pinv / (zeta * B**2)
     applicable = n >= sample_floor
@@ -552,8 +553,8 @@ def fano_pipeline(design: ComparisonDesign, params: ModelParams, n: float,
     if variant not in ("lap", "l2"):
         raise ValueError(f"unknown variant {variant!r}")
     _check_alpha(alpha)  # at every d, though only the GV packing reads it
-    if not n > 0:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_n(n)
+    _check_model(design, params)
     if not design.connected:
         raise ValueError("the pipeline requires a connected design")
     summary = spectrum(design)

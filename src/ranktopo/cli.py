@@ -210,22 +210,37 @@ _RENAMED = {"kinds": ("kind", "kinds"), "d_list": ("d", "d"), "n_list": ("n", "n
             "base_seed": ("seed", "seed")}
 
 
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field annotated ``str``, ``int``, ``float``
+    or ``list[...]`` of one of them; a bool is no number, an int is a float."""
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_fits(v, annotation[5:-1]) for v in value)
+    kinds = {"str": str, "int": int, "float": (int, float)}[annotation]
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _config_from_args(args) -> ExperimentConfig:
     """Each field from its flag, else from the config file, else its default.
-    A file key that names no field is refused."""
+    A file that is not a JSON object, a key that names no field and a value
+    that does not fit its field are refused."""
     base: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError(f"config file must hold a JSON object, got {type(base).__name__}")
     names = {f.name: _RENAMED.get(f.name, (f.name, f.name)) for f in fields(ExperimentConfig)}
     if unread := sorted(set(base) - {key for _, key in names.values()}):
         raise ValueError(f"config file keys {unread} are not read")
     merged = {}
-    for name, (flag, key) in names.items():
+    for f in fields(ExperimentConfig):
+        flag, key = names[f.name]
+        if key in base and not _fits(base[key], f.type):
+            raise ValueError(f"config file key {key!r} must be {f.type}, got {base[key]!r}")
         if (value := getattr(args, flag)) is not None:
-            merged[name] = value
+            merged[f.name] = value
         elif key in base:
-            merged[name] = base[key]
+            merged[f.name] = base[key]
     return ExperimentConfig(**merged)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .graph import ComparisonDesign, HyperDesign, _connected
 from .models import LinkFunction, MWiseLink
-from .synth import _ENTRIES, ObservationBatch, QualityVector, _in_range, _values
+from .synth import _ENTRIES, ObservationBatch, QualityVector, _check_model, _in_range, _scores
 
 
 @dataclass(frozen=True)
@@ -362,6 +362,7 @@ def mle_ordinal(batch: ObservationBatch, design: ComparisonDesign, link: LinkFun
     """
     if batch.kind != "ordinal_pair":
         raise ValueError(f"expected an ordinal_pair batch, got {batch.kind!r}")
+    _check_model(design, link)
     if not design.connected:
         raise ValueError("MLE requires a connected comparison graph")
     if not B > 0:
@@ -380,10 +381,9 @@ def mle_mwise(batch: ObservationBatch, design: HyperDesign, link: MWiseLink,
     """Constrained MLE for the m-wise choice model."""
     if batch.kind != "mwise":
         raise ValueError(f"expected an mwise batch, got {batch.kind!r}")
+    _check_model(design, link)
     if not design.connected:
         raise ValueError("MLE requires a connected comparison hypergraph")
-    if design.m != link.m:
-        raise ValueError(f"design m={design.m} does not match link m={link.m}")
     if not B > 0:
         raise ValueError("B must be positive")
     counts = _counts(batch, design._cliques[0].shape[1], batch.outcomes, link.m)
@@ -408,6 +408,7 @@ def ls_paired_cardinal(batch: ObservationBatch, design: ComparisonDesign) -> Est
     """
     if batch.kind != "cardinal_pair":
         raise ValueError(f"expected a cardinal_pair batch, got {batch.kind!r}")
+    _check_model(design)
     j_idx, k_idx, _ = design.edge_arrays
     y = np.asarray(batch.outcomes, dtype=float)
     (counts,), (sums,) = _counts(batch, j_idx.size), _counts(batch, j_idx.size, weights=y)
@@ -446,10 +447,8 @@ def error_metrics(w_hat: QualityVector | np.ndarray, w_star: QualityVector | np.
                   design: ComparisonDesign) -> ErrorMetrics:
     """Squared Euclidean error, and squared Laplacian semi-norm error taken
     edge by edge: sum_e w_e (delta_j - delta_k)^2 over ``design.edge_arrays``."""
-    a, b = _values(w_hat), _values(w_star)
-    if a.shape != b.shape or a.shape != (design.d,):
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}, d={design.d}")
-    delta = a - b
+    _check_model(design)
+    delta = _scores(w_hat, design) - _scores(w_star, design)
     j, k, w = design.edge_arrays
     diff = delta[j] - delta[k]
     return ErrorMetrics(sq_l2=float(delta @ delta), sq_lap=float(w @ (diff * diff)))

@@ -67,9 +67,22 @@ def _in_range(values, bound: int, name: str, symbol: str) -> np.ndarray:
     return values.astype(np.intp, copy=False)
 
 
-def _values(w: QualityVector | np.ndarray) -> np.ndarray:
-    """The scores of a QualityVector, or an array-like of scores, as floats."""
-    return w.values if isinstance(w, QualityVector) else np.asarray(w, dtype=float)
+def _check_model(design, model=None) -> None:
+    """Refuse a design the model does not read: an m-wise link reads a
+    HyperDesign of its own m, any other model, or none, a ComparisonDesign."""
+    if isinstance(model, MWiseLink):
+        if not (isinstance(design, HyperDesign) and design.m == model.m):
+            raise ValueError(f"needs a HyperDesign with m={model.m}, got {design!r}")
+    elif not isinstance(design, ComparisonDesign):
+        raise ValueError(f"needs a ComparisonDesign, got {design!r}")
+
+
+def _scores(w: QualityVector | np.ndarray, design) -> np.ndarray:
+    """The float scores of a QualityVector or array-like, one per item of ``design`` if given."""
+    values = w.values if isinstance(w, QualityVector) else np.asarray(w, dtype=float)
+    if design is not None and values.shape != (design.d,):
+        raise ValueError(f"scores must have shape ({design.d},), got {values.shape}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -167,6 +180,8 @@ def gen_quality(kind: str, d: int, B: float, seed,
     elif kind == "packing":
         if design is None:
             raise ValueError("packing generation requires a design")
+        if design.d != d:
+            raise ValueError(f"packing generation for d={d} got a design with d={design.d}")
         if not design.connected:
             raise ValueError("packing generation requires a connected design")
         summary = spectrum(design)
@@ -241,16 +256,17 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
 
     Ordinal links need a ComparisonDesign, m-wise links a HyperDesign with
     matching m, cardinal pair models a ComparisonDesign; cardinal item
-    models take the comparison entries as item indices directly and accept
-    design=None.  The entries must be integers in [0, E), [0, S) or [0, d).
+    models read no design and take the entries as item indices.  w holds one
+    score per item; the entries are integers in [0, E), [0, S) or [0, d).
     """
-    values = _values(w)
+    item = isinstance(model, CardinalModel) and model.kind == "item"
+    if not item:
+        _check_model(design, model)
+    values = _scores(w, None if item else design)
     n = len(comparisons)
     rng = _rng(seed)
 
     if isinstance(model, LinkFunction):
-        if not isinstance(design, ComparisonDesign):
-            raise ValueError("ordinal sampling requires a ComparisonDesign")
         j_idx, k_idx, _ = design.edge_arrays
         comparisons = _in_range(comparisons, j_idx.size, *_ENTRIES["ordinal_pair"])
         # The link acts elementwise: one value per edge, gathered per sample.
@@ -259,8 +275,6 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
         return ObservationBatch("ordinal_pair", comparisons, outcomes)
 
     if isinstance(model, MWiseLink):
-        if not isinstance(design, HyperDesign) or design.m != model.m:
-            raise ValueError("m-wise sampling requires a HyperDesign with matching m")
         columns = design._cliques[0]
         comparisons = _in_range(comparisons, columns.shape[1], *_ENTRIES["mwise"])
         # Column-major, (m, n): each reduction over a subset's m positions
@@ -277,12 +291,10 @@ def sample_outcomes(model: LinkFunction | MWiseLink | CardinalModel,
 
     if isinstance(model, CardinalModel):
         noise = model.sigma_c * rng.standard_normal(n) if model.sigma_c > 0 else np.zeros(n)
-        if model.kind == "item":
+        if item:
             comparisons = _in_range(comparisons, len(values), *_ENTRIES["cardinal_item"])
             y = values[comparisons] + noise
             return ObservationBatch("cardinal_item", comparisons, y)
-        if not isinstance(design, ComparisonDesign):
-            raise ValueError("paired cardinal sampling requires a ComparisonDesign")
         j_idx, k_idx, _ = design.edge_arrays
         comparisons = _in_range(comparisons, j_idx.size, *_ENTRIES["cardinal_pair"])
         y = values[j_idx[comparisons]] - values[k_idx[comparisons]] + noise

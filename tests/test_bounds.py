@@ -69,12 +69,19 @@ class TestKLExact:
         one = kl_exact(w1, w2, SINGLE_EDGE, link, 1)
         assert abs(kl_exact(w1, w2, SINGLE_EDGE, link, 7) - 7 * one) < 1e-12
 
-    def test_no_samples_no_divergence(self):
-        """n = 0 gives 0, not the 0/0 of a likelihood averaged over n samples."""
+    def test_no_samples_refused(self):
+        """A sample count that is not positive, NaN included, is refused, as
+        ``fano_pipeline`` refuses it, not turned into a divergence of 0 or below."""
         w1 = np.array([0.2, -0.2])
-        assert kl_exact(w1, np.zeros(2), SINGLE_EDGE, make_link("btl", 1.0), 0) == 0.0
         hyper = HyperDesign(3, 3, ((0, 1, 2),))
-        assert kl_exact(np.array([0.5, 0.0, -0.5]), np.zeros(3), hyper, plackett_luce(3), 0) == 0.0
+        params = model_params(make_link("btl", 1.0), 1.0)
+        for n in (0, -5, math.nan):
+            with pytest.raises(ValueError, match="n must be positive"):
+                kl_exact(w1, np.zeros(2), SINGLE_EDGE, make_link("btl", 1.0), n)
+            with pytest.raises(ValueError, match="n must be positive"):
+                kl_exact(np.array([0.5, 0.0, -0.5]), np.zeros(3), hyper, plackett_luce(3), n)
+            with pytest.raises(ValueError, match="n must be positive"):
+                kl_upper(w1, np.zeros(2), SINGLE_EDGE, params, n)
 
     def test_mwise_categorical(self):
         hyper = HyperDesign(3, 3, ((0, 1, 2),))

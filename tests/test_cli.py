@@ -222,6 +222,29 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "d_list" in captured.err
 
+    @pytest.mark.parametrize("file, message", [
+        (5, "config file must hold a JSON object, got int"),
+        ({"d": 5}, "config file key 'd' must be list[int], got 5"),
+        ({"B": "1"}, "config file key 'B' must be float, got '1'"),
+        ({"kinds": "complete"}, "config file key 'kinds' must be list[str], got 'complete'"),
+        ({"n": [1000.5]}, "config file key 'n' must be list[int], got [1000.5]"),
+        ({"trials": True}, "config file key 'trials' must be int, got True"),
+    ], ids=["not_an_object", "d_scalar", "B_string", "kinds_string", "n_float", "trials_bool"])
+    def test_config_value_of_wrong_type_is_an_error(self, file, message, tmp_path, capsys,
+                                                     monkeypatch):
+        """A config file value that does not fit its field is refused, naming
+        the key, before any trial runs."""
+        def no_work(*args):
+            raise AssertionError("a trial started before the config was checked")
+
+        monkeypatch.setattr(cli, "run_trial", no_work)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(file))
+        assert main(["simulate", "--config", str(config), "--out", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_mwise_trial_refuses_other_kinds(self):
         """A lone Plackett-Luce trial on a kind with no hyper-design is an
         error, not a complete-hyper-design row labelled with that kind."""

@@ -12,11 +12,13 @@ import pytest
 
 import ranktopo
 from ranktopo import graph
-from ranktopo.bounds import gv_packing
-from ranktopo.estimate import design_digest, mle_ordinal
-from ranktopo.graph import EigensolverError, build_topology, spectrum
+from ranktopo.bounds import fano_pipeline, gv_packing, kl_exact, kl_upper, minimax_bounds
+from ranktopo.estimate import (design_digest, error_metrics, ls_paired_cardinal, mle_mwise,
+                               mle_ordinal)
+from ranktopo.graph import EigensolverError, build_topology, complete_hyper, spectrum
 from ranktopo.models import make_link, model_params, plackett_luce
-from ranktopo.synth import sample_comparisons, sample_outcomes, gen_quality
+from ranktopo.synth import (CardinalModel, ObservationBatch, gen_quality, sample_comparisons,
+                            sample_outcomes)
 
 
 class TestEstimateSerialization:
@@ -99,6 +101,95 @@ class TestPackingPropagation:
         assert full > 0 and capped > 0
         assert capped != full
         assert capped == fano_pipeline(design, params, 1e5, seed=5, packing_cap=8)
+
+
+def _pairing_cases() -> dict:
+    """Per entry point that takes a design, calls that pass it the wrong
+    design kind, a design of the wrong m, or scores of the wrong length,
+    each with the message it must raise.  For a pairwise entry point the m
+    case is a HyperDesign of the pair's m=2, still not a comparison graph."""
+    pair = build_topology("complete", 4)
+    hyper3, hyper2 = complete_hyper(4, 3), complete_hyper(4, 2)
+    btl, pl2, pl3 = make_link("btl", 1.0), plackett_luce(2), plackett_luce(3)
+    params = model_params(btl, 1.0)
+    entries = np.zeros(3, dtype=np.intp)
+    ordinal = ObservationBatch("ordinal_pair", entries, np.ones(3))
+    mwise = ObservationBatch("mwise", entries, np.zeros(3, dtype=np.intp))
+    cardinal = ObservationBatch("cardinal_pair", entries, np.zeros(3))
+    w, w1 = np.zeros(4), np.array([0.3, -0.1, 0.0, -0.2])
+    pairwise = "needs a ComparisonDesign, got HyperDesign"
+    m2 = r"needs a HyperDesign with m=2, got HyperDesign\(d=4, m=3\)"
+    return {
+        "sample_outcomes-design_kind": (
+            lambda: sample_outcomes(btl, w, hyper3, entries, 0), pairwise),
+        "sample_outcomes-mwise_on_pairs": (
+            lambda: sample_outcomes(pl3, w, pair, entries, 0),
+            "needs a HyperDesign with m=3, got ComparisonDesign"),
+        "sample_outcomes-cardinal_pair_kind": (
+            lambda: sample_outcomes(CardinalModel("pair", 0.0), w, hyper3, entries, 0), pairwise),
+        "sample_outcomes-m": (lambda: sample_outcomes(pl2, w, hyper3, entries, 0), m2),
+        "sample_outcomes-long_scores": (
+            lambda: sample_outcomes(btl, np.zeros(5), pair, entries, 0),
+            r"scores must have shape \(4,\), got \(5,\)"),
+        "sample_outcomes-short_scores": (
+            lambda: sample_outcomes(pl3, np.zeros(3), hyper3, entries, 0),
+            r"scores must have shape \(4,\), got \(3,\)"),
+        "mle_ordinal-design_kind": (lambda: mle_ordinal(ordinal, hyper3, btl, 1.0), pairwise),
+        "mle_ordinal-m": (lambda: mle_ordinal(ordinal, hyper2, btl, 1.0), pairwise),
+        "mle_mwise-design_kind": (
+            lambda: mle_mwise(mwise, pair, pl3, 1.0),
+            "needs a HyperDesign with m=3, got ComparisonDesign"),
+        "mle_mwise-m": (lambda: mle_mwise(mwise, hyper3, pl2, 1.0), m2),
+        "ls_paired_cardinal-design_kind": (lambda: ls_paired_cardinal(cardinal, hyper3), pairwise),
+        "ls_paired_cardinal-m": (lambda: ls_paired_cardinal(cardinal, hyper2), pairwise),
+        "error_metrics-design_kind": (lambda: error_metrics(w1, w, hyper3), pairwise),
+        "error_metrics-m": (lambda: error_metrics(w1, w, hyper2), pairwise),
+        "error_metrics-scores": (
+            lambda: error_metrics(np.zeros(3), w, pair), r"shape \(4,\), got \(3,\)"),
+        "kl_exact-design_kind": (lambda: kl_exact(w1, w, hyper3, btl, 10), pairwise),
+        "kl_exact-mwise_on_pairs": (
+            lambda: kl_exact(w1, w, pair, pl3, 10),
+            "needs a HyperDesign with m=3, got ComparisonDesign"),
+        "kl_exact-m": (lambda: kl_exact(w1, w, hyper3, pl2, 10), m2),
+        "kl_exact-scores": (
+            lambda: kl_exact(w1, np.zeros(5), pair, btl, 10), r"shape \(4,\), got \(5,\)"),
+        "kl_upper-design_kind": (lambda: kl_upper(w1, w, hyper3, params, 10), pairwise),
+        "kl_upper-m": (lambda: kl_upper(w1, w, hyper2, params, 10), pairwise),
+        "kl_upper-scores": (
+            lambda: kl_upper(w1, np.zeros(3), pair, params, 10), r"shape \(4,\), got \(3,\)"),
+        "minimax_bounds-design_kind": (
+            lambda: minimax_bounds("T4_mwise_lap", pair, pl3, 100),
+            "needs a HyperDesign with m=3, got ComparisonDesign"),
+        "minimax_bounds-m": (
+            lambda: minimax_bounds("T4_mwise_lap", complete_hyper(6, 3), pl2, 100),
+            r"needs a HyperDesign with m=2, got HyperDesign\(d=6, m=3\)"),
+        "minimax_bounds-params": (
+            lambda: minimax_bounds("T1_lap", pair, pl2, 100), "T1_lap needs ModelParams"),
+        "fano_pipeline-design_kind": (
+            lambda: fano_pipeline(complete_hyper(12, 3), params, 1e6),
+            r"needs a ComparisonDesign, got HyperDesign\(d=12, m=3\)"),
+        "fano_pipeline-m": (lambda: fano_pipeline(hyper2, params, 1e6), pairwise),
+    }
+
+
+class TestModelDesignPairing:
+    CASES = _pairing_cases()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_mismatch_is_refused(self, case):
+        """An m-wise link reads a HyperDesign of its own m, every other model
+        a ComparisonDesign, and scores hold one entry per item; every entry
+        point that takes a design refuses anything else with a ValueError
+        that names what it needed and what it got."""
+        call, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_cases_cover_every_entry_point(self):
+        covered = {case.split("-")[0] for case in self.CASES}
+        assert covered == {"sample_outcomes", "mle_ordinal", "mle_mwise", "ls_paired_cardinal",
+                           "error_metrics", "kl_exact", "kl_upper", "minimax_bounds",
+                           "fano_pipeline"}
 
 
 class TestImportWeight:
@@ -233,3 +324,20 @@ class TestImportHygiene:
                     if pieces & read_names(ast.parse(fh.read(), filename=name)):
                         readers.append(name)
         assert readers == ["estimate.py"]
+
+    def test_only_the_design_modules_tell_designs_apart(self):
+        """Outside ``graph.py`` and ``synth.py`` no package module passes
+        ``ComparisonDesign`` or ``HyperDesign`` to ``isinstance``: which design
+        a model reads is decided in one place, ``synth._check_model``."""
+        designs = {"ComparisonDesign", "HyperDesign"}
+        root = os.path.dirname(ranktopo.__file__)
+        found = []
+        for name in sorted(os.listdir(root)):
+            if name.endswith(".py") and name not in ("graph.py", "synth.py"):
+                with open(os.path.join(root, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=name)
+                found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == "isinstance" and len(node.args) == 2
+                          and designs & read_names(node.args[1])]
+        assert found == []

@@ -88,6 +88,11 @@ class TestQualityVector:
         with pytest.raises(ValueError):
             gen_quality("packing", 4, 1.0, 0, design=None)
 
+    def test_packing_design_must_have_d_items(self):
+        design = build_topology("complete", 5)
+        with pytest.raises(ValueError, match="d=8 got a design with d=5"):
+            gen_quality("packing", 8, 1.0, 0, design=design)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             gen_quality("cauchy", 4, 1.0, 0)
